@@ -15,7 +15,6 @@ The group action moves the content of cell (i, j) to cell (g(i), g(j)).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 
 from .dihedral import GroupElement, group_elements
@@ -24,11 +23,6 @@ from .spiral import spiral_numbering
 
 class BitstringError(ValueError):
     """Malformed board bitstring."""
-
-
-class CellState(Enum):
-    EMPTY = "empty"
-    X = "x"
 
 
 @dataclass(frozen=True)
@@ -54,9 +48,6 @@ class Board:
 
     def with_x(self, field: int, pos: int) -> Board:
         return Board(self.n, self.xs | {(field, pos)})
-
-    def state_at(self, field: int, pos: int) -> CellState:
-        return CellState.X if (field, pos) in self.xs else CellState.EMPTY
 
     @property
     def x_count(self) -> int:

@@ -16,6 +16,7 @@ spanning lines.  A known-good listing for n=2 ships with the package.
 from __future__ import annotations
 
 import json
+import os
 import re
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -62,7 +63,7 @@ class IsoClass:
 
 def _transposition_key(state: GameState):
     dictated = state.dictated
-    if dictated is not None and state.field_status[dictated - 1].closed:
+    if dictated in state.marks:
         dictated = None  # a closed dictation is a free move, whatever the label
     return (state.field_cells, dictated)
 
@@ -80,8 +81,7 @@ def _search(start: GameState) -> set[str]:
         for move in legal_moves(state):
             nxt = apply_move(state, move)
             if nxt.terminal:
-                if nxt.loser is not None:
-                    found.add(to_bitstring(nxt.board))
+                found.add(to_bitstring(nxt.board))
             else:
                 stack.append(nxt)
     return found
@@ -106,8 +106,10 @@ def enumerate_winning_boards(
         return frozenset(_search(GameState.initial(n)))
     start = GameState.initial(n)
     tasks = [(n, mv.field, mv.pos) for mv in sorted(legal_moves(start))]
+    # the pool forks all its workers up front, so never ask for idle ones
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
     merged: set[str] = set()
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
+    with ProcessPoolExecutor(max_workers=workers) as pool:
         for part in pool.map(_first_move_boards, tasks):
             merged |= part
     return frozenset(merged)
@@ -121,23 +123,23 @@ def partition_classes(boards, n: int) -> list[IsoClass]:
     """
     pool = set(boards)
     elems = group_elements(n)
-    orbits: dict[str, tuple[str, ...]] = {}
-    for bits in sorted(pool):
-        board = from_bitstring(bits, n)
-        images = tuple(to_bitstring(act_board(board, g)) for g in elems)
-        for g, img in zip(elems, images):
-            if img not in pool:
-                raise ClosureError(
-                    f"board {bits} maps to {img} under sigma^{g.a} rho^{g.b}, "
-                    "which is not in the input set"
-                )
-        orbits[bits] = images
     classes = []
     assigned: set[str] = set()
     for bits in sorted(pool):
         if bits in assigned:
             continue
-        members = frozenset(orbits[bits])
+        # an image of any orbit member is an image of bits, so checking the
+        # images of bits alone checks closure for the whole orbit
+        board = from_bitstring(bits, n)
+        members = set()
+        for g in elems:
+            img = to_bitstring(act_board(board, g))
+            if img not in pool:
+                raise ClosureError(
+                    f"board {bits} maps to {img} under sigma^{g.a} rho^{g.b}, "
+                    "which is not in the input set"
+                )
+            members.add(img)
         assigned |= members
         classes.append(IsoClass.from_members(members))
     classes.sort(key=lambda c: (c.orbit_size, c.canonical))

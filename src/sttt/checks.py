@@ -21,6 +21,7 @@ from .board import (
 from .dihedral import group_elements
 from .game import (
     GameState,
+    InvalidGameError,
     act_game,
     apply_move,
     final_board,
@@ -133,7 +134,7 @@ def _suite_game_action_validity(result: SuiteResult, rng: random.Random) -> None
         g = random_element(rng, n)
         try:
             mapped = act_game(moves, g)
-        except AssertionError as err:
+        except InvalidGameError as err:
             result.record(f"n={n} g=({g.a},{g.b}) {err}")
             continue
         check = is_valid_game(mapped, n)

@@ -24,7 +24,7 @@ from .dihedral import (
     group_element,
     verify_dihedral,
 )
-from .game import FieldStatus, GameState, Move, act_game, apply_move
+from .game import GameState, Move, act_game, apply_move
 from .spiral import spiral_numbering
 
 EX_OK = 0
@@ -200,13 +200,13 @@ def _replay_steps(moves, n: int):
             rule = getattr(err, "rule", "malformed")
             violation = {"index": idx, "rule": rule, "message": str(err)}
             break
-        status = state.status_of(mv.field)
+        closed = mv.field in state.marks
         steps.append(
             {
                 "index": idx,
                 "move": {"field": mv.field, "pos": mv.pos},
-                "field_status": status.value,
-                "mark_placed": status is not FieldStatus.OPEN,
+                "field_status": "won" if closed else "open",
+                "mark_placed": closed,
                 "terminal": state.terminal,
             }
         )
@@ -214,12 +214,11 @@ def _replay_steps(moves, n: int):
 
 
 def _cmd_game(args) -> int:
-    fmt = "json" if getattr(args, "json", False) else args.format
     moves = _parse_moves_arg(args.moves)
     if args.game_cmd == "act":
         elem = _parse_element_arg(args.element, args.n)
         result = act_game(moves, elem)
-        if fmt == "json":
+        if args.format == "json":
             payload = {
                 "command": "game-act",
                 "n": args.n,
@@ -234,7 +233,7 @@ def _cmd_game(args) -> int:
 
     state, steps, violation = _replay_steps(moves, args.n)
     final_bits = to_bitstring(state.board)
-    if fmt == "json":
+    if args.format == "json":
         payload = {
             "command": "game-replay",
             "n": args.n,
@@ -243,7 +242,6 @@ def _cmd_game(args) -> int:
             "valid": violation is None,
             "violation": violation,
             "terminal": state.terminal,
-            "draw": state.draw,
             "loser": state.loser,
             "final_bits": final_bits,
         }
@@ -264,12 +262,7 @@ def _cmd_game(args) -> int:
                 f"({violation['rule']})"
             )
         elif state.terminal:
-            if state.draw:
-                print("terminal: no moves remain and no board line was completed (draw)")
-            else:
-                print(
-                    f"terminal: player {state.loser} completed a board line and loses"
-                )
+            print(f"terminal: player {state.loser} completed a board line and loses")
         else:
             print("game in progress")
         print(f"final: {final_bits}")
@@ -378,13 +371,11 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--n", type=int, required=True)
     pr.add_argument("--moves", required=True, metavar="f:p,f:p,...")
     pr.add_argument("--format", choices=("text", "json"), default="text")
-    pr.add_argument("--json", action="store_true", help="shorthand for --format json")
     pga = gsub.add_parser("act", help="apply one group element to a game")
     pga.add_argument("--n", type=int, required=True)
     pga.add_argument("--moves", required=True, metavar="f:p,f:p,...")
     pga.add_argument("--element", required=True, metavar="a,b")
     pga.add_argument("--format", choices=("text", "json"), default="text")
-    pga.add_argument("--json", action="store_true", help="shorthand for --format json")
     p.set_defaults(func=_cmd_game)
 
     p = sub.add_parser("census", help="enumerate winning boards and classes")

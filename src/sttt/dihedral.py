@@ -56,10 +56,7 @@ def layer_reflection(sq: NumberedSquare, k: int) -> Permutation:
 
 
 def _disjoint_product(parts: list[Permutation]) -> Permutation:
-    prod = reduce(lambda p, q: p * q, parts)
-    # disjoint supports make the order immaterial; verify while debugging
-    assert prod == reduce(lambda p, q: p * q, reversed(parts))
-    return prod
+    return reduce(lambda p, q: p * q, parts)
 
 
 def full_rotation(sq: NumberedSquare) -> Permutation:

@@ -5,20 +5,17 @@ position of each move dictates the field of the next one: after (i, j) the
 next move must be in field j if that field is still open; if field j is
 closed the next player may use any open field.  The first move is free.
 
-A field closes as WON the moment it holds n collinear X's (row, column, or
-either diagonal of its grid) and its square on the board grid is marked; a
-field that somehow fills without a line closes as FULL and is marked too,
-since every mark is an X in the impartial game.  The game ends the moment
-the board grid holds n collinear marks, and the player who made that move
-loses.  Should a position ever run out of moves without a board line, it is
-flagged as a terminal draw.
+A field closes the moment it holds n collinear X's (row, column, or either
+diagonal of its grid), and its square on the board grid is marked; a field is
+closed exactly when its square is marked.  The game ends the moment the board
+grid holds n collinear marks, and the player who made that move loses.  Since
+every mark is an X, neither a field nor the board grid can fill without a
+line, so every finished game has a loser.
 """
 
 from __future__ import annotations
 
-import dataclasses
 from dataclasses import dataclass
-from enum import Enum
 from functools import lru_cache
 from typing import Iterable, NamedTuple
 
@@ -42,16 +39,6 @@ class TerminalStateError(ValueError):
 
 class InvalidGameError(ValueError):
     """A move sequence that does not replay legally from the empty board."""
-
-
-class FieldStatus(Enum):
-    OPEN = "open"
-    WON = "won"
-    FULL = "full"
-
-    @property
-    def closed(self) -> bool:
-        return self is not FieldStatus.OPEN
 
 
 class Move(NamedTuple):
@@ -92,39 +79,34 @@ class GameState:
     """Immutable snapshot of a game in progress.
 
     ``field_cells[i-1]`` holds the X positions of field i; ``marks`` the
-    labels of board squares marked X; ``dictated`` the field the next move
-    must obey (None only before the first move).  ``loser`` is 1 or 2 once a
-    board line is completed, per the parity of the terminal move.
+    labels of board squares marked X, which are exactly the closed fields;
+    ``dictated`` the field the next move must obey (None only before the
+    first move).  ``loser`` is 1 or 2 once a board line is completed, per the
+    parity of the terminal move.
     """
 
     n: int
     moves: tuple[Move, ...]
     field_cells: tuple[frozenset[int], ...]
-    field_status: tuple[FieldStatus, ...]
     marks: frozenset[int]
     dictated: int | None
-    terminal: bool
     loser: int | None = None
-    draw: bool = False
 
     @classmethod
     def initial(cls, n: int) -> GameState:
         if n < 1:
             raise ValueError(f"side length must be a positive integer, got {n}")
-        n_sq = n * n
         return cls(
             n=n,
             moves=(),
-            field_cells=(frozenset(),) * n_sq,
-            field_status=(FieldStatus.OPEN,) * n_sq,
+            field_cells=(frozenset(),) * (n * n),
             marks=frozenset(),
             dictated=None,
-            terminal=False,
         )
 
     @property
-    def history(self) -> tuple[Move, ...]:
-        return self.moves
+    def terminal(self) -> bool:
+        return self.loser is not None
 
     @property
     def board(self) -> Board:
@@ -135,17 +117,8 @@ class GameState:
             ),
         )
 
-    @property
-    def board_marks(self) -> frozenset[int]:
-        return self.marks
-
-    def status_of(self, field: int) -> FieldStatus:
-        return self.field_status[field - 1]
-
     def open_fields(self) -> tuple[int, ...]:
-        return tuple(
-            f + 1 for f, st in enumerate(self.field_status) if st is FieldStatus.OPEN
-        )
+        return tuple(f for f in range(1, self.n * self.n + 1) if f not in self.marks)
 
 
 def legal_moves(state: GameState) -> set[Move]:
@@ -153,10 +126,7 @@ def legal_moves(state: GameState) -> set[Move]:
     if state.terminal:
         raise TerminalStateError("the game is over; no moves remain")
     n_sq = state.n * state.n
-    if (
-        state.dictated is not None
-        and state.field_status[state.dictated - 1] is FieldStatus.OPEN
-    ):
+    if state.dictated is not None and state.dictated not in state.marks:
         fields: Iterable[int] = (state.dictated,)
     else:
         fields = state.open_fields()
@@ -178,11 +148,11 @@ def _check_legal(state: GameState, move: Move) -> None:
         raise IllegalMoveError(
             "out of range", f"move ({field}, {pos}) outside 1..{n_sq} labels"
         )
-    if state.field_status[field - 1].closed:
+    if field in state.marks:
         raise IllegalMoveError("closed field", f"field {field} is closed")
     if (
         state.dictated is not None
-        and state.field_status[state.dictated - 1] is FieldStatus.OPEN
+        and state.dictated not in state.marks
         and field != state.dictated
     ):
         raise IllegalMoveError(
@@ -200,47 +170,26 @@ def apply_move(state: GameState, move: Move) -> GameState:
     move = Move(*move)
     _check_legal(state, move)
     field, pos = move
-    n = state.n
-    n_sq = n * n
+    lines_through = _lines_through(state.n)
 
     cells = state.field_cells[field - 1] | {pos}
     field_cells = (
         state.field_cells[: field - 1] + (cells,) + state.field_cells[field:]
     )
-
-    status = FieldStatus.OPEN
-    if any(line <= cells for line in _lines_through(n)[pos - 1]):
-        status = FieldStatus.WON
-    elif len(cells) == n_sq:
-        status = FieldStatus.FULL
-    field_status = state.field_status
     marks = state.marks
-    terminal = False
     loser = None
-    if status is not FieldStatus.OPEN:
-        field_status = (
-            field_status[: field - 1] + (status,) + field_status[field:]
-        )
+    if any(line <= cells for line in lines_through[pos - 1]):
         marks = marks | {field}
-        if any(line <= marks for line in _lines_through(n)[field - 1]):
-            terminal = True
+        if any(line <= marks for line in lines_through[field - 1]):
             loser = 1 if (len(state.moves) + 1) % 2 else 2
-
-    new = GameState(
-        n=n,
+    return GameState(
+        n=state.n,
         moves=state.moves + (move,),
         field_cells=field_cells,
-        field_status=field_status,
         marks=marks,
         dictated=pos,
-        terminal=terminal,
         loser=loser,
     )
-    if not terminal and not new.open_fields():
-        # every field closed without a board line; cannot arise in impartial
-        # play (all marks are X) but kept as a guarded terminal state
-        new = dataclasses.replace(new, terminal=True, draw=True)
-    return new
 
 
 def replay(moves: Iterable[Move | tuple[int, int]], n: int) -> GameState:
@@ -274,9 +223,32 @@ def final_board(moves: Iterable[Move | tuple[int, int]], n: int) -> Board:
     return replay(moves, n).board
 
 
-def _map_moves(moves: tuple[Move, ...], elem: GroupElement) -> tuple[Move, ...]:
+def _checked(
+    moves: tuple[Move, ...],
+    n: int,
+    source: tuple[Move, ...] = (),
+    elem: GroupElement | None = None,
+) -> tuple[Move, ...]:
+    """Return ``moves`` if they replay legally, else raise InvalidGameError.
+
+    With ``elem`` given, ``moves`` is the image of the game ``source`` under
+    it, and the message names both.
+    """
+    check = is_valid_game(moves, n)
+    if check.valid:
+        return moves
+    if elem is None:
+        raise InvalidGameError(
+            f"input game invalid at move {check.index}: {check.message}"
+        )
+    raise InvalidGameError(
+        f"action a={elem.a} b={elem.b} broke game {list(source)}: {check.message}"
+    )
+
+
+def _image(moves: tuple[Move, ...], elem: GroupElement) -> tuple[Move, ...]:
     g = elem.perm
-    return tuple(Move(g(i), g(j)) for i, j in moves)
+    return _checked(tuple(Move(g(i), g(j)) for i, j in moves), elem.n, moves, elem)
 
 
 def act_game(
@@ -284,38 +256,20 @@ def act_game(
 ) -> tuple[Move, ...]:
     """Transform every move (i, j) to (g(i), g(j)).
 
-    The input must be a valid game.  While debugging, the output is checked
-    to replay legally as well.
+    Raises InvalidGameError if the input game, or its image, does not replay
+    legally; the image can fail for n >= 3, where not every group element
+    maps field lines to field lines.
     """
-    moves = tuple(Move(*m) for m in moves)
-    check = is_valid_game(moves, elem.n)
-    if not check.valid:
-        raise InvalidGameError(
-            f"input game invalid at move {check.index}: {check.message}"
-        )
-    mapped = _map_moves(moves, elem)
-    assert is_valid_game(mapped, elem.n).valid, (
-        f"action a={elem.a} b={elem.b} broke game {list(moves)}: "
-        f"{is_valid_game(mapped, elem.n).message}"
-    )
-    return mapped
+    moves = _checked(tuple(Move(*m) for m in moves), elem.n)
+    return _image(moves, elem)
 
 
 def game_orbit(
     moves: Iterable[Move | tuple[int, int]], n: int
 ) -> frozenset[tuple[Move, ...]]:
-    """All images of a valid game under the 2m group elements."""
-    moves = tuple(Move(*m) for m in moves)
-    check = is_valid_game(moves, n)
-    if not check.valid:
-        raise InvalidGameError(
-            f"input game invalid at move {check.index}: {check.message}"
-        )
-    orbit = set()
-    for elem in group_elements(n):
-        mapped = _map_moves(moves, elem)
-        assert is_valid_game(mapped, n).valid, (
-            f"action a={elem.a} b={elem.b} broke game {list(moves)}"
-        )
-        orbit.add(mapped)
-    return frozenset(orbit)
+    """All images of a valid game under the 2m group elements.
+
+    Raises InvalidGameError as :func:`act_game` does.
+    """
+    moves = _checked(tuple(Move(*m) for m in moves), n)
+    return frozenset(_image(moves, elem) for elem in group_elements(n))

@@ -108,7 +108,3 @@ class Permutation:
 
     def __repr__(self) -> str:
         return f"Permutation({self.cycle_string()}, n_sq={len(self._image)})"
-
-
-def perm_order(p: Permutation) -> int:
-    return p.order()

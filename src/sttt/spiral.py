@@ -133,7 +133,3 @@ class NumberedSquare:
 def spiral_numbering(n: int) -> NumberedSquare:
     """The spiral numbering of an n x n grid (cached per n)."""
     return NumberedSquare(n)
-
-
-def level_set(sq: NumberedSquare, k: int) -> tuple[int, ...]:
-    return sq.level_set(k)

@@ -5,7 +5,6 @@ import pytest
 from sttt.board import (
     BitstringError,
     Board,
-    CellState,
     act_board,
     board_orbit,
     canonical_form,
@@ -22,8 +21,6 @@ ORDER2_B = "1001000000001001"
 def test_board_construction_and_lookup():
     b = Board(2, frozenset({(1, 1), (3, 3)}))
     assert b.x_count == 2
-    assert b.state_at(1, 1) is CellState.X
-    assert b.state_at(1, 2) is CellState.EMPTY
     assert b.cells() == ((1, 1), (3, 3))
     assert b.with_x(2, 4).x_count == 3
 

@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from sttt import census
 from sttt.board import Board, to_bitstring
 from sttt.census import (
     ClosureError,
@@ -75,6 +76,33 @@ def test_parallel_enumeration_matches(winning_boards):
     assert enumerate_winning_boards(2, jobs=2) == winning_boards
 
 
+def test_parallel_workers_are_clamped(winning_boards, monkeypatch):
+    # the real pool forks every requested worker at once; this one runs the
+    # subtrees in process and records how many workers were asked for
+    requested = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            requested.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(census, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 64)
+    assert enumerate_winning_boards(2, jobs=5000) == winning_boards
+    assert enumerate_winning_boards(2, jobs=3) == winning_boards
+    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
+    assert enumerate_winning_boards(2, jobs=5000) == winning_boards
+    assert requested == [16, 3, 2]  # 16 first moves on the 2x2 board
+
+
 def test_partition_singleton_empty_board():
     empty = to_bitstring(Board.empty(2))
     classes = partition_classes({empty}, 2)
@@ -86,6 +114,15 @@ def test_partition_singleton_empty_board():
 def test_partition_rejects_non_closed_sets():
     with pytest.raises(ClosureError):
         partition_classes({ORDER2_B}, 2)
+
+
+def test_closure_error_names_the_missing_board(winning_boards):
+    with pytest.raises(ClosureError) as err:
+        partition_classes(winning_boards - {ORDER2_A}, 2)
+    assert str(err.value) == (
+        f"board {ORDER2_B} maps to {ORDER2_A} under sigma^1 rho^0, "
+        "which is not in the input set"
+    )
 
 
 def test_parse_single_tuple():

@@ -134,7 +134,8 @@ def test_game_replay_example(capsys):
 def test_game_replay_json_schema(capsys):
     code, out, _ = run(
         capsys,
-        "game", "replay", "--n", "2", "--moves", "3:1,1:1,1:3,3:3", "--json",
+        "game", "replay", "--n", "2", "--moves", "3:1,1:1,1:3,3:3",
+        "--format", "json",
     )
     assert code == 0
     payload = json.loads(out)
@@ -173,12 +174,23 @@ def test_game_act_json_schema(capsys):
     code, out, _ = run(
         capsys,
         "game", "act", "--n", "2", "--moves", "3:1,1:1,1:3,3:3",
-        "--element", "1,0", "--json",
+        "--element", "1,0", "--format", "json",
     )
     assert code == 0
     payload = json.loads(out)
     validate(payload)
     assert payload["result"][0] == {"field": 4, "pos": 2}
+
+
+def test_game_act_invalid_image_is_domain_error(capsys):
+    code, out, err = run(
+        capsys,
+        "game", "act", "--n", "3", "--moves", "5:1,1:5,5:2,2:5,5:3,3:5,1:1",
+        "--element", "1,0",
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: action a=1 b=0 broke game")
 
 
 def test_game_act_malformed_moves(capsys):

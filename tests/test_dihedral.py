@@ -1,3 +1,5 @@
+from functools import reduce
+
 import pytest
 
 from sttt.dihedral import (
@@ -74,6 +76,21 @@ def test_layer_permutation_orders(n):
         ref = layer_reflection(sq, k)
         assert rot.order() == len(sq.level_set(k))
         assert (ref * ref).is_identity()
+
+
+@pytest.mark.parametrize("n", range(2, 9))
+def test_layer_products_do_not_depend_on_order(n):
+    # the layers have disjoint supports, so their permutations commute
+    sq = spiral_numbering(n)
+    layers = range(1, sq.layer_count + 1)
+    for make, full in (
+        (layer_rotation, full_rotation),
+        (layer_reflection, full_reflection),
+    ):
+        parts = [make(sq, k) for k in layers]
+        forward = reduce(lambda p, q: p * q, parts)
+        backward = reduce(lambda p, q: p * q, reversed(parts))
+        assert forward == backward == full(sq)
 
 
 def test_full_products_n2():

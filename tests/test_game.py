@@ -1,12 +1,14 @@
 import itertools
 import random
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
 from sttt.board import act_board, to_bitstring
 from sttt.dihedral import dihedral_order, group_element, group_elements
 from sttt.game import (
-    FieldStatus,
     GameState,
     IllegalMoveError,
     InvalidGameError,
@@ -58,7 +60,6 @@ def test_dictation_into_open_field():
 def test_free_choice_after_closed_dictation():
     # after three moves field 1 is won; the dictated field 3 is open
     state = replay(EXAMPLE_GAME[:3], 2)
-    assert state.status_of(1) is FieldStatus.WON
     assert state.marks == frozenset({1})
     assert legal_moves(state) == {Move(3, 2), Move(3, 3), Move(3, 4)}
 
@@ -66,17 +67,15 @@ def test_free_choice_after_closed_dictation():
 def test_example_game_replay():
     state = GameState.initial(2)
     state = apply_move(state, Move(3, 1))
-    assert state.status_of(3) is FieldStatus.OPEN and not state.terminal
+    assert 3 not in state.marks and not state.terminal
     state = apply_move(state, Move(1, 1))
     assert state.marks == frozenset()
     state = apply_move(state, Move(1, 3))
-    assert state.status_of(1) is FieldStatus.WON
     assert state.marks == frozenset({1})
     assert not state.terminal
     state = apply_move(state, Move(3, 3))
-    assert state.status_of(3) is FieldStatus.WON
     assert state.marks == frozenset({1, 3})
-    assert state.terminal and not state.draw
+    assert state.terminal
     assert state.loser == 2  # the fourth move loses
     assert to_bitstring(state.board) == "1001000000001001"
 
@@ -138,15 +137,17 @@ def test_replay_determinism():
     assert a.board == b.board
 
 
-@pytest.mark.parametrize("n", (2, 3))
+@pytest.mark.parametrize("n", (2, 3, 4))
 def test_every_closed_field_is_marked(n):
+    # a field is marked exactly when its cells contain a line of its grid
     rng = random.Random(n * 17)
     for _ in range(100):
         state = GameState.initial(n)
         while not state.terminal and rng.random() < 0.95:
             state = apply_move(state, rng.choice(sorted(legal_moves(state))))
-        for f in range(1, n * n + 1):
-            assert (state.status_of(f).closed) == (f in state.marks)
+            for f, cells in enumerate(state.field_cells, 1):
+                has_line = any(line <= cells for line in grid_lines(n))
+                assert (f in state.marks) == has_line
 
 
 def test_n2_terminal_exactly_when_second_field_closes():
@@ -177,6 +178,30 @@ def test_act_game_rejects_invalid_input():
         act_game((Move(3, 1), Move(2, 2)), group_elements(2)[0])
     with pytest.raises(InvalidGameError):
         game_orbit((Move(3, 1), Move(2, 2)), 2)
+
+
+def test_act_game_rejects_invalid_image_without_asserts():
+    # sigma bends the top row of a 3x3 field into an L, so this game's image
+    # breaks at move 7; the check must survive python -O
+    code = (
+        "from sttt.game import InvalidGameError, act_game\n"
+        "from sttt.dihedral import group_element\n"
+        "game = [(5, 1), (1, 5), (5, 2), (2, 5), (5, 3), (3, 5), (1, 1)]\n"
+        "try:\n"
+        "    act_game(game, group_element(3, 1, 0))\n"
+        "except InvalidGameError as err:\n"
+        "    print('rejected:', err)\n"
+    )
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-O", "-c", code],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.startswith("rejected: action a=1 b=0 broke game")
 
 
 def test_game_orbit_of_example_matches_listing():

@@ -4,7 +4,6 @@ from sttt.spiral import (
     InvalidLayerError,
     InvalidSizeError,
     NumberedSquare,
-    level_set,
     spiral_numbering,
 )
 
@@ -66,7 +65,6 @@ def test_level_sets_n5():
     assert sq.level_set(1) == (25,)
     assert sq.level_set(2) == (17, 18, 19, 20, 21, 22, 23, 24)
     assert sq.level_set(3) == tuple(range(1, 17))
-    assert level_set(sq, 2) == sq.level_set(2)
 
 
 def test_level_set_out_of_range():
