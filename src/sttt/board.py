@@ -77,13 +77,10 @@ def _reading_maps(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 def to_bitstring(board: Board) -> str:
     """Serialize to the reading-order 0/1 string of length n^4."""
     n_sq = board.n * board.n
-    _, to_spiral = _reading_maps(board.n)
-    xs = board.xs
-    chars = []
-    for f_read in range(1, n_sq + 1):
-        field = to_spiral[f_read]
-        for p_read in range(1, n_sq + 1):
-            chars.append("1" if (field, to_spiral[p_read]) in xs else "0")
+    to_read, _ = _reading_maps(board.n)
+    chars = ["0"] * (n_sq * n_sq)
+    for field, pos in board.xs:
+        chars[(to_read[field] - 1) * n_sq + to_read[pos] - 1] = "1"
     return "".join(chars)
 
 
@@ -119,4 +116,4 @@ def board_orbit(board: Board) -> frozenset[Board]:
 
 def canonical_form(board: Board) -> str:
     """Lexicographically smallest bitstring over the orbit; orbit-constant."""
-    return min(to_bitstring(b) for b in board_orbit(board))
+    return min(to_bitstring(act_board(board, g)) for g in group_elements(board.n))

@@ -3,9 +3,9 @@
 A winning board is the final board of a completed game: the position at the
 moment a move completes n collinear marks on the board grid.  The census
 walks the full game tree depth first, pruning with a transposition set keyed
-on (cells, effective dictated field), collects the terminal boards, and
-partitions them into orbits of the dihedral action.  Classes are reported in
-a deterministic order: by orbit size, then by canonical bitstring.
+on (cells, dictated field), collects the terminal boards, and partitions them
+into orbits of the dihedral action.  Classes are reported in a deterministic
+order: by orbit size, then by canonical bitstring.
 
 The same class structure can be read back from two formats: newline
 delimited JSON (one class per line) and a human readable listing whose
@@ -18,7 +18,6 @@ from __future__ import annotations
 import json
 import os
 import re
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from importlib import resources
 
@@ -61,20 +60,13 @@ class IsoClass:
         return cls(canonical=ordered[0], members=ordered)
 
 
-def _transposition_key(state: GameState):
-    dictated = state.dictated
-    if dictated in state.marks:
-        dictated = None  # a closed dictation is a free move, whatever the label
-    return (state.field_cells, dictated)
-
-
 def _search(start: GameState) -> set[str]:
     found: set[str] = set()
     seen = set()
     stack = [start]
     while stack:
         state = stack.pop()
-        key = _transposition_key(state)
+        key = (state.field_cells, state.dictated)
         if key in seen:
             continue
         seen.add(key)
@@ -104,6 +96,9 @@ def enumerate_winning_boards(
         raise ValueError(_WIDE_SEARCH_HELP)
     if jobs <= 1:
         return frozenset(_search(GameState.initial(n)))
+    # imported here so that a serial run never loads multiprocessing
+    from concurrent.futures import ProcessPoolExecutor
+
     start = GameState.initial(n)
     tasks = [(n, mv.field, mv.pos) for mv in sorted(legal_moves(start))]
     # the pool forks all its workers up front, so never ask for idle ones

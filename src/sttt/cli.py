@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import census as census_mod
-from .board import act_board, board_orbit, canonical_form, from_bitstring, to_bitstring
+from .board import act_board, board_orbit, from_bitstring, to_bitstring
 from .checks import SUITE_NAMES, run_all, run_suite
 from .dihedral import (
     dihedral_order,
@@ -24,7 +24,7 @@ from .dihedral import (
     group_element,
     verify_dihedral,
 )
-from .game import GameState, Move, act_game, apply_move
+from .game import GameState, IllegalMoveError, Move, act_game, apply_move
 from .spiral import spiral_numbering
 
 EX_OK = 0
@@ -177,7 +177,7 @@ def _cmd_board(args) -> int:
         "input": args.bits,
         "orbit": orbit,
         "size": len(orbit),
-        "canonical": canonical_form(board),
+        "canonical": orbit[0],
     }
     if args.format == "json":
         sys.stdout.write(_json_dump(payload))
@@ -196,9 +196,8 @@ def _replay_steps(moves, n: int):
     for idx, mv in enumerate(moves, 1):
         try:
             state = apply_move(state, mv)
-        except ValueError as err:
-            rule = getattr(err, "rule", "malformed")
-            violation = {"index": idx, "rule": rule, "message": str(err)}
+        except IllegalMoveError as err:
+            violation = {"index": idx, "rule": err.rule, "message": str(err)}
             break
         closed = mv.field in state.marks
         steps.append(

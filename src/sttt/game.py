@@ -4,6 +4,8 @@ Both players place X.  A move (i, j) marks position j of field i.  The
 position of each move dictates the field of the next one: after (i, j) the
 next move must be in field j if that field is still open; if field j is
 closed the next player may use any open field.  The first move is free.
+:func:`apply_move` settles this once per move, so a state's ``dictated`` is
+the field the next move must use, or None exactly when that move is free.
 
 A field closes the moment it holds n collinear X's (row, column, or either
 diagonal of its grid), and its square on the board grid is marked; a field is
@@ -80,9 +82,10 @@ class GameState:
 
     ``field_cells[i-1]`` holds the X positions of field i; ``marks`` the
     labels of board squares marked X, which are exactly the closed fields;
-    ``dictated`` the field the next move must obey (None only before the
-    first move).  ``loser`` is 1 or 2 once a board line is completed, per the
-    parity of the terminal move.
+    ``dictated`` the open field the next move must use, or None when that
+    move is free (the first move, or a move dictated into a closed field).
+    ``loser`` is 1 or 2 once a board line is completed, per the parity of the
+    terminal move.
     """
 
     n: int
@@ -126,10 +129,7 @@ def legal_moves(state: GameState) -> set[Move]:
     if state.terminal:
         raise TerminalStateError("the game is over; no moves remain")
     n_sq = state.n * state.n
-    if state.dictated is not None and state.dictated not in state.marks:
-        fields: Iterable[int] = (state.dictated,)
-    else:
-        fields = state.open_fields()
+    fields = (state.dictated,) if state.dictated is not None else state.open_fields()
     out = set()
     for f in fields:
         cells = state.field_cells[f - 1]
@@ -150,11 +150,7 @@ def _check_legal(state: GameState, move: Move) -> None:
         )
     if field in state.marks:
         raise IllegalMoveError("closed field", f"field {field} is closed")
-    if (
-        state.dictated is not None
-        and state.dictated not in state.marks
-        and field != state.dictated
-    ):
+    if state.dictated is not None and field != state.dictated:
         raise IllegalMoveError(
             "wrong field",
             f"move dictated into open field {state.dictated}, not field {field}",
@@ -165,9 +161,23 @@ def _check_legal(state: GameState, move: Move) -> None:
         )
 
 
+def _as_move(move) -> Move:
+    try:
+        field, pos = move
+    except (TypeError, ValueError):
+        raise ValueError(f"move {move!r} is not a (field, pos) pair") from None
+    if not (isinstance(field, int) and isinstance(pos, int)):
+        raise ValueError(f"move {move!r} is not a pair of integers")
+    return Move(field, pos)
+
+
 def apply_move(state: GameState, move: Move) -> GameState:
-    """Place an X and return the resulting state; raises IllegalMoveError."""
-    move = Move(*move)
+    """Place an X and return the resulting state.
+
+    Raises IllegalMoveError for a move the rules forbid, and ValueError for
+    one that is not a pair of integers.
+    """
+    move = _as_move(move)
     _check_legal(state, move)
     field, pos = move
     lines_through = _lines_through(state.n)
@@ -187,7 +197,7 @@ def apply_move(state: GameState, move: Move) -> GameState:
         moves=state.moves + (move,),
         field_cells=field_cells,
         marks=marks,
-        dictated=pos,
+        dictated=None if pos in marks else pos,
         loser=loser,
     )
 
@@ -201,7 +211,7 @@ def replay(moves: Iterable[Move | tuple[int, int]], n: int) -> GameState:
     state = GameState.initial(n)
     for idx, mv in enumerate(moves, 1):
         try:
-            state = apply_move(state, Move(*mv))
+            state = apply_move(state, mv)
         except IllegalMoveError as err:
             err.index = idx
             raise
@@ -256,11 +266,12 @@ def act_game(
 ) -> tuple[Move, ...]:
     """Transform every move (i, j) to (g(i), g(j)).
 
-    Raises InvalidGameError if the input game, or its image, does not replay
+    Raises ValueError for a move that is not a pair of integers, and
+    InvalidGameError if the input game, or its image, does not replay
     legally; the image can fail for n >= 3, where not every group element
     maps field lines to field lines.
     """
-    moves = _checked(tuple(Move(*m) for m in moves), elem.n)
+    moves = _checked(tuple(map(_as_move, moves)), elem.n)
     return _image(moves, elem)
 
 
@@ -271,5 +282,5 @@ def game_orbit(
 
     Raises InvalidGameError as :func:`act_game` does.
     """
-    moves = _checked(tuple(Move(*m) for m in moves), n)
+    moves = _checked(tuple(map(_as_move, moves)), n)
     return frozenset(_image(moves, elem) for elem in group_elements(n))

@@ -1,11 +1,11 @@
 """Counterclockwise spiral numbering of a square grid and its ring layers.
 
 An n x n grid is numbered 1..n^2 starting in the top-left corner and walking
-counterclockwise: down the left edge first, then right, up, left, turning
-inward whenever the walk would leave the grid or hit a numbered cell.  The
-grid decomposes into floor((n+1)/2) concentric layers counted from the
-innermost (layer 1) outward; a layer's sorted label list is its level set.
-Because the walk finishes each ring before moving inward, every level set is
+counterclockwise one ring at a time: down the left edge, along the bottom,
+up the right edge and back along the top, then inward to the next ring.  The
+grid decomposes into floor((n+1)/2) concentric rings, or layers, counted from
+the innermost (layer 1) outward; a layer's sorted label list is its level
+set.  Since each ring is numbered whole before the next, every level set is
 a consecutive block of labels.
 """
 
@@ -22,10 +22,6 @@ class InvalidLayerError(ValueError):
     """Layer index outside 1..layer_count."""
 
 
-# walk directions in turn order: down, right, up, left
-_STEPS = ((1, 0), (0, 1), (-1, 0), (0, -1))
-
-
 class NumberedSquare:
     """Spiral-numbered n x n grid with its layer decomposition.
 
@@ -40,39 +36,26 @@ class NumberedSquare:
         if n < 1:
             raise InvalidSizeError(f"side length must be a positive integer, got {n}")
         self.n = n
-        n_sq = n * n
-        grid = [[0] * n for _ in range(n)]
-        cells: list[tuple[int, int]] = [(-1, -1)] * (n_sq + 1)
-        r = c = d = 0
-        for label in range(1, n_sq + 1):
-            grid[r][c] = label
-            cells[label] = (r, c)
-            if label == n_sq:
-                break
-            for _ in range(4):
-                dr, dc = _STEPS[d]
-                nr, nc = r + dr, c + dc
-                if 0 <= nr < n and 0 <= nc < n and grid[nr][nc] == 0:
-                    r, c = nr, nc
-                    break
-                d = (d + 1) % 4
-            else:  # pragma: no cover - the walk can always continue until full
-                raise AssertionError("spiral walk blocked before filling the grid")
-
         count = (n + 1) // 2
-        layers = [0] * (n_sq + 1)
-        buckets: list[list[int]] = [[] for _ in range(count + 1)]
-        for label in range(1, n_sq + 1):
-            row, col = cells[label]
-            k = count - min(row, col, n - 1 - row, n - 1 - col)
-            layers[label] = k
-            buckets[k].append(label)
-        level_sets = []
-        for k in range(1, count + 1):
-            ring = sorted(buckets[k])
-            # each ring must be a consecutive label block; a gap is a walk bug
-            assert ring == list(range(ring[0], ring[0] + len(ring)))
-            level_sets.append(tuple(ring))
+        grid = [[0] * n for _ in range(n)]
+        cells: list[tuple[int, int]] = [(-1, -1)]  # index 0 unused
+        layers = [0]
+        level_sets: list[tuple[int, ...]] = []
+        for lo in range(count):  # rings from the outside in
+            hi = n - 1 - lo
+            ring = (
+                [(r, lo) for r in range(lo, hi + 1)]  # down the left edge
+                + [(hi, c) for c in range(lo + 1, hi + 1)]  # along the bottom
+                + [(r, hi) for r in range(hi - 1, lo - 1, -1)]  # up the right edge
+                + [(lo, c) for c in range(hi - 1, lo, -1)]  # back along the top
+            )
+            first = len(cells)
+            for label, (r, c) in enumerate(ring, first):
+                grid[r][c] = label
+            cells += ring
+            layers += [count - lo] * len(ring)
+            level_sets.append(tuple(range(first, len(cells))))
+        level_sets.reverse()  # layer 1 is the innermost ring
 
         self._grid = tuple(tuple(row) for row in grid)
         self._cells = tuple(cells)

@@ -1,4 +1,7 @@
 import json
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -94,13 +97,28 @@ def test_parallel_workers_are_clamped(winning_boards, monkeypatch):
         def map(self, fn, tasks):
             return map(fn, tasks)
 
-    monkeypatch.setattr(census, "ProcessPoolExecutor", SerialPool)
+    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
     monkeypatch.setattr(census.os, "cpu_count", lambda: 64)
     assert enumerate_winning_boards(2, jobs=5000) == winning_boards
     assert enumerate_winning_boards(2, jobs=3) == winning_boards
     monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
     assert enumerate_winning_boards(2, jobs=5000) == winning_boards
     assert requested == [16, 3, 2]  # 16 first moves on the 2x2 board
+
+
+def test_import_leaves_multiprocessing_unloaded():
+    # only a parallel census needs the process pool and what it pulls in
+    code = "import sys, sttt; print('multiprocessing' in sys.modules)"
+    src = Path(__file__).resolve().parents[1] / "src"
+    done = subprocess.run(
+        [sys.executable, "-c", code],
+        env={"PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert done.returncode == 0, done.stderr
+    assert done.stdout == "False\n"
 
 
 def test_partition_singleton_empty_board():

@@ -64,6 +64,19 @@ def test_free_choice_after_closed_dictation():
     assert legal_moves(state) == {Move(3, 2), Move(3, 3), Move(3, 4)}
 
 
+def test_dictation_into_a_closed_field_is_free():
+    # field 5 closes on its left column; the last move then points into it
+    state = replay([(5, 1), (1, 5), (5, 2), (2, 5), (5, 3), (3, 5)], 3)
+    assert state.marks == frozenset({5})
+    assert state.dictated is None
+    assert legal_moves(state) == {
+        Move(f, p)
+        for f in state.open_fields()
+        for p in range(1, 10)
+        if p not in state.field_cells[f - 1]
+    }
+
+
 def test_example_game_replay():
     state = GameState.initial(2)
     state = apply_move(state, Move(3, 1))
@@ -121,6 +134,18 @@ def test_is_valid_game():
     assert not check.valid
     assert check.index == 2
     assert check.rule == "wrong field"
+
+
+def test_malformed_moves_are_invalid():
+    for moves in ([(1, 2, 3)], [(1,)], [(1, "2")], [7]):
+        check = is_valid_game(moves, 2)
+        assert not check.valid
+        assert check.index is None
+        assert check.rule == "malformed"
+        with pytest.raises(ValueError, match="not a"):
+            act_game(moves, group_element(2, 1, 0))
+        with pytest.raises(ValueError, match="not a"):
+            game_orbit(moves, 2)
 
 
 def test_moves_after_terminal_are_invalid():

@@ -16,6 +16,13 @@ GRID_5 = (
     (5, 6, 7, 8, 9),
 )
 
+GRID_4 = (
+    (1, 12, 11, 10),
+    (2, 13, 16, 9),
+    (3, 14, 15, 8),
+    (4, 5, 6, 7),
+)
+
 GRID_3 = (
     (1, 8, 7),
     (2, 9, 6),
@@ -42,6 +49,10 @@ def test_two_by_two():
 
 def test_three_by_three():
     assert spiral_numbering(3).rows == GRID_3
+
+
+def test_four_by_four():
+    assert spiral_numbering(4).rows == GRID_4
 
 
 def test_five_by_five():
