@@ -1,11 +1,11 @@
 """Exhaustive census of winning boards and their isomorphism classes.
 
 A winning board is the final board of a completed game: the position at the
-moment a move completes n collinear marks on the board grid.  The census
-walks the full game tree depth first, pruning with a transposition set keyed
-on (cells, dictated field), collects the terminal boards, and partitions them
-into orbits of the dihedral action.  Classes are reported in a deterministic
-order: by orbit size, then by canonical bitstring.
+moment a move completes n collinear marks on the board grid.  For n <= 2 the
+census walks the full game tree in one serial depth-first search, pruned by a
+transposition set keyed on (cells, dictated field), and partitions the
+terminal boards into orbits of the dihedral action; at n=3 the search does
+not finish.  Classes are ordered by orbit size, then by canonical bitstring.
 
 The same class structure can be read back from two formats: newline
 delimited JSON (one class per line) and a human readable listing whose
@@ -16,19 +16,13 @@ spanning lines.  A known-good listing for n=2 ships with the package.
 from __future__ import annotations
 
 import json
-import os
 import re
 from dataclasses import dataclass
 from importlib import resources
 
 from .board import act_board, from_bitstring, to_bitstring
 from .dihedral import group_elements
-from .game import GameState, Move, apply_move, legal_moves
-
-_WIDE_SEARCH_HELP = (
-    "the exhaustive census is sized for n=2; pass allow_large=True to search "
-    "larger boards anyway (runtime grows steeply)"
-)
+from .game import GameState, apply_move, legal_moves
 
 
 class ClosureError(ValueError):
@@ -60,10 +54,19 @@ class IsoClass:
         return cls(canonical=ordered[0], members=ordered)
 
 
-def _search(start: GameState) -> set[str]:
+def enumerate_winning_boards(n: int = 2, *, jobs: int = 1) -> frozenset[str]:
+    """Bitstrings of every reachable winning board, deduplicated.
+
+    One serial exhaustive search, refused for n > 2, where it does not finish.
+    ``jobs`` is kept for callers that pass it and accepts only 1.
+    """
+    if jobs != 1:
+        raise ValueError(f"the census search is serial; jobs must be 1, got {jobs}")
+    if n > 2:
+        raise ValueError(f"the exhaustive census runs for n <= 2 only, got n={n}")
     found: set[str] = set()
     seen = set()
-    stack = [start]
+    stack = [GameState.initial(n)]
     while stack:
         state = stack.pop()
         key = (state.field_cells, state.dictated)
@@ -76,38 +79,7 @@ def _search(start: GameState) -> set[str]:
                 found.add(to_bitstring(nxt.board))
             else:
                 stack.append(nxt)
-    return found
-
-
-def _first_move_boards(args: tuple[int, int, int]) -> set[str]:
-    n, field, pos = args
-    return _search(apply_move(GameState.initial(n), Move(field, pos)))
-
-
-def enumerate_winning_boards(
-    n: int = 2, allow_large: bool = False, jobs: int = 1
-) -> frozenset[str]:
-    """Bitstrings of every reachable winning board, deduplicated.
-
-    With jobs > 1 the first moves partition the root and the subtrees are
-    searched in separate processes; the result is identical either way.
-    """
-    if n != 2 and not allow_large:
-        raise ValueError(_WIDE_SEARCH_HELP)
-    if jobs <= 1:
-        return frozenset(_search(GameState.initial(n)))
-    # imported here so that a serial run never loads multiprocessing
-    from concurrent.futures import ProcessPoolExecutor
-
-    start = GameState.initial(n)
-    tasks = [(n, mv.field, mv.pos) for mv in sorted(legal_moves(start))]
-    # the pool forks all its workers up front, so never ask for idle ones
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
-    merged: set[str] = set()
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        for part in pool.map(_first_move_boards, tasks):
-            merged |= part
-    return frozenset(merged)
+    return frozenset(found)
 
 
 def partition_classes(boards, n: int) -> list[IsoClass]:
@@ -148,6 +120,10 @@ def size_histogram(classes) -> dict[int, int]:
     return dict(sorted(hist.items()))
 
 
+def _is_bitstring(value) -> bool:
+    return isinstance(value, str) and value != "" and set(value) <= {"0", "1"}
+
+
 # a candidate class tuple: parenthesized 0/1 strings separated by commas
 _TUPLE_RE = re.compile(r"\(([\s,01]+)\)")
 _COUNT_RE = re.compile(
@@ -171,7 +147,7 @@ def parse_census_text(text: str, n: int = 2) -> list[IsoClass]:
         parts = [p.strip() for p in re.split(r"\s*,\s*", body)]
         line = text.count("\n", 0, m.start()) + 1
         for part in parts:
-            if not part or set(part) - {"0", "1"}:
+            if not _is_bitstring(part):
                 raise ListingParseError(f"malformed tuple entry {part!r}", line)
             if len(part) != want:
                 raise ListingParseError(
@@ -278,12 +254,21 @@ def classes_to_jsonl(classes) -> str:
 
 
 def classes_from_jsonl(text: str) -> list[IsoClass]:
+    """Read classes from JSONL; a malformed line raises ListingParseError."""
     classes = []
-    for raw in text.splitlines():
+    for line, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
             continue
-        obj = json.loads(raw)
-        classes.append(IsoClass.from_members(obj["members"]))
+        try:
+            members = json.loads(raw)["members"]
+        except (ValueError, TypeError, KeyError):  # not JSON, or not an object
+            members = None
+        ok = isinstance(members, list) and members and all(map(_is_bitstring, members))
+        if not ok:
+            raise ListingParseError(
+                "not an object with a non-empty members list of 0/1 strings", line
+            )
+        classes.append(IsoClass.from_members(members))
     return classes
 
 

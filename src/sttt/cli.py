@@ -1,9 +1,9 @@
 """Command line front end.
 
 Every subcommand produces deterministic output: identical inputs give byte
-identical text or JSON across runs and parallelism settings.  Exit codes:
-0 success, 1 domain error (bad sizes, bitstrings, illegal moves), 2 failed
-verification (relation check, census mismatch, fuzz failure), 64 usage.
+identical text or JSON across runs.  Exit codes: 0 success, 1 domain error
+(bad sizes, bitstrings, illegal moves), 2 failed verification (relation
+check, census mismatch, fuzz failure), 64 usage.
 """
 
 from __future__ import annotations
@@ -287,9 +287,7 @@ def _cmd_census(args) -> int:
             print(diff.summary())
         return EX_OK if diff.match else EX_VERIFY
 
-    boards = census_mod.enumerate_winning_boards(
-        args.n, allow_large=args.allow_large, jobs=args.jobs
-    )
+    boards = census_mod.enumerate_winning_boards(args.n)
     classes = census_mod.partition_classes(boards, args.n)
     hist = census_mod.size_histogram(classes)
     if args.listing_style:
@@ -386,8 +384,6 @@ def build_parser() -> argparse.ArgumentParser:
         action="store_true",
         help="emit the human readable listing instead of JSONL",
     )
-    p.add_argument("--jobs", type=int, default=1)
-    p.add_argument("--allow-large", action="store_true")
     p.add_argument("--computed", default=None, help="JSONL census to compare")
     p.add_argument(
         "--reference",
@@ -415,10 +411,7 @@ def main(argv=None) -> int:
         return exc.code if isinstance(exc.code, int) else EX_USAGE
     try:
         return args.func(args)
-    except ValueError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EX_DOMAIN
-    except OSError as err:
+    except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EX_DOMAIN
 

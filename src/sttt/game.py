@@ -244,16 +244,15 @@ def _checked(
     With ``elem`` given, ``moves`` is the image of the game ``source`` under
     it, and the message names both.
     """
-    check = is_valid_game(moves, n)
-    if check.valid:
-        return moves
-    if elem is None:
-        raise InvalidGameError(
-            f"input game invalid at move {check.index}: {check.message}"
-        )
-    raise InvalidGameError(
-        f"action a={elem.a} b={elem.b} broke game {list(source)}: {check.message}"
-    )
+    try:
+        replay(moves, n)
+    except IllegalMoveError as err:
+        if elem is None:
+            why = f"input game invalid at move {err.index}: {err}"
+        else:
+            why = f"action a={elem.a} b={elem.b} broke game {list(source)}: {err}"
+        raise InvalidGameError(why) from err
+    return moves
 
 
 def _image(moves: tuple[Move, ...], elem: GroupElement) -> tuple[Move, ...]:

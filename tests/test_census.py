@@ -5,7 +5,6 @@ from pathlib import Path
 
 import pytest
 
-from sttt import census
 from sttt.board import Board, to_bitstring
 from sttt.census import (
     ClosureError,
@@ -71,43 +70,22 @@ def test_classes_sorted_deterministically(classes):
 
 
 def test_enumerate_guards_large_sizes():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="n <= 2 only"):
         enumerate_winning_boards(3)
 
 
-def test_parallel_enumeration_matches(winning_boards):
-    assert enumerate_winning_boards(2, jobs=2) == winning_boards
+def test_enumerate_one_by_one_board():
+    # the only game marks the single cell, completing both field and board
+    assert enumerate_winning_boards(1) == frozenset({"1"})
 
 
-def test_parallel_workers_are_clamped(winning_boards, monkeypatch):
-    # the real pool forks every requested worker at once; this one runs the
-    # subtrees in process and records how many workers were asked for
-    requested = []
-
-    class SerialPool:
-        def __init__(self, max_workers):
-            requested.append(max_workers)
-
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def map(self, fn, tasks):
-            return map(fn, tasks)
-
-    monkeypatch.setattr("concurrent.futures.ProcessPoolExecutor", SerialPool)
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 64)
-    assert enumerate_winning_boards(2, jobs=5000) == winning_boards
-    assert enumerate_winning_boards(2, jobs=3) == winning_boards
-    monkeypatch.setattr(census.os, "cpu_count", lambda: 2)
-    assert enumerate_winning_boards(2, jobs=5000) == winning_boards
-    assert requested == [16, 3, 2]  # 16 first moves on the 2x2 board
+def test_enumerate_is_serial():
+    with pytest.raises(ValueError, match="serial"):
+        enumerate_winning_boards(2, jobs=2)
 
 
 def test_import_leaves_multiprocessing_unloaded():
-    # only a parallel census needs the process pool and what it pulls in
+    # nothing in the package needs a process pool or what it pulls in
     code = "import sys, sttt; print('multiprocessing' in sys.modules)"
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(

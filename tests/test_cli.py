@@ -256,13 +256,6 @@ def test_census_diff_needs_computed(capsys):
     assert "--computed" in err
 
 
-def test_census_parallel_output_identical(tmp_path, capsys):
-    a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    run(capsys, "census", "--n", "2", "--out", str(a), "--jobs", "1")
-    run(capsys, "census", "--n", "2", "--out", str(b), "--jobs", "2")
-    assert a.read_bytes() == b.read_bytes()
-
-
 def test_census_listing_style_parses_back(tmp_path, capsys):
     out_file = tmp_path / "classes.txt"
     jsonl_file = tmp_path / "classes.jsonl"
@@ -273,10 +266,32 @@ def test_census_listing_style_parses_back(tmp_path, capsys):
     assert listing == jsonl
 
 
-def test_census_allow_large_guard(capsys):
+def test_census_small_sizes_guard(capsys):
     code, _, err = run(capsys, "census", "--n", "3")
     assert code == 1
-    assert "allow_large" in err
+    assert "error: the exhaustive census runs for n <= 2 only, got n=3" in err
+
+
+@pytest.mark.parametrize(
+    "argv", [("--jobs", "2"), ("--n", "3", "--allow-large")], ids=["jobs", "allow-large"]
+)
+def test_census_removed_flags_are_usage_errors(capsys, argv):
+    code, out, err = run(capsys, "census", *argv)
+    assert code == 64
+    assert out == ""
+    assert "error:" in err
+
+
+@pytest.mark.parametrize(
+    "line", ["{}", '{"members": []}', "[1,2]", '{"members": ["0120"]}', "not json"]
+)
+def test_census_diff_rejects_malformed_jsonl(tmp_path, capsys, line):
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(line + "\n")
+    code, out, err = run(capsys, "census", "diff", "--computed", str(bad))
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: line 1: ")
 
 
 def test_output_dir_env_override(tmp_path, capsys, monkeypatch):
