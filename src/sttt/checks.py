@@ -25,7 +25,6 @@ from .game import (
     act_game,
     apply_move,
     final_board,
-    is_valid_game,
     legal_moves,
 )
 
@@ -65,11 +64,6 @@ def random_board(rng: random.Random, sizes=(2, 3, 4, 5)) -> Board:
     return Board(n, frozenset(rng.sample(cells, k)))
 
 
-def random_element(rng: random.Random, n: int):
-    elems = group_elements(n)
-    return elems[rng.randrange(len(elems))]
-
-
 def random_valid_game(rng: random.Random, n: int) -> tuple:
     """A random legal playout, stopped early at a random length."""
     state = GameState.initial(n)
@@ -82,8 +76,8 @@ def random_valid_game(rng: random.Random, n: int) -> tuple:
 def _suite_board_action_law(result: SuiteResult, rng: random.Random) -> None:
     for _ in range(result.cases):
         b = random_board(rng)
-        g = random_element(rng, b.n)
-        h = random_element(rng, b.n)
+        g = rng.choice(group_elements(b.n))
+        h = rng.choice(group_elements(b.n))
         if act_board(act_board(b, h), g) != act_board(b, g * h):
             result.record(f"n={b.n} g=({g.a},{g.b}) h=({h.a},{h.b}) xs={sorted(b.xs)}")
 
@@ -91,7 +85,7 @@ def _suite_board_action_law(result: SuiteResult, rng: random.Random) -> None:
 def _suite_x_count(result: SuiteResult, rng: random.Random) -> None:
     for _ in range(result.cases):
         b = random_board(rng)
-        g = random_element(rng, b.n)
+        g = rng.choice(group_elements(b.n))
         if act_board(b, g).x_count != b.x_count:
             result.record(f"n={b.n} g=({g.a},{g.b}) xs={sorted(b.xs)}")
 
@@ -99,7 +93,7 @@ def _suite_x_count(result: SuiteResult, rng: random.Random) -> None:
 def _suite_canonical_constancy(result: SuiteResult, rng: random.Random) -> None:
     for _ in range(result.cases):
         b = random_board(rng, sizes=(2, 3))
-        g = random_element(rng, b.n)
+        g = rng.choice(group_elements(b.n))
         if canonical_form(act_board(b, g)) != canonical_form(b):
             result.record(f"n={b.n} g=({g.a},{g.b}) xs={sorted(b.xs)}")
 
@@ -121,32 +115,27 @@ def _suite_game_action_validity(result: SuiteResult, rng: random.Random) -> None
     for _ in range(result.cases):
         n = rng.choice((2, 3))
         moves = random_valid_game(rng, n)
-        g = random_element(rng, n)
+        g = rng.choice(group_elements(n))
         try:
-            mapped = act_game(moves, g)
+            act_game(moves, g)
         except InvalidGameError as err:
             result.record(f"n={n} g=({g.a},{g.b}) {err}")
-            continue
-        check = is_valid_game(mapped, n)
-        if not check.valid:
-            result.record(
-                f"n={n} g=({g.a},{g.b}) game={[tuple(m) for m in moves]} "
-                f"-> invalid at move {check.index} ({check.rule})"
-            )
 
 
 def _suite_commutation(result: SuiteResult, rng: random.Random) -> None:
     """final_board of the acted game equals the acted final board.
 
-    Games whose image does not replay legally are counted as skipped here;
-    the game-action-validity suite owns those findings.
+    Both game suites take their images from act_game.  Games whose image
+    does not replay legally are counted as skipped here; the
+    game-action-validity suite owns those findings.
     """
     for _ in range(result.cases):
         n = rng.choice((2, 3))
         moves = random_valid_game(rng, n)
-        g = random_element(rng, n)
-        mapped = tuple((g(i), g(j)) for i, j in moves)
-        if not is_valid_game(mapped, n).valid:
+        g = rng.choice(group_elements(n))
+        try:
+            mapped = act_game(moves, g)
+        except InvalidGameError:
             result.skipped += 1
             continue
         if final_board(mapped, n) != act_board(final_board(moves, n), g):

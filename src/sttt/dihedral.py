@@ -15,6 +15,8 @@ and m = LCM(1, 8, 16, ..., 4n-4) for odd n.  Elements are written
 sigma^a rho^b with the reflection applied first: the realized permutation
 sends x to sigma^a(rho^b(x)).  Under the action, the content at label p moves
 to label g(p), so the cell labelled f shows what was at g^-1(f).
+Since rho sigma rho = sigma^-1, products follow the dihedral law
+sigma^a rho^b * sigma^c rho^d = sigma^(a - c if b else a + c) rho^(b xor d).
 """
 
 from __future__ import annotations
@@ -90,17 +92,15 @@ class GroupElement:
         return self.perm(label)
 
     def __mul__(self, other: GroupElement) -> GroupElement:
-        """Composition: (g * h) acts as g after h."""
+        """Composition: (g * h) acts as g after h.  By the dihedral law,
+        sigma^a rho^b * sigma^c rho^d = sigma^(a - c if b else a + c) rho^(b xor d)."""
         if self.n != other.n:
             raise ValueError(f"group elements for different sizes: {self.n} != {other.n}")
-        m = dihedral_order(self.n)
-        a = (self.a + (-other.a if self.b else other.a)) % m
-        return GroupElement(self.n, a, self.b ^ other.b, self.perm * other.perm)
+        a = self.a - other.a if self.b else self.a + other.a
+        return group_element(self.n, a, self.b ^ other.b)
 
     def inverse(self) -> GroupElement:
-        m = dihedral_order(self.n)
-        a = self.a if self.b else (-self.a) % m
-        return GroupElement(self.n, a, self.b, self.perm.inverse())
+        return group_element(self.n, self.a if self.b else -self.a, self.b)
 
     def is_identity(self) -> bool:
         return self.perm.is_identity()
@@ -121,13 +121,22 @@ def group_element(n: int, a: int, b: int) -> GroupElement:
 
 @lru_cache(maxsize=None)
 def group_elements(n: int) -> tuple[GroupElement, ...]:
-    """All 2m elements, ordered by rotation exponent then reflection flag."""
+    """All 2m elements, ordered by rotation exponent then reflection flag.
+
+    Raises ValueError, before building anything, when the 2m permutations
+    of n^2 labels would hold over 10^7 entries: n = 14, 16, 18 and n >= 19.
+    """
     m = dihedral_order(n)
+    if 2 * m * n * n > 10**7:
+        raise ValueError(
+            f"refusing to build the group for n={n}: its 2m = {2 * m} "
+            f"permutations of {n * n} labels exceed 10^7 entries"
+        )
     return tuple(group_element(n, a, b) for a in range(m) for b in (0, 1))
 
 
 def identity_element(n: int) -> GroupElement:
-    return group_elements(n)[0]
+    return group_element(n, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -183,6 +192,7 @@ def verify_dihedral(n: int) -> DihedralReport:
         raise InvalidSizeError(
             f"verification needs n >= 2 (the n={n} action collapses to the trivial group)"
         )
+    elems = group_elements(n)  # first, so a group too large to build fails at once
     sigma, rho = _generators(n)
     m = dihedral_order(n)
     ident = Permutation.identity(n * n)
@@ -201,7 +211,6 @@ def verify_dihedral(n: int) -> DihedralReport:
     checks.append(RelationCheck("rho^2 = 1", (rho * rho) == ident))
     sr = sigma * rho
     checks.append(RelationCheck("(sigma rho)^2 = 1", (sr * sr) == ident))
-    elems = group_elements(n)
     distinct = len({e.perm for e in elems})
     checks.append(
         RelationCheck(

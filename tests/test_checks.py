@@ -1,0 +1,14 @@
+from sttt.checks import run_suite
+
+
+def test_game_suite_counts_are_pinned():
+    # both game suites take their images from act_game; any change to the
+    # action, to act_game's checks or to the suites' draws moves these counts
+    validity = run_suite("game-action-validity", cases=2000, seed=2024)
+    assert validity.failures == 139
+    assert validity.first_failure.startswith(
+        "n=3 g=(5,1) action a=5 b=1 broke game [Move(field=6, pos=8)"
+    )
+    commutation = run_suite("replay-action-commutation", cases=2000, seed=2024)
+    assert commutation.failures == 0
+    assert commutation.skipped == 135

@@ -81,6 +81,18 @@ def test_group_trivial_size_reports(capsys):
     assert "trivial" in out
 
 
+def test_group_too_large_to_build(capsys):
+    # n = 18 has 2m = 6,126,120 elements: sigma and rho still print, but the
+    # verification needs the whole group and is refused
+    code, out, _ = run(capsys, "group", "--n", "18")
+    assert code == 0
+    assert "group order = 6126120" in out and "rho = (" in out
+    code, out, err = run(capsys, "group", "--n", "18", "--verify")
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: refusing to build the group for n=18")
+
+
 def test_board_act_golden(capsys):
     code, out, _ = run(
         capsys,

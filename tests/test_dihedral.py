@@ -1,3 +1,4 @@
+import time
 from functools import reduce
 
 import pytest
@@ -165,20 +166,36 @@ def test_element_composition_convention():
         assert e(x) == (sigma**3)(rho(x))
 
 
-@pytest.mark.parametrize("n", (2, 3))
+# the sizes the board-action-law fuzz suite draws
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_group_element_algebra(n):
+    # products and inverses come from the dihedral law on the exponents;
+    # each side of these asserts is computed on the permutations instead
     elems = group_elements(n)
     for g in elems:
         assert (g * g.inverse()).is_identity()
+        assert g.inverse().perm == g.perm.inverse()
         assert isinstance(g * g, GroupElement)
         for h in elems:
             prod = g * h
-            # exponent arithmetic agrees with permutation composition
             assert prod.perm == g.perm * h.perm
-            canonical = group_element(n, prod.a, prod.b)
-            assert canonical.perm == prod.perm
             for x in range(1, n * n + 1):
                 assert prod(x) == g(h(x))
+
+
+@pytest.mark.parametrize("n", (14, 16, 18, 19, 40))
+def test_group_elements_refuses_large_groups(n):
+    # 2m permutations of n^2 labels over 10^7 entries in all: refused before
+    # any element is built
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=f"n={n}: its 2m = {2 * dihedral_order(n)} "):
+        group_elements(n)
+    assert time.perf_counter() - start < 1.0
+
+
+def test_group_elements_builds_below_the_bound():
+    # n = 13 is the largest size below the first refused one
+    assert len(group_elements(13)) == 2 * dihedral_order(13) == 960
 
 
 def test_element_size_mismatch():
