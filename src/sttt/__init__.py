@@ -36,11 +36,8 @@ from .dihedral import (
     GroupElement,
     RelationCheck,
     dihedral_order,
-    full_reflection,
-    full_rotation,
     group_element,
     group_elements,
-    identity_element,
     layer_reflection,
     layer_rotation,
     ring_sizes,
@@ -107,13 +104,10 @@ __all__ = [
     "enumerate_winning_boards",
     "final_board",
     "from_bitstring",
-    "full_reflection",
-    "full_rotation",
     "game_orbit",
     "grid_lines",
     "group_element",
     "group_elements",
-    "identity_element",
     "is_valid_game",
     "layer_reflection",
     "layer_rotation",

@@ -46,15 +46,9 @@ class Board:
     def empty(cls, n: int) -> Board:
         return cls(n, frozenset())
 
-    def with_x(self, field: int, pos: int) -> Board:
-        return Board(self.n, self.xs | {(field, pos)})
-
     @property
     def x_count(self) -> int:
         return len(self.xs)
-
-    def cells(self) -> tuple[tuple[int, int], ...]:
-        return tuple(sorted(self.xs))
 
     def __repr__(self) -> str:
         return f"Board(n={self.n}, xs={sorted(self.xs)})"

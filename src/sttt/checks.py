@@ -157,6 +157,8 @@ SUITE_NAMES = tuple(_SUITES)
 def run_suite(name: str, cases: int = 10_000, seed: int = 0) -> SuiteResult:
     if name not in _SUITES:
         raise ValueError(f"unknown suite {name!r}; choose from {SUITE_NAMES}")
+    if cases < 1:
+        raise ValueError(f"a suite needs at least one case, got cases={cases}")
     # each suite gets an independent deterministic stream
     rng = random.Random(seed * len(SUITE_NAMES) + SUITE_NAMES.index(name))
     result = SuiteResult(name=name, cases=cases, failures=0)

@@ -17,13 +17,7 @@ from pathlib import Path
 from . import census as census_mod
 from .board import act_board, board_orbit, from_bitstring, to_bitstring
 from .checks import SUITE_NAMES, run_all, run_suite
-from .dihedral import (
-    dihedral_order,
-    full_reflection,
-    full_rotation,
-    group_element,
-    verify_dihedral,
-)
+from .dihedral import dihedral_order, group_element, verify_dihedral
 from .game import GameState, IllegalMoveError, Move, act_game, apply_move
 from .spiral import spiral_numbering
 
@@ -105,8 +99,7 @@ def _perm_payload(perm) -> dict:
 
 def _cmd_group(args) -> int:
     n = args.n
-    sq = spiral_numbering(n)
-    sigma, rho = full_rotation(sq), full_reflection(sq)
+    sigma, rho = group_element(n, 1, 0).perm, group_element(n, 0, 1).perm
     m = dihedral_order(n)
     trivial = n == 1
     report = None

@@ -5,9 +5,10 @@ Layer k of a spiral-numbered square is a ring whose sorted level set is
 k_{i+1} (one step along the spiral); the layer reflection swaps k_i with
 k_{s-i} for ring size s = j + 1, indices mod s, which reflects the ring
 across the grid's main diagonal (k_0 is always fixed, and so is k_{s/2} when
-s is even).  The full rotation sigma and reflection rho are products over all
-layers; layers have disjoint supports, so the order of that product does not
-matter.
+s is even).  The full rotation sigma and reflection rho act on every layer at
+once, so sigma^a rho^b sends k_i to k_{a - i} when b = 1 and to k_{a + i}
+when b = 0, indices mod s; group_element builds each element from that
+formula.
 
 The group generated by sigma and rho is dihedral of order 2m, where m is the
 least common multiple of the ring sizes: m = LCM(4, 12, ..., 4n-4) for even n
@@ -22,7 +23,7 @@ sigma^a rho^b * sigma^c rho^d = sigma^(a - c if b else a + c) rho^(b xor d).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache, reduce
+from functools import lru_cache
 from math import lcm
 
 from .perm import Permutation
@@ -57,28 +58,6 @@ def layer_reflection(sq: NumberedSquare, k: int) -> Permutation:
     return Permutation.from_cycles(sq.n_sq, swaps)
 
 
-def _disjoint_product(parts: list[Permutation]) -> Permutation:
-    return reduce(lambda p, q: p * q, parts)
-
-
-def full_rotation(sq: NumberedSquare) -> Permutation:
-    return _disjoint_product(
-        [layer_rotation(sq, k) for k in range(1, sq.layer_count + 1)]
-    )
-
-
-def full_reflection(sq: NumberedSquare) -> Permutation:
-    return _disjoint_product(
-        [layer_reflection(sq, k) for k in range(1, sq.layer_count + 1)]
-    )
-
-
-@lru_cache(maxsize=None)
-def _generators(n: int) -> tuple[Permutation, Permutation]:
-    sq = spiral_numbering(n)
-    return full_rotation(sq), full_reflection(sq)
-
-
 @dataclass(frozen=True)
 class GroupElement:
     """Element sigma^a rho^b of the dihedral action for side length n."""
@@ -102,9 +81,6 @@ class GroupElement:
     def inverse(self) -> GroupElement:
         return group_element(self.n, self.a if self.b else -self.a, self.b)
 
-    def is_identity(self) -> bool:
-        return self.perm.is_identity()
-
     def __repr__(self) -> str:
         return f"GroupElement(n={self.n}, a={self.a}, b={self.b})"
 
@@ -113,10 +89,14 @@ def group_element(n: int, a: int, b: int) -> GroupElement:
     """The element sigma^a rho^b; a is reduced mod m, b must be 0 or 1."""
     if b not in (0, 1):
         raise ValueError(f"reflection flag must be 0 or 1, got {b}")
-    sigma, rho = _generators(n)
+    sq = spiral_numbering(n)
     a %= dihedral_order(n)
-    perm = sigma**a * rho if b else sigma**a
-    return GroupElement(n, a, b, perm)
+    image = [0] * sq.n_sq
+    for k in range(1, sq.layer_count + 1):
+        ring = sq.level_set(k)
+        for i, x in enumerate(ring):
+            image[x - 1] = ring[(a - i if b else a + i) % len(ring)]
+    return GroupElement(n, a, b, Permutation(image))
 
 
 @lru_cache(maxsize=None)
@@ -133,10 +113,6 @@ def group_elements(n: int) -> tuple[GroupElement, ...]:
             f"permutations of {n * n} labels exceed 10^7 entries"
         )
     return tuple(group_element(n, a, b) for a in range(m) for b in (0, 1))
-
-
-def identity_element(n: int) -> GroupElement:
-    return group_element(n, 0, 0)
 
 
 @dataclass(frozen=True)
@@ -193,7 +169,7 @@ def verify_dihedral(n: int) -> DihedralReport:
             f"verification needs n >= 2 (the n={n} action collapses to the trivial group)"
         )
     elems = group_elements(n)  # first, so a group too large to build fails at once
-    sigma, rho = _generators(n)
+    sigma, rho = group_element(n, 1, 0).perm, group_element(n, 0, 1).perm
     m = dihedral_order(n)
     ident = Permutation.identity(n * n)
 

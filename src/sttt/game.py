@@ -97,12 +97,10 @@ class GameState:
 
     @classmethod
     def initial(cls, n: int) -> GameState:
-        if n < 1:
-            raise ValueError(f"side length must be a positive integer, got {n}")
         return cls(
             n=n,
             moves=(),
-            field_cells=(frozenset(),) * (n * n),
+            field_cells=(frozenset(),) * spiral_numbering(n).n_sq,
             marks=frozenset(),
             dictated=None,
         )

@@ -27,7 +27,8 @@ class NumberedSquare:
 
     Cells are (row, col) pairs, 0-indexed from the top-left; labels run
     1..n^2.  Instances are immutable; build them through
-    :func:`spiral_numbering`, which caches per size.
+    :func:`spiral_numbering`, which caches per size.  Side lengths run
+    1..56: a board on the grid has n^4 cells, and n >= 57 would exceed 10^7.
     """
 
     __slots__ = ("n", "_grid", "_cells", "_layers", "_level_sets")
@@ -35,6 +36,11 @@ class NumberedSquare:
     def __init__(self, n: int):
         if n < 1:
             raise InvalidSizeError(f"side length must be a positive integer, got {n}")
+        if n**4 > 10**7:
+            raise InvalidSizeError(
+                f"side length {n} is too large: a board of n^4 = {n**4} cells "
+                f"exceeds 10^7 (the largest supported n is 56)"
+            )
         self.n = n
         count = (n + 1) // 2
         grid = [[0] * n for _ in range(n)]

@@ -22,8 +22,7 @@ from sttt.census import (
 from sttt.checks import SUITE_NAMES, run_suite
 from sttt.dihedral import (
     dihedral_order,
-    full_reflection,
-    full_rotation,
+    group_element,
     group_elements,
     verify_dihedral,
 )
@@ -77,7 +76,7 @@ def test_criterion_1_dihedral_verification():
         if not report.ok:
             problems.append(f"n={n} relations failed: {report.failed()}")
         expected = EXPECTED_ORDERS[n]
-        realized = full_rotation(spiral_numbering(n)).order()
+        realized = group_element(n, 1, 0).perm.order()
         if not (dihedral_order(n) == expected == realized):
             problems.append(
                 f"n={n}: formula {dihedral_order(n)}, expected {expected}, "
@@ -96,8 +95,8 @@ def test_criterion_1_dihedral_verification():
 def test_criterion_2_layout_goldens():
     sq = spiral_numbering(5)
     ok = sq.rows == GRID_5
-    sigma_inv = full_rotation(sq).inverse()
-    rho_inv = full_reflection(sq).inverse()
+    sigma_inv = group_element(5, 1, 0).perm.inverse()
+    rho_inv = group_element(5, 0, 1).perm.inverse()
     rotated = tuple(
         tuple(sigma_inv(sq.label_at(r, c)) for c in range(5)) for r in range(5)
     )

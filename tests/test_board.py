@@ -21,8 +21,8 @@ ORDER2_B = "1001000000001001"
 def test_board_construction_and_lookup():
     b = Board(2, frozenset({(1, 1), (3, 3)}))
     assert b.x_count == 2
-    assert b.cells() == ((1, 1), (3, 3))
-    assert b.with_x(2, 4).x_count == 3
+    assert sorted(b.xs) == [(1, 1), (3, 3)]
+    assert Board(2, b.xs | {(2, 4)}).x_count == 3
 
 
 def test_board_rejects_bad_cells():

@@ -1,4 +1,5 @@
 import json
+import time
 
 import jsonschema
 import pytest
@@ -91,6 +92,30 @@ def test_group_too_large_to_build(capsys):
     assert code == 1
     assert out == ""
     assert err.startswith("error: refusing to build the group for n=18")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    (
+        ("square", "--n", "57"),
+        ("group", "--n", "57"),
+        ("game", "replay", "--n", "57", "--moves", "1:1"),
+    ),
+)
+def test_side_length_bound(capsys, argv):
+    # a board at n = 57 has n^4 > 10^7 cells: refused before anything is built
+    start = time.perf_counter()
+    code, out, err = run(capsys, *argv)
+    assert time.perf_counter() - start < 1.0
+    assert code == 1
+    assert out == ""
+    assert err.startswith("error: side length 57 is too large")
+
+
+def test_largest_side_length_replays(capsys):
+    code, out, _ = run(capsys, "game", "replay", "--n", "56", "--moves", "1:1")
+    assert code == 0
+    assert out.startswith("move 1: field 1 pos 1\ngame in progress\nfinal: 1")
 
 
 def test_board_act_golden(capsys):
@@ -330,6 +355,14 @@ def test_fuzz_exit_code_tracks_suite_outcome(capsys):
         "fuzz", "--cases", "40", "--seed", "0", "--suite", "game-action-validity",
     )
     assert code == (0 if expected.ok else 2)
+
+
+@pytest.mark.parametrize("cases", ("0", "-3"))
+def test_fuzz_needs_a_case(capsys, cases):
+    code, out, err = run(capsys, "fuzz", "--cases", cases)
+    assert code == 1
+    assert out == ""
+    assert err == f"error: a suite needs at least one case, got cases={cases}\n"
 
 
 def test_fuzz_json_schema(capsys):

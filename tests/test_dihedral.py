@@ -6,11 +6,8 @@ import pytest
 from sttt.dihedral import (
     GroupElement,
     dihedral_order,
-    full_reflection,
-    full_rotation,
     group_element,
     group_elements,
-    identity_element,
     layer_reflection,
     layer_rotation,
     ring_sizes,
@@ -41,7 +38,7 @@ def test_dihedral_order_values(n, m):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_dihedral_order_matches_realized_rotation(n):
-    assert dihedral_order(n) == full_rotation(spiral_numbering(n)).order()
+    assert dihedral_order(n) == group_element(n, 1, 0).perm.order()
 
 
 def test_layer_rotation_goldens():
@@ -85,26 +82,37 @@ def test_layer_products_do_not_depend_on_order(n):
     sq = spiral_numbering(n)
     layers = range(1, sq.layer_count + 1)
     for make, full in (
-        (layer_rotation, full_rotation),
-        (layer_reflection, full_reflection),
+        (layer_rotation, group_element(n, 1, 0)),
+        (layer_reflection, group_element(n, 0, 1)),
     ):
         parts = [make(sq, k) for k in layers]
         forward = reduce(lambda p, q: p * q, parts)
         backward = reduce(lambda p, q: p * q, reversed(parts))
-        assert forward == backward == full(sq)
+        assert forward == backward == full.perm
+
+
+@pytest.mark.parametrize("n", range(1, 12))
+def test_group_element_matches_layer_definition(n):
+    # the ring-index formula against powers of the per-layer products
+    sq = spiral_numbering(n)
+    layers = range(1, sq.layer_count + 1)
+    sigma = reduce(lambda p, q: p * q, [layer_rotation(sq, k) for k in layers])
+    rho = reduce(lambda p, q: p * q, [layer_reflection(sq, k) for k in layers])
+    for a in range(dihedral_order(n)):
+        rotation = sigma**a
+        assert group_element(n, a, 0).perm == rotation
+        assert group_element(n, a, 1).perm == rotation * rho
 
 
 def test_full_products_n2():
-    sq = spiral_numbering(2)
-    assert full_rotation(sq).cycle_string() == "(1 2 3 4)"
-    assert full_reflection(sq).cycle_string() == "(2 4)"
+    assert group_element(2, 1, 0).perm.cycle_string() == "(1 2 3 4)"
+    assert group_element(2, 0, 1).perm.cycle_string() == "(2 4)"
 
 
 def test_full_products_n5():
-    sq = spiral_numbering(5)
-    sigma = full_rotation(sq)
+    sigma = group_element(5, 1, 0).perm
     assert sigma.cycles() == (tuple(range(1, 17)), tuple(range(17, 25)))
-    rho = full_reflection(sq)
+    rho = group_element(5, 0, 1).perm
     expected = Permutation.from_cycles(
         25,
         [(2, 16), (3, 15), (4, 14), (5, 13), (6, 12), (7, 11), (8, 10),
@@ -114,15 +122,14 @@ def test_full_products_n5():
 
 
 def test_full_products_n1_trivial():
-    sq = spiral_numbering(1)
-    assert full_rotation(sq).is_identity()
-    assert full_reflection(sq).is_identity()
+    assert group_element(1, 1, 0).perm.is_identity()
+    assert group_element(1, 0, 1).perm.is_identity()
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_generators_preserve_layers(n):
     sq = spiral_numbering(n)
-    sigma, rho = full_rotation(sq), full_reflection(sq)
+    sigma, rho = group_element(n, 1, 0).perm, group_element(n, 0, 1).perm
     for label in range(1, n * n + 1):
         assert sq.layer_of(sigma(label)) == sq.layer_of(label)
         assert sq.layer_of(rho(label)) == sq.layer_of(label)
@@ -130,8 +137,7 @@ def test_generators_preserve_layers(n):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_sigma_rho_squared_is_identity(n):
-    sq = spiral_numbering(n)
-    sr = full_rotation(sq) * full_reflection(sq)
+    sr = group_element(n, 1, 0).perm * group_element(n, 0, 1).perm
     assert (sr * sr).is_identity()
 
 
@@ -142,7 +148,7 @@ def test_group_elements_enumeration():
         (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)
     ]
     assert len({e.perm for e in elems}) == 8
-    assert identity_element(2).is_identity()
+    assert group_element(2, 0, 0).perm.is_identity()
 
 
 def test_group_elements_distinct_for_larger_sizes():
@@ -155,12 +161,12 @@ def test_group_elements_distinct_for_larger_sizes():
 def test_group_elements_degenerate_n1():
     elems = group_elements(1)
     assert len(elems) == 2
-    assert all(e.is_identity() for e in elems)  # the action collapses
+    assert all(e.perm.is_identity() for e in elems)  # the action collapses
 
 
 def test_element_composition_convention():
     # sigma^a rho^b applies the reflection first
-    sigma, rho = full_rotation(spiral_numbering(2)), full_reflection(spiral_numbering(2))
+    sigma, rho = group_element(2, 1, 0).perm, group_element(2, 0, 1).perm
     e = group_element(2, 3, 1)
     for x in range(1, 5):
         assert e(x) == (sigma**3)(rho(x))
@@ -173,7 +179,7 @@ def test_group_element_algebra(n):
     # each side of these asserts is computed on the permutations instead
     elems = group_elements(n)
     for g in elems:
-        assert (g * g.inverse()).is_identity()
+        assert (g * g.inverse()).perm.is_identity()
         assert g.inverse().perm == g.perm.inverse()
         assert isinstance(g * g, GroupElement)
         for h in elems:
@@ -258,11 +264,11 @@ def _content_grid(n, perm):
 
 
 def test_rotation_action_layout_golden():
-    assert _content_grid(5, full_rotation(spiral_numbering(5))) == ROTATED_5
+    assert _content_grid(5, group_element(5, 1, 0).perm) == ROTATED_5
 
 
 def test_reflection_action_layout_golden():
-    assert _content_grid(5, full_reflection(spiral_numbering(5))) == REFLECTED_5
+    assert _content_grid(5, group_element(5, 0, 1).perm) == REFLECTED_5
     # the reflection is the transpose of the numbering
     sq = spiral_numbering(5)
     assert REFLECTED_5 == tuple(zip(*sq.rows))

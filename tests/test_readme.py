@@ -1,4 +1,6 @@
 import doctest
+import importlib
+import re
 import shlex
 from pathlib import Path
 
@@ -21,3 +23,21 @@ def test_readme_examples_run():
     parser = build_parser()
     for argv in commands:
         parser.parse_args(argv[1:])
+
+
+def test_readme_library_table_names_resolve():
+    # each backticked span of a row names one attribute of that row's module,
+    # so the table cannot list a removed name or merge two into one span
+    section = README.read_text("utf-8").split("## Library overview", 1)[1]
+    rows = [line for line in section.split("\n## ", 1)[0].splitlines()
+            if line.startswith("| `")]
+    assert len(rows) >= 7
+    for row in rows:
+        module_cell, contents = row.strip("| ").split("|", 1)
+        module = importlib.import_module(module_cell.strip().strip("`"))
+        names = re.findall(r"`([^`]*)`", contents)
+        assert names, row
+        for name in names:
+            assert name.isidentifier() and hasattr(module, name), (
+                f"{module.__name__}: {name!r}"
+            )

@@ -65,7 +65,7 @@ def test_numbering_walks_down_first():
 
 
 def test_invalid_sizes():
-    for n in (0, -1, -7):
+    for n in (0, -1, -7, 57):  # n = 57: a board's n^4 cells exceed 10^7
         with pytest.raises(InvalidSizeError):
             NumberedSquare(n)
 
