@@ -10,12 +10,19 @@ and positions in reading order within each field, one character per cell,
 ``1`` for an X.  For n=2 the spiral-to-reading map is 1->1, 2->3, 3->4, 4->2.
 
 The group action moves the content of cell (i, j) to cell (g(i), g(j)).
+On bitstrings it is two gathers with one index map: with R the
+spiral-to-reading map (0-based) and ``src[R(g(x))] = R(x)``, the image holds
+at reading index (K, k) the source cell (src[K], src[k]).  One gather
+reorders the n^2 field blocks and the same gather reorders the n^2 positions
+inside each block, so an element costs n^2 cached indices, not n^4.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import lru_cache
+from operator import itemgetter
+from typing import Callable, Iterator, Sequence
 
 from .dihedral import GroupElement, group_elements
 from .spiral import spiral_numbering
@@ -33,8 +40,7 @@ class Board:
     xs: frozenset[tuple[int, int]]
 
     def __post_init__(self):
-        if self.n < 1:
-            raise ValueError(f"side length must be a positive integer, got {self.n}")
+        spiral_numbering(self.n)  # the size check: InvalidSizeError for n outside 1..56
         if not isinstance(self.xs, frozenset):
             object.__setattr__(self, "xs", frozenset(self.xs))
         n_sq = self.n * self.n
@@ -78,29 +84,39 @@ def to_bitstring(board: Board) -> str:
     return "".join(chars)
 
 
-def from_bitstring(bits: str, n: int) -> Board:
-    """Parse a reading-order 0/1 string of length n^4."""
-    n_sq = n * n
+def _check_bitstring(bits: str, n: int) -> None:
+    """Raise for an invalid side length, then for a wrong length or a non-0/1."""
+    n_sq = spiral_numbering(n).n_sq
     if len(bits) != n_sq * n_sq:
         raise BitstringError(
             f"need {n_sq * n_sq} characters for n={n}, got {len(bits)}"
         )
+    if bits.count("0") + bits.count("1") != len(bits):
+        idx, ch = next((i, ch) for i, ch in enumerate(bits) if ch not in "01")
+        raise BitstringError(f"invalid character {ch!r} at index {idx}")
+
+
+def from_bitstring(bits: str, n: int) -> Board:
+    """Parse a reading-order 0/1 string of length n^4."""
+    _check_bitstring(bits, n)
+    n_sq = n * n
     _, to_spiral = _reading_maps(n)
-    xs = set()
-    for idx, ch in enumerate(bits):
-        if ch == "1":
-            xs.add((to_spiral[idx // n_sq + 1], to_spiral[idx % n_sq + 1]))
-        elif ch != "0":
-            raise BitstringError(f"invalid character {ch!r} at index {idx}")
-    return Board(n, frozenset(xs))
+    return Board(
+        n,
+        frozenset(
+            (to_spiral[idx // n_sq + 1], to_spiral[idx % n_sq + 1])
+            for idx, ch in enumerate(bits)
+            if ch == "1"
+        ),
+    )
 
 
 def act_board(board: Board, elem: GroupElement) -> Board:
     """Move the content of every cell (i, j) to (g(i), g(j))."""
     if board.n != elem.n:
         raise ValueError(f"board is {board.n}x{board.n} but element acts on n={elem.n}")
-    g = elem.perm
-    return Board(board.n, frozenset((g(i), g(j)) for i, j in board.xs))
+    img = elem.perm.image  # a Board's cells are in range already
+    return Board(board.n, frozenset((img[i - 1], img[j - 1]) for i, j in board.xs))
 
 
 def board_orbit(board: Board) -> frozenset[Board]:
@@ -108,6 +124,40 @@ def board_orbit(board: Board) -> frozenset[Board]:
     return frozenset(act_board(board, g) for g in group_elements(board.n))
 
 
+@lru_cache(maxsize=None)
+def _gathers(n: int) -> tuple[Callable[[Sequence[str]], tuple[str, ...]], ...]:
+    """One gather per element of group_elements(n), in that order.
+
+    Each picks, for reading index K, the item at src[K] with
+    ``src[R(g(x))] = R(x)``; it always returns a tuple, also at n = 1.
+    """
+    to_read, _ = _reading_maps(n)
+    gathers = []
+    for elem in group_elements(n):
+        src = [0] * (n * n)
+        for x, gx in enumerate(elem.perm.image, 1):
+            src[to_read[gx] - 1] = to_read[x] - 1
+        gathers.append(itemgetter(*src) if n > 1 else lambda seq: (seq[0],))
+    return tuple(gathers)
+
+
+def image_bitstrings(bits: str, n: int) -> Iterator[str]:
+    """The bitstrings of the images of a board under each of group_elements(n),
+    in that order, computed from its bitstring alone.
+
+    Checks its input as from_bitstring does (InvalidSizeError, then
+    BitstringError) before it returns.
+    """
+    _check_bitstring(bits, n)
+    gathers = _gathers(n)
+    n_sq = n * n
+    blocks = [bits[k : k + n_sq] for k in range(0, len(bits), n_sq)]
+    join = "".join
+    return (
+        join([join(gather(block)) for block in gather(blocks)]) for gather in gathers
+    )
+
+
 def canonical_form(board: Board) -> str:
     """Lexicographically smallest bitstring over the orbit; orbit-constant."""
-    return min(to_bitstring(act_board(board, g)) for g in group_elements(board.n))
+    return min(image_bitstrings(to_bitstring(board), board.n))

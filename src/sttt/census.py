@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .board import act_board, from_bitstring, to_bitstring
+from .board import image_bitstrings, to_bitstring
 from .dihedral import group_elements
 from .game import GameState, apply_move, legal_moves
 
@@ -86,7 +86,7 @@ def partition_classes(boards, n: int) -> list[IsoClass]:
     """Partition a closed set of board bitstrings into group orbits.
 
     Raises ClosureError naming an offending pair if some image escapes the
-    input set.
+    input set, and BitstringError for a malformed member.
     """
     pool = set(boards)
     elems = group_elements(n)
@@ -96,11 +96,11 @@ def partition_classes(boards, n: int) -> list[IsoClass]:
         if bits in assigned:
             continue
         # an image of any orbit member is an image of bits, so checking the
-        # images of bits alone checks closure for the whole orbit
-        board = from_bitstring(bits, n)
+        # images of bits alone checks closure for the whole orbit;
+        # image_bitstrings validates bits, and every member of the pool is
+        # a representative or an image of one, so every member is validated
         members = set()
-        for g in elems:
-            img = to_bitstring(act_board(board, g))
+        for g, img in zip(elems, image_bitstrings(bits, n)):
             if img not in pool:
                 raise ClosureError(
                     f"board {bits} maps to {img} under sigma^{g.a} rho^{g.b}, "

@@ -15,7 +15,7 @@ import sys
 from pathlib import Path
 
 from . import census as census_mod
-from .board import act_board, board_orbit, from_bitstring, to_bitstring
+from .board import act_board, from_bitstring, image_bitstrings, to_bitstring
 from .checks import SUITE_NAMES, run_all, run_suite
 from .dihedral import dihedral_order, group_element, verify_dihedral
 from .game import GameState, IllegalMoveError, Move, act_game, apply_move
@@ -162,8 +162,7 @@ def _cmd_board(args) -> int:
             print(result)
         return EX_OK
     n = _infer_n(args.bits, args.n)
-    board = from_bitstring(args.bits, n)
-    orbit = sorted(to_bitstring(b) for b in board_orbit(board))
+    orbit = sorted(set(image_bitstrings(args.bits, n)))
     payload = {
         "command": "board-orbit",
         "n": n,

@@ -254,8 +254,9 @@ def _checked(
 
 
 def _image(moves: tuple[Move, ...], elem: GroupElement) -> tuple[Move, ...]:
-    g = elem.perm
-    return _checked(tuple(Move(g(i), g(j)) for i, j in moves), elem.n, moves, elem)
+    img = elem.perm.image  # moves that replayed legally have labels in range
+    mapped = tuple(Move(img[i - 1], img[j - 1]) for i, j in moves)
+    return _checked(mapped, elem.n, moves, elem)
 
 
 def act_game(

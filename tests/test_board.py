@@ -9,9 +9,12 @@ from sttt.board import (
     board_orbit,
     canonical_form,
     from_bitstring,
+    image_bitstrings,
     to_bitstring,
+    _gathers,
 )
 from sttt.dihedral import dihedral_order, group_element, group_elements
+from sttt.spiral import InvalidSizeError
 
 # the two boards of the unique orbit of size 2 for n=2
 ORDER2_A = "0000011001100000"
@@ -32,6 +35,25 @@ def test_board_rejects_bad_cells():
         Board(2, frozenset({(1, 0)}))
     with pytest.raises(ValueError):
         Board(0, frozenset())
+
+
+@pytest.mark.parametrize(
+    "n, message",
+    (
+        (0, "side length must be a positive integer, got 0"),
+        (57, "side length 57 is too large"),
+    ),
+)
+def test_sizes_are_checked_first(n, message):
+    # the side length is checked before the cells, the length or the characters
+    with pytest.raises(InvalidSizeError, match=message):
+        Board(n, frozenset())
+    with pytest.raises(InvalidSizeError, match=message):
+        Board(n, frozenset({(1, 1)}))
+    with pytest.raises(InvalidSizeError, match=message):
+        from_bitstring("1", n)
+    with pytest.raises(InvalidSizeError, match=message):
+        image_bitstrings("1", n)
 
 
 def test_empty_board_bitstring():
@@ -65,10 +87,55 @@ def test_bitstring_round_trip():
 
 
 def test_from_bitstring_errors():
-    with pytest.raises(BitstringError):
-        from_bitstring("010", 2)
-    with pytest.raises(BitstringError):
-        from_bitstring("0" * 15 + "2", 2)
+    # image_bitstrings refuses malformed input with the same messages
+    cases = (
+        ("010", "need 16 characters for n=2, got 3"),
+        ("0" * 15 + "2", "invalid character '2' at index 15"),
+        ("01x0" + "1" * 11 + "y", "invalid character 'x' at index 2"),
+    )
+    for bits, message in cases:
+        for parse in (from_bitstring, image_bitstrings):
+            with pytest.raises(BitstringError) as err:
+                parse(bits, 2)
+            assert str(err.value) == message
+
+
+def _boards(n: int, count: int = 20):
+    """The empty board, the full board and ``count`` seeded random boards."""
+    n_sq = n * n
+    cells = [(i, j) for i in range(1, n_sq + 1) for j in range(1, n_sq + 1)]
+    rng = random.Random(100 + n)
+    yield Board.empty(n)
+    yield Board(n, frozenset(cells))
+    for _ in range(count):
+        yield Board(n, frozenset(rng.sample(cells, rng.randint(0, len(cells)))))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
+def test_image_bitstrings_match_act_board(n):
+    elems = group_elements(n)
+    for board in _boards(n):
+        expected = [to_bitstring(act_board(board, g)) for g in elems]
+        assert list(image_bitstrings(to_bitstring(board), n)) == expected
+        assert canonical_form(board) == min(expected)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
+def test_act_board_maps_each_cell(n):
+    for board in _boards(n, count=5):
+        for g in group_elements(n):
+            expected = Board(n, frozenset((g(i), g(j)) for i, j in board.xs))
+            assert act_board(board, g) == expected
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
+def test_gather_cache_holds_n_squared_indices_per_element(n):
+    # one gather per element, each a permutation of the n^2 reading indices:
+    # 2m * n^2 indices in all, never a table of n^4 entries per element
+    gathers = _gathers(n)
+    assert len(gathers) == len(group_elements(n)) == 2 * dihedral_order(n)
+    for gather in gathers:
+        assert sorted(gather(range(n * n))) == list(range(n * n))
 
 
 def test_identity_action_fixes_everything():

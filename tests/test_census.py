@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from sttt.board import Board, to_bitstring
+from sttt.board import BitstringError, Board, to_bitstring
 from sttt.census import (
     ClosureError,
     IsoClass,
@@ -110,6 +110,22 @@ def test_partition_singleton_empty_board():
 def test_partition_rejects_non_closed_sets():
     with pytest.raises(ClosureError):
         partition_classes({ORDER2_B}, 2)
+
+
+@pytest.mark.parametrize(
+    "bad, message",
+    (
+        ("010", "need 16 characters for n=2, got 3"),
+        ("0" * 15 + "2", "invalid character '2' at index 15"),
+        ("2" + "0" * 15, "invalid character '2' at index 0"),
+    ),
+)
+def test_partition_refuses_malformed_members(bad, message):
+    # a malformed member is never the image of a valid one, so it is checked
+    # as an orbit representative, whether it sorts before or after the orbit
+    with pytest.raises(BitstringError) as err:
+        partition_classes({ORDER2_A, ORDER2_B, bad}, 2)
+    assert str(err.value) == message
 
 
 def test_closure_error_names_the_missing_board(winning_boards):

@@ -149,6 +149,22 @@ def test_board_act_bad_bits(capsys):
     assert "16 characters" in err
 
 
+@pytest.mark.parametrize(
+    "n, message",
+    (
+        ("0", "error: side length must be a positive integer, got 0"),
+        ("57", "error: side length 57 is too large"),
+    ),
+)
+@pytest.mark.parametrize("command", ("act", "orbit"))
+def test_board_size_is_checked_before_the_bits(capsys, command, n, message):
+    extra = ("--element", "0,0") if command == "act" else ()
+    code, out, err = run(capsys, "board", command, "--n", n, "--bits", "1", *extra)
+    assert code == 1
+    assert out == ""
+    assert err.startswith(message)
+
+
 def test_board_orbit_json(capsys):
     code, out, _ = run(capsys, "board", "orbit", "--bits", "1001000000001001")
     assert code == 0
