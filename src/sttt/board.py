@@ -84,6 +84,30 @@ def to_bitstring(board: Board) -> str:
     return "".join(chars)
 
 
+@lru_cache(maxsize=None)
+def _spiral_to_reading(n: int) -> Callable[[Sequence[str]], tuple[str, ...]]:
+    """The gather that puts n^2 items indexed by spiral label - 1 in reading
+    order; it always returns a tuple, also at n = 1."""
+    _, to_spiral = _reading_maps(n)
+    src = [label - 1 for label in to_spiral[1:]]
+    return itemgetter(*src) if n > 1 else lambda seq: (seq[0],)
+
+
+def fields_to_bitstring(field_bits: Sequence[int], n: int) -> str:
+    """The bitstring of the board whose field i (spiral label) holds an X at
+    position p exactly when bit p-1 of ``field_bits[i-1]`` is set.
+
+    Raises InvalidSizeError for an invalid side length, and ValueError
+    unless there are n^2 bitmasks, each in 0 .. 2^(n^2) - 1.
+    """
+    n_sq = spiral_numbering(n).n_sq
+    if len(field_bits) != n_sq or min(field_bits) < 0 or max(field_bits) >> n_sq:
+        raise ValueError(f"need {n_sq} field bitmasks of {n_sq} bits for n={n}")
+    gather = _spiral_to_reading(n)
+    spiral_blocks = [format(bits, f"0{n_sq}b")[::-1] for bits in field_bits]
+    return "".join(["".join(gather(block)) for block in gather(spiral_blocks)])
+
+
 def _check_bitstring(bits: str, n: int) -> None:
     """Raise for an invalid side length, then for a wrong length or a non-0/1."""
     n_sq = spiral_numbering(n).n_sq

@@ -3,9 +3,10 @@
 A winning board is the final board of a completed game: the position at the
 moment a move completes n collinear marks on the board grid.  For n <= 2 the
 census walks the full game tree in one serial depth-first search, pruned by a
-transposition set keyed on (cells, dictated field), and partitions the
-terminal boards into orbits of the dihedral action; at n=3 the search does
-not finish.  Classes are ordered by orbit size, then by canonical bitstring.
+transposition set keyed on (field bitmasks, dictated field), and partitions
+the terminal boards into orbits of the dihedral action; at n=3 the search
+does not finish.  Classes are ordered by orbit size, then by canonical
+bitstring.
 
 The same class structure can be read back from two formats: newline
 delimited JSON (one class per line) and a human readable listing whose
@@ -20,7 +21,7 @@ import re
 from dataclasses import dataclass
 from importlib import resources
 
-from .board import image_bitstrings, to_bitstring
+from .board import fields_to_bitstring, image_bitstrings
 from .dihedral import group_elements
 from .game import GameState, apply_move, legal_moves
 
@@ -64,22 +65,22 @@ def enumerate_winning_boards(n: int = 2, *, jobs: int = 1) -> frozenset[str]:
         raise ValueError(f"the census search is serial; jobs must be 1, got {jobs}")
     if n > 2:
         raise ValueError(f"the exhaustive census runs for n <= 2 only, got n={n}")
-    found: set[str] = set()
+    found = set()  # the field bitmasks of each winning board
     seen = set()
     stack = [GameState.initial(n)]
     while stack:
         state = stack.pop()
-        key = (state.field_cells, state.dictated)
+        key = (state.field_bits, state.dictated)
         if key in seen:
             continue
         seen.add(key)
         for move in legal_moves(state):
             nxt = apply_move(state, move)
             if nxt.terminal:
-                found.add(to_bitstring(nxt.board))
+                found.add(nxt.field_bits)
             else:
                 stack.append(nxt)
-    return frozenset(found)
+    return frozenset(fields_to_bitstring(bits, n) for bits in found)
 
 
 def partition_classes(boards, n: int) -> list[IsoClass]:

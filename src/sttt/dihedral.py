@@ -68,7 +68,10 @@ class GroupElement:
     perm: Permutation
 
     def __call__(self, label: int) -> int:
-        return self.perm(label)
+        img = self.perm.image  # Permutation.__call__ inlined: one call, not three
+        if not 1 <= label <= len(img):
+            raise ValueError(f"label {label} outside 1..{len(img)}")
+        return img[label - 1]
 
     def __mul__(self, other: GroupElement) -> GroupElement:
         """Composition: (g * h) acts as g after h.  By the dihedral law,

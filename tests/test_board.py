@@ -8,6 +8,7 @@ from sttt.board import (
     act_board,
     board_orbit,
     canonical_form,
+    fields_to_bitstring,
     from_bitstring,
     image_bitstrings,
     to_bitstring,
@@ -29,12 +30,25 @@ def test_board_construction_and_lookup():
 
 
 def test_board_rejects_bad_cells():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cell \(5, 1\) outside 1\.\.4 labels$"):
         Board(2, frozenset({(5, 1)}))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^cell \(1, 0\) outside 1\.\.4 labels$"):
         Board(2, frozenset({(1, 0)}))
     with pytest.raises(ValueError):
         Board(0, frozenset())
+
+
+@pytest.mark.parametrize(
+    "cell, message",
+    (
+        ((1, 2, 3), "too many values to unpack (expected 2)"),
+        ((1,), "not enough values to unpack (expected 2, got 1)"),
+    ),
+)
+def test_board_rejects_a_cell_that_is_not_a_pair(cell, message):
+    with pytest.raises(ValueError) as err:
+        Board(2, frozenset({(1, 2), cell}))
+    assert str(err.value) == message
 
 
 @pytest.mark.parametrize(
@@ -118,6 +132,23 @@ def test_image_bitstrings_match_act_board(n):
         expected = [to_bitstring(act_board(board, g)) for g in elems]
         assert list(image_bitstrings(to_bitstring(board), n)) == expected
         assert canonical_form(board) == min(expected)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
+def test_fields_to_bitstring_matches_to_bitstring(n):
+    for board in _boards(n):
+        field_bits = [0] * (n * n)
+        for field, pos in board.xs:
+            field_bits[field - 1] |= 1 << (pos - 1)
+        assert fields_to_bitstring(field_bits, n) == to_bitstring(board)
+
+
+@pytest.mark.parametrize("field_bits", ([0, 0, 0], [0, 0, 0, 16], [0, -1, 0, 0]))
+def test_fields_to_bitstring_rejects_bad_bitmasks(field_bits):
+    with pytest.raises(ValueError, match="need 4 field bitmasks of 4 bits for n=2"):
+        fields_to_bitstring(field_bits, 2)
+    with pytest.raises(InvalidSizeError):
+        fields_to_bitstring(field_bits, 0)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))

@@ -109,6 +109,15 @@ def test_full_products_n2():
     assert group_element(2, 0, 1).perm.cycle_string() == "(2 4)"
 
 
+def test_element_call_matches_its_permutation():
+    g = group_element(2, 1, 0)
+    assert [g(label) for label in range(1, 5)] == [g.perm(label) for label in range(1, 5)]
+    for label in (0, 5):
+        with pytest.raises(ValueError) as err:
+            g(label)
+        assert str(err.value) == f"label {label} outside 1..4"
+
+
 def test_full_products_n5():
     sigma = group_element(5, 1, 0).perm
     assert sigma.cycles() == (tuple(range(1, 17)), tuple(range(17, 25)))

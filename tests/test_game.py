@@ -288,3 +288,137 @@ def test_n2_action_preserves_validity_and_commutes():
             mapped = act_game(moves, g)
             assert is_valid_game(mapped, 2).valid
             assert final_board(mapped, 2) == act_board(final_board(moves, 2), g)
+
+
+def _reference_step(n, cells, marks, dictated, loser, made, move):
+    """The rules on frozensets: a second implementation to compare with.
+
+    ``cells`` is a tuple of per-field position sets and ``made`` the number
+    of moves before this one.  Every grid line is tested, not only the lines
+    through the move, since no field or board line is complete before it.
+    """
+    field, pos = move
+    n_sq = n * n
+    if loser is not None:
+        raise IllegalMoveError("terminal game", "the game is already over")
+    if not (1 <= field <= n_sq and 1 <= pos <= n_sq):
+        raise IllegalMoveError(
+            "out of range", f"move ({field}, {pos}) outside 1..{n_sq} labels"
+        )
+    if field in marks:
+        raise IllegalMoveError("closed field", f"field {field} is closed")
+    if dictated is not None and field != dictated:
+        raise IllegalMoveError(
+            "wrong field",
+            f"move dictated into open field {dictated}, not field {field}",
+        )
+    if pos in cells[field - 1]:
+        raise IllegalMoveError(
+            "occupied cell", f"position {pos} of field {field} is already an X"
+        )
+    changed = cells[field - 1] | {pos}
+    cells = cells[: field - 1] + (changed,) + cells[field:]
+    if any(line <= changed for line in grid_lines(n)):
+        marks = marks | {field}
+        if any(line <= marks for line in grid_lines(n)):
+            loser = 1 if (made + 1) % 2 else 2
+    return cells, marks, None if pos in marks else pos, loser
+
+
+def _illegal_moves(n, cells, marks, dictated, loser):
+    """One move per rule that the rule forbids in this position, if any."""
+    n_sq = n * n
+    if loser is not None:
+        return {"terminal game": (1, 1)}
+    out = {"out of range": (n_sq + 1, 1)}
+    if marks:
+        out["closed field"] = (min(marks), 1)
+    open_fields = [f for f in range(1, n_sq + 1) if f not in marks]
+    if dictated is not None and len(open_fields) > 1:
+        out["wrong field"] = (min(f for f in open_fields if f != dictated), 1)
+    allowed = [dictated] if dictated is not None else open_fields
+    taken = [(f, min(cells[f - 1])) for f in allowed if cells[f - 1]]
+    if taken:
+        out["occupied cell"] = taken[0]
+    return out
+
+
+def _reference_error(n, position, made, move):
+    with pytest.raises(IllegalMoveError) as err:
+        _reference_step(n, *position, made, move)
+    return err.value
+
+
+@pytest.mark.parametrize("n, games", ((2, 40), (3, 20), (4, 8), (5, 3)))
+def test_int_engine_matches_the_frozenset_reference(n, games):
+    rng = random.Random(1000 + n)
+    rules = set()
+    for _ in range(games):
+        position = ((frozenset(),) * (n * n), frozenset(), None, None)
+        state = GameState.initial(n)
+        moves = []
+        while True:
+            cells, marks, dictated, loser = position
+            for got in (state, replay(moves, n)):
+                assert got.field_cells == cells
+                assert got.marks == marks
+                assert (got.dictated, got.loser) == (dictated, loser)
+                assert got.moves == tuple(moves)
+            for rule, bad in _illegal_moves(n, *position).items():
+                want = _reference_error(n, position, len(moves), bad)
+                with pytest.raises(IllegalMoveError) as err:
+                    apply_move(state, bad)
+                assert (err.value.rule, str(err.value)) == (rule, str(want))
+                assert err.value.index is None
+                with pytest.raises(IllegalMoveError) as err:
+                    replay(moves + [bad], n)
+                assert (err.value.rule, str(err.value)) == (rule, str(want))
+                assert err.value.index == len(moves) + 1
+                rules.add(rule)
+            if loser is not None:
+                break
+            allowed = [dictated] if dictated is not None else state.open_fields()
+            expected = {
+                Move(f, p)
+                for f in allowed
+                for p in range(1, n * n + 1)
+                if p not in cells[f - 1]
+            }
+            assert legal_moves(state) == expected
+            move = rng.choice(sorted(expected))
+            position = _reference_step(n, *position, len(moves), move)
+            state = apply_move(state, move)
+            moves.append(move)
+    assert rules == {
+        "terminal game", "out of range", "closed field", "wrong field", "occupied cell"
+    }
+
+
+def test_an_illegal_move_is_reported_before_a_later_malformed_one():
+    moves = [(3, 1), (2, 2), (1,)]
+    assert is_valid_game(moves, 2) == (
+        False,
+        2,
+        "wrong field",
+        "move dictated into open field 1, not field 2",
+    )
+    with pytest.raises(IllegalMoveError) as err:
+        replay(moves, 2)
+    assert (err.value.index, err.value.rule) == (2, "wrong field")
+    # with every earlier move legal, the malformed one is reported
+    assert is_valid_game([(3, 1), (1,)], 2) == (
+        False,
+        None,
+        "malformed",
+        "move (1,) is not a (field, pos) pair",
+    )
+
+
+def test_moves_must_be_pairs_of_ints():
+    # int subclasses are integers; a Move holding other values is not
+    state = replay([(True, 1)], 2)
+    assert state.moves == (Move(1, 1),)
+    for move in (Move("1", 2), Move(1.0, 2)):
+        check = is_valid_game([move], 2)
+        assert check.rule == "malformed"
+        assert check.message == f"move {move!r} is not a pair of integers"
