@@ -15,6 +15,16 @@ spiral-to-reading map (0-based) and ``src[R(g(x))] = R(x)``, the image holds
 at reading index (K, k) the source cell (src[K], src[k]).  One gather
 reorders the n^2 field blocks and the same gather reorders the n^2 positions
 inside each block, so an element costs n^2 cached indices, not n^4.
+
+canonical_form does not build every image.  It compares the images one
+field block at a time in reading order and drops each element whose block
+is larger than the smallest, as a canonical labelling search prunes its
+candidates; the last element left has its image finished in one step.  A
+block of all 0s or all 1s is its own image under every element, so it is
+never gathered.  If every image has the same first block, the search checks
+whether sigma or rho fixes the board; each that does lets it keep one element
+per coset of the subgroup that generator generates.  Each element's block
+order is cached beside its gather: another n^2 indices per element.
 """
 
 from __future__ import annotations
@@ -148,12 +158,19 @@ def board_orbit(board: Board) -> frozenset[Board]:
     return frozenset(act_board(board, g) for g in group_elements(board.n))
 
 
-@lru_cache(maxsize=None)
-def _gathers(n: int) -> tuple[Callable[[Sequence[str]], tuple[str, ...]], ...]:
-    """One gather per element of group_elements(n), in that order.
+# an element's gather and its block order, as _gathers caches them
+_Element = tuple[Callable[[Sequence[str]], tuple[str, ...]], tuple[int, ...]]
 
-    Each picks, for reading index K, the item at src[K] with
-    ``src[R(g(x))] = R(x)``; it always returns a tuple, also at n = 1.
+
+@lru_cache(maxsize=None)
+def _gathers(n: int) -> tuple[_Element, ...]:
+    """One (gather, block order) pair per element of group_elements(n), in
+    that order.
+
+    Each gather picks, for reading index K, the item at src[K] with
+    ``src[R(g(x))] = R(x)``; it always returns a tuple, also at n = 1.  The
+    block order is src itself, ``gather(range(n^2))``: image block K is the
+    gathered source block ``order[K]``.
     """
     to_read, _ = _reading_maps(n)
     gathers = []
@@ -161,7 +178,8 @@ def _gathers(n: int) -> tuple[Callable[[Sequence[str]], tuple[str, ...]], ...]:
         src = [0] * (n * n)
         for x, gx in enumerate(elem.perm.image, 1):
             src[to_read[gx] - 1] = to_read[x] - 1
-        gathers.append(itemgetter(*src) if n > 1 else lambda seq: (seq[0],))
+        gather = itemgetter(*src) if n > 1 else lambda seq: (seq[0],)
+        gathers.append((gather, tuple(src)))
     return tuple(gathers)
 
 
@@ -178,10 +196,52 @@ def image_bitstrings(bits: str, n: int) -> Iterator[str]:
     blocks = [bits[k : k + n_sq] for k in range(0, len(bits), n_sq)]
     join = "".join
     return (
-        join([join(gather(block)) for block in gather(blocks)]) for gather in gathers
+        join([join(gather(block)) for block in gather(blocks)])
+        for gather, _ in gathers
     )
 
 
+def _fixes(element: _Element, blocks: list[str]) -> bool:
+    """Whether the element with this entry of _gathers maps the board whose
+    field blocks are ``blocks`` to itself."""
+    gather, order = element
+    return all("".join(gather(blocks[i])) == block for i, block in zip(order, blocks))
+
+
 def canonical_form(board: Board) -> str:
-    """Lexicographically smallest bitstring over the orbit; orbit-constant."""
-    return min(image_bitstrings(to_bitstring(board), board.n))
+    """Lexicographically smallest bitstring over the orbit; orbit-constant.
+
+    A pruned search over the images' field blocks: block K of every live
+    element's image is built, only the elements whose block is the smallest
+    stay live, and the last one left has its image finished in one step.
+    All-0 and all-1 blocks are their own images and are not gathered.  When
+    every element ties on the first block and sigma or rho fixes the board,
+    one element per coset of the subgroup it generates is searched.
+    """
+    n_sq = board.n * board.n
+    bits = to_bitstring(board)
+    blocks = [bits[k : k + n_sq] for k in range(0, len(bits), n_sq)]
+    uniform = ("0" * n_sq, "1" * n_sq)
+    join = "".join
+    table = _gathers(board.n)
+    live, head = table, []
+    while len(live) > 1 and len(head) < n_sq:
+        k = len(head)
+        images = [
+            block if (block := blocks[order[k]]) in uniform else join(gather(block))
+            for gather, order in live
+        ]
+        best = min(images)
+        live = [el for el, image in zip(live, images) if image == best]
+        head.append(best)
+        if k == 0 and len(live) == len(table) > 2:
+            # table runs e, rho, sigma, sigma rho, ...: if sigma fixes the
+            # board the images are those of e and rho, if rho fixes it those
+            # of the rotations
+            if _fixes(table[2], blocks):
+                live = live[:2]
+            if _fixes(table[1], blocks):
+                live = live[::2]
+    gather, order = live[0]
+    head += [join(gather(blocks[i])) for i in order[len(head) :]]
+    return join(head)

@@ -155,8 +155,11 @@ def legal_moves(state: GameState) -> set[Move]:
         raise TerminalStateError("the game is over; no moves remain")
     full = (1 << state.n * state.n) - 1
     fields = (state.dictated,) if state.dictated is not None else state.open_fields()
+    new = tuple.__new__  # skips the namedtuple's Python-level __new__
     return {
-        Move(f, p) for f in fields for p in _labels(~state.field_bits[f - 1] & full)
+        new(Move, (f, p))
+        for f in fields
+        for p in _labels(~state.field_bits[f - 1] & full)
     }
 
 

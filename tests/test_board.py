@@ -161,12 +161,53 @@ def test_act_board_maps_each_cell(n):
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
 def test_gather_cache_holds_n_squared_indices_per_element(n):
-    # one gather per element, each a permutation of the n^2 reading indices:
-    # 2m * n^2 indices in all, never a table of n^4 entries per element
+    # one (gather, block order) pair per element; both are the same
+    # permutation of the n^2 reading indices: 2 * 2m * n^2 indices in all,
+    # never a table of n^4 entries per element
     gathers = _gathers(n)
     assert len(gathers) == len(group_elements(n)) == 2 * dihedral_order(n)
-    for gather in gathers:
-        assert sorted(gather(range(n * n))) == list(range(n * n))
+    for gather, order in gathers:
+        assert sorted(order) == list(range(n * n))
+        assert gather(range(n * n)) == order
+
+
+def _union_of_orbit(board: Board, elems) -> Board:
+    return Board(board.n, frozenset().union(*(act_board(board, g).xs for g in elems)))
+
+
+def _tie_heavy_boards(n: int):
+    """Boards on which many images agree for many field blocks."""
+    n_sq = n * n
+    labels = range(1, n_sq + 1)
+    rng = random.Random(200 + n)
+    elems = group_elements(n)
+    # the fields that some element moves to the first field block: a board
+    # empty there ties every image on the first block
+    first = min(from_bitstring("1" * n_sq + "0" * (n_sq * n_sq - n_sq), n).xs)[0]
+    hollow = {g(first) for g in elems}
+    yield Board.empty(n)
+    yield Board(n, frozenset((i, j) for i in labels for j in labels))
+    for field in (1, n_sq):
+        yield Board(n, frozenset((field, j) for j in labels))
+    yield Board(n, frozenset((i, i) for i in labels))
+    for _ in range(3):
+        cells = {(rng.choice(labels), rng.choice(labels)) for _ in range(n_sq)}
+        for xs in (cells, {(i, j) for i, j in cells if i not in hollow}):
+            seed = Board(n, frozenset(xs))
+            yield _union_of_orbit(seed, elems)  # fixed by every element
+            yield _union_of_orbit(seed, elems[::2])  # fixed by the rotations
+            yield _union_of_orbit(seed, elems[:2])  # fixed by rho
+            yield _union_of_orbit(seed, elems[:4:3])  # fixed by sigma rho
+        if n > 1:  # every block the same pattern, neither all 0 nor all 1
+            pattern = rng.sample(labels, rng.randint(1, n_sq - 1))
+            yield Board(n, frozenset((i, j) for i in labels for j in pattern))
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
+def test_canonical_form_on_tie_heavy_boards(n):
+    for board in _tie_heavy_boards(n):
+        expected = min(image_bitstrings(to_bitstring(board), n))
+        assert canonical_form(board) == expected
 
 
 def test_identity_action_fixes_everything():

@@ -1,11 +1,13 @@
+import itertools
 import json
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from sttt.board import BitstringError, Board, to_bitstring
+from sttt.board import BitstringError, Board, from_bitstring, to_bitstring
 from sttt.census import (
     ClosureError,
     IsoClass,
@@ -252,3 +254,22 @@ def test_class_count_by_orbit_counting(winning_boards, classes):
         )
     assert fixed_counts == [1902, 8, 0, 22, 22, 8, 0, 22]
     assert sum(fixed_counts) == len(elems) * len(classes)
+
+
+def test_winning_boards_form_84_classes_under_all_label_permutations(winning_boards):
+    # at n = 2 every pair of labels is a grid line, so each of the 24
+    # permutations of the labels (S4), acting on field and position alike,
+    # maps winning boards to winning boards; the 248 dihedral classes merge
+    # into 84 classes under S4
+    maps = [(0, *perm) for perm in itertools.permutations(range(1, 5))]
+    orbits = set()
+    for bits in winning_boards:
+        xs = from_bitstring(bits, 2).xs
+        orbit = frozenset(
+            to_bitstring(Board(2, frozenset((pi[f], pi[p]) for f, p in xs)))
+            for pi in maps
+        )
+        assert orbit <= winning_boards
+        orbits.add(orbit)
+    assert len(orbits) == 84
+    assert Counter(map(len, orbits)) == {6: 1, 12: 8, 24: 75}

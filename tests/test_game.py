@@ -384,7 +384,9 @@ def test_int_engine_matches_the_frozenset_reference(n, games):
                 for p in range(1, n * n + 1)
                 if p not in cells[f - 1]
             }
-            assert legal_moves(state) == expected
+            got = legal_moves(state)
+            assert got == expected
+            assert all(type(m) is Move for m in got)
             move = rng.choice(sorted(expected))
             position = _reference_step(n, *position, len(moves), move)
             state = apply_move(state, move)
