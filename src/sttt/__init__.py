@@ -10,7 +10,6 @@ from .board import (
     BitstringError,
     Board,
     act_board,
-    board_orbit,
     canonical_form,
     from_bitstring,
     image_bitstrings,
@@ -93,7 +92,6 @@ __all__ = [
     "act_board",
     "act_game",
     "apply_move",
-    "board_orbit",
     "bundled_census_text",
     "canonical_form",
     "classes_from_jsonl",

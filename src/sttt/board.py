@@ -1,20 +1,21 @@
 """Boards for the impartial game and the dihedral action on them.
 
-A board for side length n has n^2 fields, each holding n^2 positions; both
-are addressed by spiral labels, and a cell (field i, position j) is either
-empty or an X.  Only X is representable: both players place the same symbol.
+A board for side length n has n^2 fields, each holding n^2 positions, and a
+cell (field i, position j) is either empty or an X.  Only X is representable:
+both players place the same symbol.
 
-Two label conventions coexist.  All computation uses spiral labels; the
-bitstring serialization enumerates fields in reading order across the board
-and positions in reading order within each field, one character per cell,
-``1`` for an X.  For n=2 the spiral-to-reading map is 1->1, 2->3, 3->4, 4->2.
+A Board is its side length and its bitstring: fields in reading order across
+the board and positions in reading order within each field, one character per
+cell, ``1`` for an X.  Cells are named by spiral labels; for n=2 the
+spiral-to-reading map is 1->1, 2->3, 3->4, 4->2.
 
 The group action moves the content of cell (i, j) to cell (g(i), g(j)).
 On bitstrings it is two gathers with one index map: with R the
 spiral-to-reading map (0-based) and ``src[R(g(x))] = R(x)``, the image holds
 at reading index (K, k) the source cell (src[K], src[k]).  One gather
 reorders the n^2 field blocks and the same gather reorders the n^2 positions
-inside each block, so an element costs n^2 cached indices, not n^4.
+inside each block, so an element costs n^2 indices, not n^4.  act_board
+builds its gather on each call and caches nothing.
 
 canonical_form does not build every image.  It compares the images one
 field block at a time in reading order and drops each element whose block
@@ -29,10 +30,10 @@ order is cached beside its gather: another n^2 indices per element.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import itemgetter
-from typing import Callable, Iterator, Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .dihedral import GroupElement, group_elements
 from .spiral import spiral_numbering
@@ -42,29 +43,52 @@ class BitstringError(ValueError):
     """Malformed board bitstring."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class Board:
-    """Immutable board: side length and the set of X cells (spiral labels)."""
+    """Immutable board: side length n and the reading-order bitstring of its
+    n^4 cells, ``bits``.  ``Board(n, cells)`` builds it from the X cells, as
+    (field, pos) pairs of spiral labels; ``xs`` gives them back."""
 
-    n: int
-    xs: frozenset[tuple[int, int]]
+    n: int = field(compare=False)  # equality and hashing are the string's
+    bits: str
 
-    def __post_init__(self):
-        spiral_numbering(self.n)  # the size check: InvalidSizeError for n outside 1..56
-        if not isinstance(self.xs, frozenset):
-            object.__setattr__(self, "xs", frozenset(self.xs))
-        n_sq = self.n * self.n
-        for field, pos in self.xs:
-            if not (1 <= field <= n_sq and 1 <= pos <= n_sq):
-                raise ValueError(f"cell ({field}, {pos}) outside 1..{n_sq} labels")
+    def __init__(self, n: int, cells: Iterable[tuple[int, int]]):
+        n_sq = spiral_numbering(n).n_sq  # the size check: InvalidSizeError for n outside 1..56
+        to_read, _ = _reading_maps(n)
+        chars = ["0"] * (n_sq * n_sq)
+        for i, j in cells:
+            if not (1 <= i <= n_sq and 1 <= j <= n_sq):
+                raise ValueError(f"cell ({i}, {j}) outside 1..{n_sq} labels")
+            chars[(to_read[i] - 1) * n_sq + to_read[j] - 1] = "1"
+        object.__setattr__(self, "n", n)
+        object.__setattr__(self, "bits", "".join(chars))
+
+    @classmethod
+    def _of(cls, n: int, bits: str) -> Board:
+        """The board of a bitstring already checked for side length n."""
+        board = object.__new__(cls)
+        object.__setattr__(board, "n", n)
+        object.__setattr__(board, "bits", bits)
+        return board
 
     @classmethod
     def empty(cls, n: int) -> Board:
-        return cls(n, frozenset())
+        return cls(n, ())
+
+    @property
+    def xs(self) -> frozenset[tuple[int, int]]:
+        """The X cells, as (field, pos) pairs of spiral labels."""
+        n_sq = self.n * self.n
+        _, to_spiral = _reading_maps(self.n)
+        return frozenset(
+            (to_spiral[idx // n_sq + 1], to_spiral[idx % n_sq + 1])
+            for idx, ch in enumerate(self.bits)
+            if ch == "1"
+        )
 
     @property
     def x_count(self) -> int:
-        return len(self.xs)
+        return self.bits.count("1")
 
     def __repr__(self) -> str:
         return f"Board(n={self.n}, xs={sorted(self.xs)})"
@@ -85,22 +109,8 @@ def _reading_maps(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
 
 
 def to_bitstring(board: Board) -> str:
-    """Serialize to the reading-order 0/1 string of length n^4."""
-    n_sq = board.n * board.n
-    to_read, _ = _reading_maps(board.n)
-    chars = ["0"] * (n_sq * n_sq)
-    for field, pos in board.xs:
-        chars[(to_read[field] - 1) * n_sq + to_read[pos] - 1] = "1"
-    return "".join(chars)
-
-
-@lru_cache(maxsize=None)
-def _spiral_to_reading(n: int) -> Callable[[Sequence[str]], tuple[str, ...]]:
-    """The gather that puts n^2 items indexed by spiral label - 1 in reading
-    order; it always returns a tuple, also at n = 1."""
-    _, to_spiral = _reading_maps(n)
-    src = [label - 1 for label in to_spiral[1:]]
-    return itemgetter(*src) if n > 1 else lambda seq: (seq[0],)
+    """The reading-order 0/1 string of length n^4."""
+    return board.bits
 
 
 def fields_to_bitstring(field_bits: Sequence[int], n: int) -> str:
@@ -113,9 +123,15 @@ def fields_to_bitstring(field_bits: Sequence[int], n: int) -> str:
     n_sq = spiral_numbering(n).n_sq
     if len(field_bits) != n_sq or min(field_bits) < 0 or max(field_bits) >> n_sq:
         raise ValueError(f"need {n_sq} field bitmasks of {n_sq} bits for n={n}")
-    gather = _spiral_to_reading(n)
-    spiral_blocks = [format(bits, f"0{n_sq}b")[::-1] for bits in field_bits]
-    return "".join(["".join(gather(block)) for block in gather(spiral_blocks)])
+    to_read, _ = _reading_maps(n)
+    chars = ["0"] * (n_sq * n_sq)
+    for label, bits in enumerate(field_bits, 1):
+        offset = (to_read[label] - 1) * n_sq - 1
+        while bits:
+            low = bits & -bits
+            chars[offset + to_read[low.bit_length()]] = "1"
+            bits ^= low
+    return "".join(chars)
 
 
 def _check_bitstring(bits: str, n: int) -> None:
@@ -133,54 +149,51 @@ def _check_bitstring(bits: str, n: int) -> None:
 def from_bitstring(bits: str, n: int) -> Board:
     """Parse a reading-order 0/1 string of length n^4."""
     _check_bitstring(bits, n)
+    return Board._of(n, bits)
+
+
+# a label permutation's gather and block order, as _element builds them
+_Element = tuple[Callable[[Sequence[str]], tuple[str, ...]], tuple[int, ...]]
+
+
+def _element(n: int, image: Sequence[int]) -> _Element:
+    """The gather and block order of the label permutation g with
+    ``image[x-1] = g(x)``.  The gather picks, for reading index K, the item
+    at src[K] with ``src[R(g(x))] = R(x)``, and always returns a tuple, also
+    at n = 1; the block order is src, so image block K is the gathered source
+    block ``order[K]``."""
+    to_read, _ = _reading_maps(n)
+    src = [0] * (n * n)
+    for x, gx in enumerate(image, 1):
+        src[to_read[gx] - 1] = to_read[x] - 1
+    gather = itemgetter(*src) if n > 1 else lambda seq: (seq[0],)
+    return gather, tuple(src)
+
+
+@lru_cache(maxsize=None)
+def _gathers(n: int) -> tuple[_Element, ...]:
+    """The _element of each of group_elements(n), in that order."""
+    return tuple(_element(n, elem.perm.image) for elem in group_elements(n))
+
+
+def _blocks(bits: str, n: int) -> list[str]:
+    """The n^2 field blocks of a bitstring, in reading order."""
     n_sq = n * n
-    _, to_spiral = _reading_maps(n)
-    return Board(
-        n,
-        frozenset(
-            (to_spiral[idx // n_sq + 1], to_spiral[idx % n_sq + 1])
-            for idx, ch in enumerate(bits)
-            if ch == "1"
-        ),
-    )
+    return [bits[k : k + n_sq] for k in range(0, len(bits), n_sq)]
+
+
+def _image(gather: Callable, blocks: list[str]) -> str:
+    """The image bitstring: the gathered blocks, each gathered in turn."""
+    join = "".join
+    return join([join(gather(block)) for block in gather(blocks)])
 
 
 def act_board(board: Board, elem: GroupElement) -> Board:
     """Move the content of every cell (i, j) to (g(i), g(j))."""
     if board.n != elem.n:
         raise ValueError(f"board is {board.n}x{board.n} but element acts on n={elem.n}")
-    img = elem.perm.image  # a Board's cells are in range already
-    return Board(board.n, frozenset((img[i - 1], img[j - 1]) for i, j in board.xs))
-
-
-def board_orbit(board: Board) -> frozenset[Board]:
-    """All images of the board under the full dihedral action."""
-    return frozenset(act_board(board, g) for g in group_elements(board.n))
-
-
-# an element's gather and its block order, as _gathers caches them
-_Element = tuple[Callable[[Sequence[str]], tuple[str, ...]], tuple[int, ...]]
-
-
-@lru_cache(maxsize=None)
-def _gathers(n: int) -> tuple[_Element, ...]:
-    """One (gather, block order) pair per element of group_elements(n), in
-    that order.
-
-    Each gather picks, for reading index K, the item at src[K] with
-    ``src[R(g(x))] = R(x)``; it always returns a tuple, also at n = 1.  The
-    block order is src itself, ``gather(range(n^2))``: image block K is the
-    gathered source block ``order[K]``.
-    """
-    to_read, _ = _reading_maps(n)
-    gathers = []
-    for elem in group_elements(n):
-        src = [0] * (n * n)
-        for x, gx in enumerate(elem.perm.image, 1):
-            src[to_read[gx] - 1] = to_read[x] - 1
-        gather = itemgetter(*src) if n > 1 else lambda seq: (seq[0],)
-        gathers.append((gather, tuple(src)))
-    return tuple(gathers)
+    gather, _ = _element(board.n, elem.perm.image)
+    return Board._of(board.n, _image(gather, _blocks(board.bits, board.n)))
 
 
 def image_bitstrings(bits: str, n: int) -> Iterator[str]:
@@ -191,14 +204,8 @@ def image_bitstrings(bits: str, n: int) -> Iterator[str]:
     BitstringError) before it returns.
     """
     _check_bitstring(bits, n)
-    gathers = _gathers(n)
-    n_sq = n * n
-    blocks = [bits[k : k + n_sq] for k in range(0, len(bits), n_sq)]
-    join = "".join
-    return (
-        join([join(gather(block)) for block in gather(blocks)])
-        for gather, _ in gathers
-    )
+    blocks = _blocks(bits, n)
+    return (_image(gather, blocks) for gather, _ in _gathers(n))
 
 
 def _fixes(element: _Element, blocks: list[str]) -> bool:
@@ -219,8 +226,7 @@ def canonical_form(board: Board) -> str:
     one element per coset of the subgroup it generates is searched.
     """
     n_sq = board.n * board.n
-    bits = to_bitstring(board)
-    blocks = [bits[k : k + n_sq] for k in range(0, len(bits), n_sq)]
+    blocks = _blocks(board.bits, board.n)
     uniform = ("0" * n_sq, "1" * n_sq)
     join = "".join
     table = _gathers(board.n)

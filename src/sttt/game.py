@@ -30,7 +30,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from .board import Board
+from .board import Board, fields_to_bitstring
 from .dihedral import GroupElement, group_elements
 from .spiral import spiral_numbering
 
@@ -94,11 +94,6 @@ def _labels(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-def _board(n: int, field_bits: Iterable[int]) -> Board:
-    cells = ((f, p) for f, bits in enumerate(field_bits, 1) for p in _labels(bits))
-    return Board(n, frozenset(cells))
-
-
 @dataclass(frozen=True)
 class GameState:
     """Immutable snapshot of a game in progress.
@@ -138,7 +133,7 @@ class GameState:
 
     @property
     def board(self) -> Board:
-        return _board(self.n, self.field_bits)
+        return Board._of(self.n, fields_to_bitstring(self.field_bits, self.n))
 
     def open_fields(self) -> tuple[int, ...]:
         unmarked = ~self.mark_bits & ((1 << self.n * self.n) - 1)
@@ -285,7 +280,7 @@ def is_valid_game(moves: Iterable[Move | tuple[int, int]], n: int) -> GameValida
 
 def final_board(moves: Iterable[Move | tuple[int, int]], n: int) -> Board:
     """Replay and return the ending board."""
-    return _board(n, _play(map(_as_move, moves), n)[0])
+    return Board._of(n, fields_to_bitstring(_play(map(_as_move, moves), n)[0], n))
 
 
 def _checked(

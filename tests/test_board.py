@@ -6,7 +6,6 @@ from sttt.board import (
     BitstringError,
     Board,
     act_board,
-    board_orbit,
     canonical_form,
     fields_to_bitstring,
     from_bitstring,
@@ -15,7 +14,7 @@ from sttt.board import (
     _gathers,
 )
 from sttt.dihedral import dihedral_order, group_element, group_elements
-from sttt.spiral import InvalidSizeError
+from sttt.spiral import InvalidSizeError, spiral_numbering
 
 # the two boards of the unique orbit of size 2 for n=2
 ORDER2_A = "0000011001100000"
@@ -27,6 +26,55 @@ def test_board_construction_and_lookup():
     assert b.x_count == 2
     assert sorted(b.xs) == [(1, 1), (3, 3)]
     assert Board(2, b.xs | {(2, 4)}).x_count == 3
+
+
+def _reference_bitstring(n: int, cells) -> str:
+    """The bitstring of the X cells, placed one by one through the grid
+    coordinates of their spiral labels."""
+    sq = spiral_numbering(n)
+    chars = ["0"] * n**4
+    for field, pos in cells:
+        (fr, fc), (pr, pc) = sq.cell_of(field), sq.cell_of(pos)
+        chars[(fr * n + fc) * n * n + pr * n + pc] = "1"
+    return "".join(chars)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
+def test_board_bitstring_matches_a_cell_loop(n):
+    for board in _boards(n, count=5):
+        cells = sorted(board.xs)
+        assert to_bitstring(Board(n, cells)) == _reference_bitstring(n, cells)
+        assert board.x_count == len(board.xs) == len(cells)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4))
+def test_board_value_semantics(n):
+    identity = group_element(n, 0, 0)
+    for board in _boards(n, count=5):
+        same = (
+            Board(n, board.xs),
+            from_bitstring(to_bitstring(board), n),
+            act_board(board, identity),
+        )
+        for other in same:
+            assert other == board and hash(other) == hash(board)
+        assert len({board, *same}) == 1
+    assert Board.empty(n) != Board.empty(n + 1)
+    assert Board.empty(n) != to_bitstring(Board.empty(n))
+
+
+def test_board_is_immutable():
+    b = Board(2, frozenset({(1, 1)}))
+    for name, value in (("n", 3), ("bits", "0" * 16), ("xs", frozenset())):
+        with pytest.raises(AttributeError):
+            setattr(b, name, value)
+    assert to_bitstring(b) == "1" + "0" * 15
+
+
+def test_board_repr_golden():
+    b = Board(2, frozenset({(3, 3), (1, 1), (2, 4)}))
+    assert repr(b) == "Board(n=2, xs=[(1, 1), (2, 4), (3, 3)])"
+    assert repr(Board.empty(2)) == "Board(n=2, xs=[])"
 
 
 def test_board_rejects_bad_cells():
@@ -159,6 +207,23 @@ def test_act_board_maps_each_cell(n):
             assert act_board(board, g) == expected
 
 
+@pytest.mark.parametrize("n, a, b", ((14, 3, 1), (14, 5, 0), (19, 7, 1), (19, 2, 0)))
+def test_act_board_without_the_group(n, a, b):
+    # group_elements refuses n = 14 and n = 19, so act_board must build its
+    # element's gather alone and cache nothing
+    g = group_element(n, a, b)
+    rng = random.Random(n + a + b)
+    n_sq = n * n
+    cells = {(rng.randint(1, n_sq), rng.randint(1, n_sq)) for _ in range(60)}
+    cells |= {(1, 1), (n_sq, n_sq), (1, n_sq)}
+    board = Board(n, frozenset(cells))
+    before = group_elements.cache_info(), _gathers.cache_info()
+    image = act_board(board, g)
+    assert (group_elements.cache_info(), _gathers.cache_info()) == before
+    assert image == Board(n, frozenset((g(i), g(j)) for i, j in cells))
+    assert image.x_count == len(cells)
+
+
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
 def test_gather_cache_holds_n_squared_indices_per_element(n):
     # one (gather, block order) pair per element; both are the same
@@ -255,23 +320,25 @@ def test_act_board_size_mismatch():
         act_board(Board.empty(2), group_elements(3)[0])
 
 
+def _orbit(board: Board) -> set[str]:
+    return set(image_bitstrings(to_bitstring(board), board.n))
+
+
 def test_orbit_of_empty_board():
-    assert board_orbit(Board.empty(2)) == frozenset({Board.empty(2)})
+    assert _orbit(Board.empty(2)) == {"0" * 16}
     assert canonical_form(Board.empty(2)) == "0" * 16
 
 
 def test_orbit_of_order2_class():
     b = from_bitstring(ORDER2_B, 2)
-    orbit = {to_bitstring(x) for x in board_orbit(b)}
-    assert orbit == {ORDER2_A, ORDER2_B}
+    assert _orbit(b) == {ORDER2_A, ORDER2_B}
     assert canonical_form(b) == ORDER2_A
     assert canonical_form(from_bitstring(ORDER2_A, 2)) == ORDER2_A
 
 
 def test_orbit_of_single_x():
     # rho fixes labels 1 and 3, so the stabilizer of (1, 1) has order 2
-    orbit = board_orbit(Board(2, frozenset({(1, 1)})))
-    assert len(orbit) == 4
+    assert len(_orbit(Board(2, frozenset({(1, 1)})))) == 4
 
 
 @pytest.mark.parametrize("n", (2, 3))
@@ -281,7 +348,7 @@ def test_orbit_sizes_divide_group_order(n):
     cells = [(i, j) for i in range(1, n_sq + 1) for j in range(1, n_sq + 1)]
     for _ in range(25):
         b = Board(n, frozenset(rng.sample(cells, rng.randint(0, len(cells)))))
-        assert 2 * dihedral_order(n) % len(board_orbit(b)) == 0
+        assert 2 * dihedral_order(n) % len(_orbit(b)) == 0
 
 
 @pytest.mark.parametrize("n", (2, 3))
