@@ -121,16 +121,19 @@ def fields_to_bitstring(field_bits: Sequence[int], n: int) -> str:
     unless there are n^2 bitmasks, each in 0 .. 2^(n^2) - 1.
     """
     n_sq = spiral_numbering(n).n_sq
-    if len(field_bits) != n_sq or min(field_bits) < 0 or max(field_bits) >> n_sq:
-        raise ValueError(f"need {n_sq} field bitmasks of {n_sq} bits for n={n}")
     to_read, _ = _reading_maps(n)
     chars = ["0"] * (n_sq * n_sq)
-    for label, bits in enumerate(field_bits, 1):
-        offset = (to_read[label] - 1) * n_sq - 1
-        while bits:
-            low = bits & -bits
-            chars[offset + to_read[low.bit_length()]] = "1"
-            bits ^= low
+    try:  # a float or str bitmask raises TypeError in min, max, >> or &
+        if len(field_bits) != n_sq or min(field_bits) < 0 or max(field_bits) >> n_sq:
+            raise ValueError
+        for label, bits in enumerate(field_bits, 1):
+            offset = (to_read[label] - 1) * n_sq - 1
+            while bits:
+                low = bits & -bits
+                chars[offset + to_read[low.bit_length()]] = "1"
+                bits ^= low
+    except (TypeError, ValueError):
+        raise ValueError(f"need {n_sq} field bitmasks of {n_sq} bits for n={n}")
     return "".join(chars)
 
 

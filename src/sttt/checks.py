@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .board import (
     Board,
@@ -27,6 +28,7 @@ from .game import (
     final_board,
     legal_moves,
 )
+from .spiral import spiral_numbering
 
 @dataclass
 class SuiteResult:
@@ -56,12 +58,22 @@ class SuiteResult:
         }
 
 
+@lru_cache(maxsize=None)
+def _reading_index(n: int) -> tuple[int, ...]:
+    """The reading-order bitstring index of each cell (i, j), i-major."""
+    sq = spiral_numbering(n)
+    read = [r * n + c for r, c in map(sq.cell_of, range(1, n * n + 1))]
+    return tuple(i * n * n + j for i in read for j in read)
+
+
 def random_board(rng: random.Random, sizes=(2, 3, 4, 5)) -> Board:
+    """A board with k X cells at random, k uniform in 0..n^4."""
     n = rng.choice(sizes)
-    n_sq = n * n
-    cells = [(i, j) for i in range(1, n_sq + 1) for j in range(1, n_sq + 1)]
-    k = rng.randint(0, len(cells))
-    return Board(n, frozenset(rng.sample(cells, k)))
+    chars = ["0"] * n**4
+    read = _reading_index(n)
+    for idx in rng.sample(range(n**4), rng.randint(0, n**4)):
+        chars[read[idx]] = "1"
+    return from_bitstring("".join(chars), n)
 
 
 def random_valid_game(rng: random.Random, n: int) -> tuple:

@@ -19,9 +19,15 @@ position p holds an X, and one bitmask of the marked (closed) fields, where
 bit f-1 is set when field f is marked.  Each label has the bitmasks of the
 grid lines through it, cached per n, so a move tests only the lines through
 the cell it fills.  One stepping loop, :func:`_advance`, applies moves to a
-list of field bitmasks in place; :func:`apply_move`, :func:`replay` and
-every validity check run through it.  ``GameState.field_cells``, ``marks``
-and ``board`` are views derived from the bits.
+list of field bitmasks in place and checks each move is a pair of integers;
+:func:`apply_move`, :func:`replay` and every validity check run through it.
+``GameState.field_cells``, ``marks`` and ``board`` are views of the bits.
+
+:func:`act_game` maps a game move by move, (i, j) -> (g(i), g(j)), and
+replays its input, but its image only when g does not map the grid lines
+onto lines: a g that does, applied to fields and positions alike, maps each
+closed field, mark, dictated field and the losing move of a legal game to
+those of its image, so the image is legal by construction.
 """
 
 from __future__ import annotations
@@ -144,17 +150,24 @@ class GameState:
         return tuple([*_labels(unmarked)])
 
 
+@lru_cache(maxsize=None)
+def _move_row(n: int, field: int) -> tuple[Move, ...]:
+    """Move(field, p) for p = 1..n^2, cached per field and size, so a call
+    builds the rows of the fields it uses, not all n^4 Moves."""
+    return tuple([Move(field, p) for p in range(1, n * n + 1)])
+
+
 def legal_moves(state: GameState) -> set[Move]:
     """Every move the next player may make."""
     if state.terminal:
         raise TerminalStateError("the game is over; no moves remain")
-    full = (1 << state.n * state.n) - 1
     fields = (state.dictated,) if state.dictated is not None else state.open_fields()
-    new = tuple.__new__  # skips the namedtuple's Python-level __new__
+    n, bits = state.n, state.field_bits
     return {
-        new(Move, (f, p))
+        move
         for f in fields
-        for p in _labels(~state.field_bits[f - 1] & full)
+        for p, move in enumerate(_move_row(n, f))
+        if not bits[f - 1] >> p & 1
     }
 
 
@@ -165,20 +178,24 @@ def _advance(
     dictated: int | None,
     loser: int | None,
     played: list[Move],
-    moves: Iterable[Move],
+    moves: Iterable[Move | tuple[int, int]],
 ) -> tuple[int, int | None, int | None]:
-    """Apply well-formed moves to the field bitmasks ``fields`` in place.
+    """Apply moves to the field bitmasks ``fields`` in place.
 
     ``played`` holds the moves made so far and gets each applied move, so at
     an IllegalMoveError (raised without an index) it holds the moves before
     the offending one.  Returns the new (mark bits, dictated, loser).  The
-    rules are checked in this order: terminal game, out of range, closed
-    field, wrong field, occupied cell.
+    checks run in this order: a pair of integers (else ValueError), terminal
+    game, out of range, closed field, wrong field, occupied cell.
     """
     n_sq = n * n
     through = _line_masks(n)
     for move in moves:
+        if type(move) is not Move:
+            move = _as_move(move)
         field, pos = move
+        if type(field) is not int or type(pos) is not int:
+            _as_move(move)  # raises unless both are ints (bools pass)
         if loser is not None:
             raise IllegalMoveError("terminal game", "the game is already over")
         if not (1 <= field <= n_sq and 1 <= pos <= n_sq):
@@ -213,8 +230,8 @@ def _advance(
     return marks, dictated, loser
 
 
-def _play(moves: Iterable[Move], n: int):
-    """Replay well-formed moves from the empty board.
+def _play(moves: Iterable[Move | tuple[int, int]], n: int):
+    """Replay moves from the empty board.
 
     Returns (field bitmasks, mark bits, dictated, loser, moves played).
     Raises IllegalMoveError with the 1-based index of the offending move.
@@ -230,8 +247,6 @@ def _play(moves: Iterable[Move], n: int):
 
 
 def _as_move(move) -> Move:
-    if type(move) is Move and type(move.field) is int and type(move.pos) is int:
-        return move  # the common case, answered without unpacking
     try:
         field, pos = move
     except (TypeError, ValueError):
@@ -247,7 +262,6 @@ def apply_move(state: GameState, move: Move) -> GameState:
     Raises IllegalMoveError for a move the rules forbid, and ValueError for
     one that is not a pair of integers.
     """
-    move = _as_move(move)
     fields = list(state.field_bits)
     played = list(state.moves)
     marks, dictated, loser = _advance(
@@ -264,13 +278,13 @@ def replay(moves: Iterable[Move | tuple[int, int]], n: int) -> GameState:
     for a move that is not a pair of integers, once every move before it
     has been checked.
     """
-    fields, marks, dictated, loser, played = _play(map(_as_move, moves), n)
+    fields, marks, dictated, loser, played = _play(moves, n)
     return GameState(n, tuple(played), tuple(fields), marks, dictated, loser)
 
 
 def is_valid_game(moves: Iterable[Move | tuple[int, int]], n: int) -> GameValidation:
     try:
-        _play(map(_as_move, moves), n)
+        _play(moves, n)
     except IllegalMoveError as err:
         return GameValidation(False, err.index, err.rule, str(err))
     except ValueError as err:
@@ -280,36 +294,45 @@ def is_valid_game(moves: Iterable[Move | tuple[int, int]], n: int) -> GameValida
 
 def final_board(moves: Iterable[Move | tuple[int, int]], n: int) -> Board:
     """Replay and return the ending board."""
-    return Board._of(n, fields_to_bitstring(_play(map(_as_move, moves), n)[0], n))
+    return Board._of(n, fields_to_bitstring(_play(moves, n)[0], n))
 
 
 def _checked(
-    moves: tuple[Move, ...],
+    moves: Iterable[Move | tuple[int, int]],
     n: int,
     source: tuple[Move, ...] = (),
     elem: GroupElement | None = None,
 ) -> tuple[Move, ...]:
-    """Return the well-formed ``moves`` if they replay legally, else raise
-    InvalidGameError.
+    """Return ``moves`` as a tuple of Moves if they replay legally, else
+    raise InvalidGameError, or ValueError at a move that is not a pair of
+    integers, whichever comes first.
 
     With ``elem`` given, ``moves`` is the image of the game ``source`` under
     it, and the message names both.
     """
     try:
-        _play(moves, n)
+        played = _play(moves, n)[4]
     except IllegalMoveError as err:
         if elem is None:
             why = f"input game invalid at move {err.index}: {err}"
         else:
             why = f"action a={elem.a} b={elem.b} broke game {list(source)}: {err}"
         raise InvalidGameError(why) from err
-    return moves
+    return tuple(played)
+
+
+@lru_cache(maxsize=4096)
+def _keeps_lines(n: int, image: tuple[int, ...]) -> bool:
+    """Whether g, with ``image[x-1] = g(x)``, maps grid_lines(n) onto itself."""
+    lines = grid_lines(n)
+    return {frozenset([image[x - 1] for x in line]) for line in lines} == set(lines)
 
 
 def _image(moves: tuple[Move, ...], elem: GroupElement) -> tuple[Move, ...]:
-    img = elem.perm.image  # moves that replayed legally have labels in range
-    mapped = tuple([Move(img[i - 1], img[j - 1]) for i, j in moves])
-    return _checked(mapped, elem.n, moves, elem)
+    n, img = elem.n, elem.perm.image  # moves that replayed legally have labels in range
+    mapped = tuple([_move_row(n, img[i - 1])[img[j - 1] - 1] for i, j in moves])
+    # under a line-preserving element the image is legal by construction
+    return mapped if _keeps_lines(n, img) else _checked(mapped, n, moves, elem)
 
 
 def act_game(
@@ -319,11 +342,12 @@ def act_game(
 
     Raises ValueError for a move that is not a pair of integers, and
     InvalidGameError if the input game, or its image, does not replay
-    legally; the image can fail for n >= 3, where not every group element
-    maps field lines to field lines.
+    legally; an error in the input is reported at its first offending move.
+    The input is replayed on every call.  Its image is replayed only when g
+    does not map the grid's lines onto lines: a g that does maps a legal
+    game to a legal one, while the others can break it for n >= 3.
     """
-    moves = _checked(tuple(map(_as_move, moves)), elem.n)
-    return _image(moves, elem)
+    return _image(_checked(moves, elem.n), elem)
 
 
 def game_orbit(
@@ -333,5 +357,5 @@ def game_orbit(
 
     Raises InvalidGameError as :func:`act_game` does.
     """
-    moves = _checked(tuple(map(_as_move, moves)), n)
+    moves = _checked(moves, n)
     return frozenset(_image(moves, elem) for elem in group_elements(n))

@@ -191,7 +191,18 @@ def test_fields_to_bitstring_matches_to_bitstring(n):
         assert fields_to_bitstring(field_bits, n) == to_bitstring(board)
 
 
-@pytest.mark.parametrize("field_bits", ([0, 0, 0], [0, 0, 0, 16], [0, -1, 0, 0]))
+@pytest.mark.parametrize(
+    "field_bits",
+    (
+        [0, 0, 0],
+        [0, 0, 0, 16],
+        [0, -1, 0, 0],
+        [1.0] * 4,
+        ["1"] * 4,
+        [0, 1.0, 0, 0],
+        [0, "1", 0, 0],
+    ),
+)
 def test_fields_to_bitstring_rejects_bad_bitmasks(field_bits):
     with pytest.raises(ValueError, match="need 4 field bitmasks of 4 bits for n=2"):
         fields_to_bitstring(field_bits, 2)

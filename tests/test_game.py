@@ -14,6 +14,7 @@ from sttt.game import (
     InvalidGameError,
     Move,
     TerminalStateError,
+    _keeps_lines,
     act_game,
     apply_move,
     final_board,
@@ -424,3 +425,58 @@ def test_moves_must_be_pairs_of_ints():
         check = is_valid_game([move], 2)
         assert check.rule == "malformed"
         assert check.message == f"move {move!r} is not a pair of integers"
+
+
+@pytest.mark.parametrize("n", range(2, 8))
+def test_line_preserving_elements_are_the_readme_list(n):
+    # act_game skips the image replay under exactly these elements
+    m = dihedral_order(n)
+    if n == 2:
+        expected = {(a, b) for a in range(m) for b in (0, 1)}
+    elif n == 3:
+        expected = {(a, b) for a in range(0, m, 2) for b in (0, 1)}
+    elif n % 2 == 0:
+        expected = {(0, 0), (0, 1), (m // 2, 0), (m // 2, 1)}
+    else:
+        expected = {(0, 0), (0, 1)}
+    lines = set(grid_lines(n))
+    kept = {
+        (g.a, g.b): {frozenset(map(g, line)) for line in lines} == lines
+        for g in group_elements(n)
+    }
+    assert {ab for ab, keeps in kept.items() if keeps} == expected
+    assert {
+        (g.a, g.b) for g in group_elements(n) if _keeps_lines(n, g.perm.image)
+    } == expected
+
+
+@pytest.mark.parametrize("n", (2, 3, 4, 5))
+def test_act_game_returns_the_mapped_game_exactly_when_it_is_legal(n):
+    # the image is not replayed under a line-preserving element, so compare
+    # act_game with a full replay of the directly mapped moves
+    rng = random.Random(40 + n)
+    for _ in range(10):
+        state = GameState.initial(n)
+        stop = rng.randint(1, 4 * n**4)
+        while not state.terminal and len(state.moves) < stop:
+            state = apply_move(state, rng.choice(sorted(legal_moves(state))))
+        game = state.moves
+        for g in group_elements(n):
+            mapped = tuple(Move(g(i), g(j)) for i, j in game)
+            valid = is_valid_game(mapped, n).valid
+            try:
+                image = act_game(game, g)
+            except InvalidGameError:
+                assert not valid, (n, g, game)
+                continue
+            assert valid and image == mapped, (n, g, game)
+            assert final_board(image, n) == act_board(final_board(game, n), g)
+
+
+def test_act_game_at_n14_does_not_build_the_group():
+    # group_elements refuses n = 14; the line check must not need it
+    rho = group_element(14, 0, 1)
+    game = (Move(5, 1), Move(1, 5), Move(5, 2))
+    before = group_elements.cache_info()
+    assert act_game(game, rho) == tuple(Move(rho(i), rho(j)) for i, j in game)
+    assert group_elements.cache_info() == before
