@@ -6,13 +6,15 @@ both players place the same symbol.
 
 A Board is its side length and its bitstring: fields in reading order across
 the board and positions in reading order within each field, one character per
-cell, ``1`` for an X.  Cells are named by spiral labels; for n=2 the
-spiral-to-reading map is 1->1, 2->3, 3->4, 4->2.
+cell, ``1`` for an X.  Cells are named by spiral labels.  R, the 0-based
+spiral-to-reading map, is read from the numbering: R(x) is
+``spiral_numbering(n).reading[x - 1]``, and ``labels`` inverts it.  For
+n=2, R sends labels 1, 2, 3, 4 to 0, 2, 3, 1.
 
 The group action moves the content of cell (i, j) to cell (g(i), g(j)).
-On bitstrings it is two gathers with one index map: with R the
-spiral-to-reading map (0-based) and ``src[R(g(x))] = R(x)``, the image holds
-at reading index (K, k) the source cell (src[K], src[k]).  One gather
+On bitstrings it is two gathers with one index map: with ``src[R(g(x))] =
+R(x)``, the image holds at reading index (K, k) the source cell
+(src[K], src[k]).  One gather
 reorders the n^2 field blocks and the same gather reorders the n^2 positions
 inside each block, so an element costs n^2 indices, not n^4.  act_board
 builds its gather on each call and caches nothing.
@@ -32,7 +34,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import itemgetter
+from operator import index, itemgetter
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .dihedral import GroupElement, group_elements
@@ -53,13 +55,13 @@ class Board:
     bits: str
 
     def __init__(self, n: int, cells: Iterable[tuple[int, int]]):
-        n_sq = spiral_numbering(n).n_sq  # the size check: InvalidSizeError for n outside 1..56
-        to_read, _ = _reading_maps(n)
+        sq = spiral_numbering(n)  # the size check: InvalidSizeError for n outside 1..56
+        n_sq, read = sq.n_sq, sq.reading
         chars = ["0"] * (n_sq * n_sq)
         for i, j in cells:
             if not (1 <= i <= n_sq and 1 <= j <= n_sq):
                 raise ValueError(f"cell ({i}, {j}) outside 1..{n_sq} labels")
-            chars[(to_read[i] - 1) * n_sq + to_read[j] - 1] = "1"
+            chars[read[i - 1] * n_sq + read[j - 1]] = "1"
         object.__setattr__(self, "n", n)
         object.__setattr__(self, "bits", "".join(chars))
 
@@ -79,9 +81,9 @@ class Board:
     def xs(self) -> frozenset[tuple[int, int]]:
         """The X cells, as (field, pos) pairs of spiral labels."""
         n_sq = self.n * self.n
-        _, to_spiral = _reading_maps(self.n)
+        labels = spiral_numbering(self.n).labels
         return frozenset(
-            (to_spiral[idx // n_sq + 1], to_spiral[idx % n_sq + 1])
+            (labels[idx // n_sq], labels[idx % n_sq])
             for idx, ch in enumerate(self.bits)
             if ch == "1"
         )
@@ -94,20 +96,6 @@ class Board:
         return f"Board(n={self.n}, xs={sorted(self.xs)})"
 
 
-@lru_cache(maxsize=None)
-def _reading_maps(n: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
-    """spiral->reading and reading->spiral label maps (index 0 unused)."""
-    sq = spiral_numbering(n)
-    to_read = [0] * (n * n + 1)
-    to_spiral = [0] * (n * n + 1)
-    for label in range(1, n * n + 1):
-        row, col = sq.cell_of(label)
-        read = row * n + col + 1
-        to_read[label] = read
-        to_spiral[read] = label
-    return tuple(to_read), tuple(to_spiral)
-
-
 def to_bitstring(board: Board) -> str:
     """The reading-order 0/1 string of length n^4."""
     return board.bits
@@ -118,19 +106,19 @@ def fields_to_bitstring(field_bits: Sequence[int], n: int) -> str:
     position p exactly when bit p-1 of ``field_bits[i-1]`` is set.
 
     Raises InvalidSizeError for an invalid side length, and ValueError
-    unless there are n^2 bitmasks, each in 0 .. 2^(n^2) - 1.
+    unless there are n^2 bitmasks, each an int in 0 .. 2^(n^2) - 1.
     """
-    n_sq = spiral_numbering(n).n_sq
-    to_read, _ = _reading_maps(n)
+    sq = spiral_numbering(n)
+    n_sq, read = sq.n_sq, sq.reading
     chars = ["0"] * (n_sq * n_sq)
-    try:  # a float or str bitmask raises TypeError in min, max, >> or &
-        if len(field_bits) != n_sq or min(field_bits) < 0 or max(field_bits) >> n_sq:
-            raise ValueError
-        for label, bits in enumerate(field_bits, 1):
-            offset = (to_read[label] - 1) * n_sq - 1
+    try:  # zip raises ValueError for a wrong count, index TypeError for a float or str
+        for read_field, bits in zip(read, map(index, field_bits), strict=True):
+            if bits < 0 or bits >> n_sq:
+                raise ValueError
+            offset = read_field * n_sq
             while bits:
                 low = bits & -bits
-                chars[offset + to_read[low.bit_length()]] = "1"
+                chars[offset + read[low.bit_length() - 1]] = "1"
                 bits ^= low
     except (TypeError, ValueError):
         raise ValueError(f"need {n_sq} field bitmasks of {n_sq} bits for n={n}")
@@ -165,10 +153,10 @@ def _element(n: int, image: Sequence[int]) -> _Element:
     at src[K] with ``src[R(g(x))] = R(x)``, and always returns a tuple, also
     at n = 1; the block order is src, so image block K is the gathered source
     block ``order[K]``."""
-    to_read, _ = _reading_maps(n)
+    read = spiral_numbering(n).reading
     src = [0] * (n * n)
-    for x, gx in enumerate(image, 1):
-        src[to_read[gx] - 1] = to_read[x] - 1
+    for read_x, gx in zip(read, image):
+        src[read[gx - 1]] = read_x
     gather = itemgetter(*src) if n > 1 else lambda seq: (seq[0],)
     return gather, tuple(src)
 

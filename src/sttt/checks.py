@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .board import (
     Board,
@@ -28,7 +27,6 @@ from .game import (
     final_board,
     legal_moves,
 )
-from .spiral import spiral_numbering
 
 @dataclass
 class SuiteResult:
@@ -58,21 +56,12 @@ class SuiteResult:
         }
 
 
-@lru_cache(maxsize=None)
-def _reading_index(n: int) -> tuple[int, ...]:
-    """The reading-order bitstring index of each cell (i, j), i-major."""
-    sq = spiral_numbering(n)
-    read = [r * n + c for r, c in map(sq.cell_of, range(1, n * n + 1))]
-    return tuple(i * n * n + j for i in read for j in read)
-
-
 def random_board(rng: random.Random, sizes=(2, 3, 4, 5)) -> Board:
     """A board with k X cells at random, k uniform in 0..n^4."""
     n = rng.choice(sizes)
     chars = ["0"] * n**4
-    read = _reading_index(n)
     for idx in rng.sample(range(n**4), rng.randint(0, n**4)):
-        chars[read[idx]] = "1"
+        chars[idx] = "1"
     return from_bitstring("".join(chars), n)
 
 

@@ -82,7 +82,7 @@ def _cmd_square(args) -> int:
         payload = {
             "command": "square",
             "n": sq.n,
-            "labels": [label for row in sq.rows for label in row],
+            "labels": list(sq.labels),
             "layers": [list(sq.level_set(k)) for k in range(1, sq.layer_count + 1)],
         }
         sys.stdout.write(_json_dump(payload))
@@ -301,6 +301,16 @@ def _cmd_census(args) -> int:
     return EX_OK
 
 
+def _census_unread_flag(args) -> str | None:
+    """The first flag given to census that its mode does not read, if any."""
+    if args.mode == "diff":
+        given = {"--out": args.out, "--listing-style": args.listing_style}
+    else:
+        given = {"--computed": args.computed, "--reference": args.reference}
+        given["--format json"] = args.format == "json"
+    return next((flag for flag, value in given.items() if value not in (None, False)), None)
+
+
 def _cmd_fuzz(args) -> int:
     if args.suite:
         results = [run_suite(s, cases=args.cases, seed=args.seed) for s in args.suite]
@@ -399,6 +409,8 @@ def main(argv=None) -> int:
     parser = build_parser()
     try:
         args = parser.parse_args(argv)
+        if args.command == "census" and (flag := _census_unread_flag(args)):
+            parser.error(f"census {args.mode or 'without diff'} does not take {flag}")
     except SystemExit as exc:  # argparse exits on usage errors and --help
         return exc.code if isinstance(exc.code, int) else EX_USAGE
     try:

@@ -73,11 +73,10 @@ class GameValidation(NamedTuple):
 @lru_cache(maxsize=None)
 def grid_lines(n: int) -> tuple[frozenset[int], ...]:
     """Label sets of all n-in-a-row lines of the n x n grid."""
-    sq = spiral_numbering(n)
-    lines = {frozenset(sq.label_at(r, c) for c in range(n)) for r in range(n)}
-    lines |= {frozenset(sq.label_at(r, c) for r in range(n)) for c in range(n)}
-    lines.add(frozenset(sq.label_at(i, i) for i in range(n)))
-    lines.add(frozenset(sq.label_at(i, n - 1 - i) for i in range(n)))
+    rows = spiral_numbering(n).rows
+    lines = set(map(frozenset, rows + tuple(zip(*rows))))
+    lines.add(frozenset(row[i] for i, row in enumerate(rows)))
+    lines.add(frozenset(row[n - 1 - i] for i, row in enumerate(rows)))
     return tuple(sorted(lines, key=sorted))
 
 

@@ -7,6 +7,11 @@ grid decomposes into floor((n+1)/2) concentric rings, or layers, counted from
 the innermost (layer 1) outward; a layer's sorted label list is its level
 set.  Since each ring is numbered whole before the next, every level set is
 a consecutive block of labels.
+
+Boards are serialized in reading order, so the numbering also fixes R, the
+spiral-to-reading map: R(x) = row * n + col for the cell of label x.  This
+module is its one owner; other modules read R and its inverse from
+NumberedSquare's ``reading`` and ``labels`` tuples.
 """
 
 from __future__ import annotations
@@ -26,12 +31,14 @@ class NumberedSquare:
     """Spiral-numbered n x n grid with its layer decomposition.
 
     Cells are (row, col) pairs, 0-indexed from the top-left; labels run
-    1..n^2.  Instances are immutable; build them through
-    :func:`spiral_numbering`, which caches per size.  Side lengths run
-    1..56: a board on the grid has n^4 cells, and n >= 57 would exceed 10^7.
+    1..n^2; ``reading[x - 1]`` is label x's 0-based reading index and
+    ``labels[k]`` the label at reading index k.  Instances are immutable;
+    build them through :func:`spiral_numbering`, which caches per size.
+    Side lengths run 1..56: a board on the grid has n^4 cells, and n >= 57
+    would exceed 10^7.
     """
 
-    __slots__ = ("n", "_grid", "_cells", "_layers", "_level_sets")
+    __slots__ = ("n", "reading", "labels", "_layers", "_level_sets")
 
     def __init__(self, n: int):
         if n < 1:
@@ -43,8 +50,7 @@ class NumberedSquare:
             )
         self.n = n
         count = (n + 1) // 2
-        grid = [[0] * n for _ in range(n)]
-        cells: list[tuple[int, int]] = [(-1, -1)]  # index 0 unused
+        reading: list[int] = []
         layers = [0]
         level_sets: list[tuple[int, ...]] = []
         for lo in range(count):  # rings from the outside in
@@ -55,16 +61,14 @@ class NumberedSquare:
                 + [(r, hi) for r in range(hi - 1, lo - 1, -1)]  # up the right edge
                 + [(lo, c) for c in range(hi - 1, lo, -1)]  # back along the top
             )
-            first = len(cells)
-            for label, (r, c) in enumerate(ring, first):
-                grid[r][c] = label
-            cells += ring
+            first = len(reading) + 1
+            reading += [r * n + c for r, c in ring]
             layers += [count - lo] * len(ring)
-            level_sets.append(tuple(range(first, len(cells))))
+            level_sets.append(tuple(range(first, len(reading) + 1)))
         level_sets.reverse()  # layer 1 is the innermost ring
 
-        self._grid = tuple(tuple(row) for row in grid)
-        self._cells = tuple(cells)
+        self.reading = tuple(reading)
+        self.labels = tuple(label for _, label in sorted(zip(reading, range(1, n * n + 1))))
         self._layers = tuple(layers)
         self._level_sets = tuple(level_sets)
 
@@ -79,16 +83,17 @@ class NumberedSquare:
     @property
     def rows(self) -> tuple[tuple[int, ...], ...]:
         """Labels in row-major order, one tuple per grid row."""
-        return self._grid
+        n = self.n
+        return tuple(self.labels[k : k + n] for k in range(0, n * n, n))
 
     def label_at(self, row: int, col: int) -> int:
         if not (0 <= row < self.n and 0 <= col < self.n):
             raise IndexError(f"cell ({row}, {col}) outside a {self.n}x{self.n} grid")
-        return self._grid[row][col]
+        return self.labels[row * self.n + col]
 
     def cell_of(self, label: int) -> tuple[int, int]:
         self._check_label(label)
-        return self._cells[label]
+        return divmod(self.reading[label - 1], self.n)
 
     def layer_of(self, label: int) -> int:
         self._check_label(label)
@@ -108,7 +113,7 @@ class NumberedSquare:
 
     def __eq__(self, other: object) -> bool:
         if isinstance(other, NumberedSquare):
-            return self.n == other.n and self._grid == other._grid
+            return self.labels == other.labels
         return NotImplemented
 
     def __hash__(self) -> int:

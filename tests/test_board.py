@@ -191,6 +191,10 @@ def test_fields_to_bitstring_matches_to_bitstring(n):
         assert fields_to_bitstring(field_bits, n) == to_bitstring(board)
 
 
+def test_fields_to_bitstring_takes_bool_bitmasks():
+    assert fields_to_bitstring([True, False, 0, 2], 2) == fields_to_bitstring([1, 0, 0, 2], 2)
+
+
 @pytest.mark.parametrize(
     "field_bits",
     (
@@ -201,6 +205,8 @@ def test_fields_to_bitstring_matches_to_bitstring(n):
         ["1"] * 4,
         [0, 1.0, 0, 0],
         [0, "1", 0, 0],
+        [0.0, 1, 0, 0],
+        [0, 0, 0, 0.0],
     ),
 )
 def test_fields_to_bitstring_rejects_bad_bitmasks(field_bits):

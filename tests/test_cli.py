@@ -326,7 +326,27 @@ def test_census_small_sizes_guard(capsys):
 
 
 @pytest.mark.parametrize(
-    "argv", [("--jobs", "2"), ("--n", "3", "--allow-large")], ids=["jobs", "allow-large"]
+    "argv",
+    [
+        ("--jobs", "2"),
+        ("--n", "3", "--allow-large"),
+        ("--n", "2", "--format", "json"),
+        ("--computed", "classes.jsonl"),
+        ("--reference", "listing.txt"),
+        ("--computed", ""),
+        ("diff", "--computed", "classes.jsonl", "--out", "diff.txt"),
+        ("diff", "--computed", "classes.jsonl", "--listing-style"),
+    ],
+    ids=[
+        "jobs",
+        "allow-large",
+        "format-json-without-diff",
+        "computed-without-diff",
+        "reference-without-diff",
+        "empty-computed-without-diff",
+        "diff-out",
+        "diff-listing-style",
+    ],
 )
 def test_census_removed_flags_are_usage_errors(capsys, argv):
     code, out, err = run(capsys, "census", *argv)

@@ -1,7 +1,9 @@
 import ast
+import importlib.util
 from pathlib import Path
 
-SRC = Path(__file__).resolve().parents[1] / "src" / "sttt"
+ROOT = Path(__file__).resolve().parents[1]
+SRC = ROOT / "src" / "sttt"
 
 
 def test_library_has_no_assert():
@@ -14,3 +16,26 @@ def test_library_has_no_assert():
     ]
     assert len(list(SRC.glob("*.py"))) > 1
     assert not found, found
+
+
+def test_only_spiral_maps_cells_to_labels():
+    # the spiral-to-reading map has one owner; other modules read its tables
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name != "spiral.py"
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr in ("cell_of", "label_at")
+    ]
+    assert not found, found
+
+
+def test_mutant_snippets_occur_once():
+    # the full mutant run is slow and stays out of this suite; this keeps its
+    # table from rotting when the code it mutates moves
+    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
+    mutants = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(mutants)
+    assert mutants.MUTANTS
+    assert mutants.misplaced() == []
+    assert all((ROOT / test).is_file() for m in mutants.MUTANTS for test in m.tests)

@@ -6,6 +6,7 @@ from sttt.spiral import (
     NumberedSquare,
     spiral_numbering,
 )
+from sttt.game import grid_lines
 
 # 5x5 grid, row by row from the top left
 GRID_5 = (
@@ -150,3 +151,29 @@ def test_bad_lookups():
         sq.cell_of(10)
     with pytest.raises(ValueError):
         sq.layer_of(0)
+
+
+@pytest.mark.parametrize("n", [*range(1, 9), 56])
+def test_reading_tables_invert_each_other(n):
+    sq = spiral_numbering(n)
+    assert sorted(sq.reading) == list(range(n * n))
+    assert sq.labels == tuple(label for row in sq.rows for label in row)
+    for label, k in enumerate(sq.reading, 1):
+        assert sq.labels[k] == label
+        assert divmod(k, n) == sq.cell_of(label)
+        assert sq.label_at(*divmod(k, n)) == label
+
+
+def _grid_lines_by_label_at(n):
+    """grid_lines as first written, one label_at call per cell."""
+    sq = spiral_numbering(n)
+    lines = {frozenset(sq.label_at(r, c) for c in range(n)) for r in range(n)}
+    lines |= {frozenset(sq.label_at(r, c) for r in range(n)) for c in range(n)}
+    lines.add(frozenset(sq.label_at(i, i) for i in range(n)))
+    lines.add(frozenset(sq.label_at(i, n - 1 - i) for i in range(n)))
+    return tuple(sorted(lines, key=sorted))
+
+
+@pytest.mark.parametrize("n", range(1, 9))
+def test_grid_lines_match_label_at(n):
+    assert grid_lines(n) == _grid_lines_by_label_at(n)

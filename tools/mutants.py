@@ -1,0 +1,224 @@
+"""Mutation check: every mutant in MUTANTS must make its named tests fail.
+
+Each mutant replaces one exact source snippet in a temporary copy of the
+tree (``src/``, ``tests/`` and ``pyproject.toml``) and runs pytest on the
+test files named beside it.  The mutant is killed when those tests fail.
+Before any mutant, the named test files run once on an unmutated copy and
+must pass, so a kill shows the tests noticed the mutation.
+
+    python3 tools/mutants.py
+
+Exits 0 when every mutant is killed, 1 when a mutant survives or a snippet
+does not occur exactly once in its file, and 2 when the unmutated tests fail.
+Standard library only, apart from pytest, which the tests need anyway.  The
+mutants run one at a time, each in its own pytest process.
+
+Mutation testing is DeMillo, Lipton & Sayward, "Hints on test data
+selection", IEEE Computer 11 (1978).
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import time
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+TIMEOUT_S = 600
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    snippet: str  # must occur exactly once in file
+    replacement: str
+    tests: tuple[str, ...]  # test files, at least one of which must fail
+
+
+MUTANTS = (
+    Mutant(
+        "board-cell-transposed",
+        "src/sttt/board.py",
+        'chars[read[i - 1] * n_sq + read[j - 1]] = "1"',
+        'chars[read[j - 1] * n_sq + read[i - 1]] = "1"',
+        ("tests/test_board.py",),
+    ),
+    Mutant(
+        "fields-one-position-late",
+        "src/sttt/board.py",
+        'chars[offset + read[low.bit_length() - 1]] = "1"',
+        'chars[offset + read[low.bit_length() % n_sq]] = "1"',
+        ("tests/test_board.py",),
+    ),
+    Mutant(
+        "xs-without-label-map",
+        "src/sttt/board.py",
+        "(labels[idx // n_sq], labels[idx % n_sq])",
+        "(idx // n_sq + 1, idx % n_sq + 1)",
+        ("tests/test_board.py",),
+    ),
+    Mutant(
+        "reading-table-transposed",
+        "src/sttt/spiral.py",
+        "reading += [r * n + c for r, c in ring]",
+        "reading += [c * n + r for r, c in ring]",
+        ("tests/test_spiral.py",),
+    ),
+    Mutant(
+        "image-gathers-only-blocks",
+        "src/sttt/board.py",
+        "return join([join(gather(block)) for block in gather(blocks)])",
+        "return join(gather(blocks))",
+        ("tests/test_board.py",),
+    ),
+    Mutant(
+        "act-board-through-gathers",
+        "src/sttt/board.py",
+        "gather, _ = _element(board.n, elem.perm.image)",
+        "gather, _ = _gathers(board.n)[2 * elem.a + elem.b]",
+        ("tests/test_board.py",),
+    ),
+    Mutant(
+        "element-from-g-not-source-map",
+        "src/sttt/board.py",
+        "src[read[gx - 1]] = read_x",
+        "src[read_x] = read[gx - 1]",
+        ("tests/test_board.py",),
+    ),
+    Mutant(
+        "grid-lines-without-anti-diagonal",
+        "src/sttt/game.py",
+        "    lines.add(frozenset(row[n - 1 - i] for i, row in enumerate(rows)))\n",
+        "",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "grid-lines-without-main-diagonal",
+        "src/sttt/game.py",
+        "    lines.add(frozenset(row[i] for i, row in enumerate(rows)))\n",
+        "",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "product-always-adds",
+        "src/sttt/dihedral.py",
+        "a = self.a - other.a if self.b else self.a + other.a",
+        "a = self.a + other.a",
+        ("tests/test_dihedral.py",),
+    ),
+    Mutant(
+        "inverse-always-negates",
+        "src/sttt/dihedral.py",
+        "group_element(self.n, self.a if self.b else -self.a, self.b)",
+        "group_element(self.n, -self.a, self.b)",
+        ("tests/test_dihedral.py",),
+    ),
+    Mutant(
+        "reflection-adds-ring-index",
+        "src/sttt/dihedral.py",
+        "ring[(a - i if b else a + i) % len(ring)]",
+        "ring[(a + i) % len(ring)]",
+        ("tests/test_dihedral.py",),
+    ),
+    Mutant(
+        "canonical-keeps-every-element",
+        "src/sttt/board.py",
+        "live = [el for el, image in zip(live, images) if image == best]",
+        "live = list(live)",
+        ("tests/test_board.py",),
+    ),
+    Mutant(
+        "canonical-block-ungathered",
+        "src/sttt/board.py",
+        "block if (block := blocks[order[k]]) in uniform else join(gather(block))",
+        "blocks[order[k]]",
+        ("tests/test_board.py",),
+    ),
+    Mutant(
+        "canonical-coset-cuts-swapped",
+        "src/sttt/board.py",
+        "live = live[:2]\n            if _fixes(table[1], blocks):\n                live = live[::2]",
+        "live = live[::2]\n            if _fixes(table[1], blocks):\n                live = live[:2]",
+        ("tests/test_board.py",),
+    ),
+    Mutant(
+        "canonical-tests-sigma-rho-for-sigma",
+        "src/sttt/board.py",
+        "if _fixes(table[2], blocks):",
+        "if _fixes(table[3], blocks):",
+        ("tests/test_board.py",),
+    ),
+)
+
+
+def misplaced() -> list[str]:
+    """The mutants whose snippet does not occur exactly once in its file."""
+    return [
+        f"{m.name}: snippet occurs {count} times in {m.file}"
+        for m in MUTANTS
+        if (count := (ROOT / m.file).read_text("utf-8").count(m.snippet)) != 1
+    ]
+
+
+def _copy_tree(dest: Path) -> None:
+    ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".pytest_cache")
+    for part in ("src", "tests"):
+        shutil.copytree(ROOT / part, dest / part, ignore=ignore)
+    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+
+
+def _tests_pass(tree: Path, tests: tuple[str, ...]) -> bool:
+    """Whether pytest passes on these test files of the tree."""
+    cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
+    try:
+        done = subprocess.run(
+            cmd,
+            cwd=tree,
+            # no bytecode: a restored file can match a mutant's size and mtime
+            env={**os.environ, "PYTHONPATH": str(tree / "src"), "PYTHONDONTWRITEBYTECODE": "1"},
+            stdout=subprocess.DEVNULL,
+            stderr=subprocess.DEVNULL,
+            timeout=TIMEOUT_S,
+        )
+    except subprocess.TimeoutExpired:
+        return False  # a mutant that hangs its tests is detected, not survived
+    return done.returncode == 0
+
+
+def main() -> int:
+    bad = misplaced()
+    if bad:
+        print("\n".join(bad), file=sys.stderr)
+        return 1
+    start = time.perf_counter()
+    with tempfile.TemporaryDirectory(prefix="sttt-mutants-") as tmp:
+        tree = Path(tmp)
+        _copy_tree(tree)
+        baseline = tuple(sorted({t for m in MUTANTS for t in m.tests}))
+        if not _tests_pass(tree, baseline):
+            print(f"unmutated tests fail: {' '.join(baseline)}", file=sys.stderr)
+            return 2
+        survivors = []
+        for m in MUTANTS:
+            path = tree / m.file
+            original = path.read_text("utf-8")
+            path.write_text(original.replace(m.snippet, m.replacement), "utf-8")
+            try:
+                killed = not _tests_pass(tree, m.tests)
+            finally:
+                path.write_text(original, "utf-8")
+            print(f"{'killed' if killed else 'SURVIVED'}  {m.name}  ({' '.join(m.tests)})")
+            if not killed:
+                survivors.append(m.name)
+    wall = time.perf_counter() - start
+    print(f"{len(MUTANTS) - len(survivors)}/{len(MUTANTS)} mutants killed in {wall:.1f} s")
+    return 1 if survivors else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
