@@ -265,6 +265,10 @@ def _cmd_census(args) -> int:
         if not args.computed:
             raise ValueError("census diff needs --computed <classes.jsonl>")
         computed = census_mod.classes_from_jsonl(Path(args.computed).read_text("utf-8"))
+        want = args.n**4
+        bad = next((m for c in computed for m in c.members if len(m) != want), None)
+        if bad is not None:
+            raise ValueError(f"member {bad} has length {len(bad)}, expected n^4 = {want}")
         if args.reference:
             ref_text = Path(args.reference).read_text("utf-8")
         else:

@@ -18,9 +18,9 @@ The state is kept in ints: one bitmask per field, where bit p-1 is set when
 position p holds an X, and one bitmask of the marked (closed) fields, where
 bit f-1 is set when field f is marked.  Each label has the bitmasks of the
 grid lines through it, cached per n, so a move tests only the lines through
-the cell it fills.  One stepping loop, :func:`_advance`, applies moves to a
-list of field bitmasks in place and checks each move is a pair of integers;
-:func:`apply_move`, :func:`replay` and every validity check run through it.
+the cell it fills.  One function, :func:`_advance`, steps a ``GameState`` by
+moves, checking each is a pair of integers; :func:`apply_move` and
+:func:`replay` are each one call to it, and every validity check replays.
 ``GameState.field_cells``, ``marks`` and ``board`` are views of the bits.
 
 :func:`act_game` maps a game move by move, (i, j) -> (g(i), g(j)), and
@@ -170,79 +170,61 @@ def legal_moves(state: GameState) -> set[Move]:
     }
 
 
-def _advance(
-    n: int,
-    fields: list[int],
-    marks: int,
-    dictated: int | None,
-    loser: int | None,
-    played: list[Move],
-    moves: Iterable[Move | tuple[int, int]],
-) -> tuple[int, int | None, int | None]:
-    """Apply moves to the field bitmasks ``fields`` in place.
+def _advance(state: GameState, moves: Iterable[Move | tuple[int, int]]) -> GameState:
+    """Apply moves to ``state`` and return the resulting state.
 
-    ``played`` holds the moves made so far and gets each applied move, so at
-    an IllegalMoveError (raised without an index) it holds the moves before
-    the offending one.  Returns the new (mark bits, dictated, loser).  The
-    checks run in this order: a pair of integers (else ValueError), terminal
-    game, out of range, closed field, wrong field, occupied cell.
+    The checks run in this order: a pair of integers (else ValueError),
+    terminal game, out of range, closed field, wrong field, occupied cell.
+    An IllegalMoveError carries the offending move's 1-based number in the
+    whole game, counting the moves ``state`` already holds, as ``index``.
     """
+    n, marks, dictated, loser = state.n, state.mark_bits, state.dictated, state.loser
+    fields = list(state.field_bits)
+    played = list(state.moves)
     n_sq = n * n
     through = _line_masks(n)
-    for move in moves:
-        if type(move) is not Move:
-            move = _as_move(move)
-        field, pos = move
-        if type(field) is not int or type(pos) is not int:
-            _as_move(move)  # raises unless both are ints (bools pass)
-        if loser is not None:
-            raise IllegalMoveError("terminal game", "the game is already over")
-        if not (1 <= field <= n_sq and 1 <= pos <= n_sq):
-            raise IllegalMoveError(
-                "out of range", f"move ({field}, {pos}) outside 1..{n_sq} labels"
-            )
-        if marks >> (field - 1) & 1:
-            raise IllegalMoveError("closed field", f"field {field} is closed")
-        if dictated is not None and field != dictated:
-            raise IllegalMoveError(
-                "wrong field",
-                f"move dictated into open field {dictated}, not field {field}",
-            )
-        cells = fields[field - 1]
-        bit = 1 << (pos - 1)
-        if cells & bit:
-            raise IllegalMoveError(
-                "occupied cell", f"position {pos} of field {field} is already an X"
-            )
-        cells |= bit
-        fields[field - 1] = cells
-        played.append(move)
-        for line in through[pos - 1]:
-            if cells & line == line:  # the field closes: mark its board square
-                marks |= 1 << (field - 1)
-                for board_line in through[field - 1]:
-                    if marks & board_line == board_line:
-                        loser = 1 if len(played) % 2 else 2
-                        break
-                break
-        dictated = None if marks >> (pos - 1) & 1 else pos
-    return marks, dictated, loser
-
-
-def _play(moves: Iterable[Move | tuple[int, int]], n: int):
-    """Replay moves from the empty board.
-
-    Returns (field bitmasks, mark bits, dictated, loser, moves played).
-    Raises IllegalMoveError with the 1-based index of the offending move.
-    """
-    fields = [0] * spiral_numbering(n).n_sq
-    played: list[Move] = []
     try:
-        marks, dictated, loser = _advance(n, fields, 0, None, None, played, moves)
+        for move in moves:
+            if type(move) is not Move:
+                move = _as_move(move)
+            field, pos = move
+            if type(field) is not int or type(pos) is not int:
+                _as_move(move)  # raises unless both are ints (bools pass)
+            if loser is not None:
+                raise IllegalMoveError("terminal game", "the game is already over")
+            if not (1 <= field <= n_sq and 1 <= pos <= n_sq):
+                raise IllegalMoveError(
+                    "out of range", f"move ({field}, {pos}) outside 1..{n_sq} labels"
+                )
+            if marks >> (field - 1) & 1:
+                raise IllegalMoveError("closed field", f"field {field} is closed")
+            if dictated is not None and field != dictated:
+                raise IllegalMoveError(
+                    "wrong field",
+                    f"move dictated into open field {dictated}, not field {field}",
+                )
+            cells = fields[field - 1]
+            bit = 1 << (pos - 1)
+            if cells & bit:
+                raise IllegalMoveError(
+                    "occupied cell", f"position {pos} of field {field} is already an X"
+                )
+            cells |= bit
+            fields[field - 1] = cells
+            played.append(move)
+            for line in through[pos - 1]:
+                if cells & line == line:  # the field closes: mark its board square
+                    marks |= 1 << (field - 1)
+                    for board_line in through[field - 1]:
+                        if marks & board_line == board_line:
+                            loser = 1 if len(played) % 2 else 2
+                            break
+                    break
+            dictated = None if marks >> (pos - 1) & 1 else pos
     except IllegalMoveError as err:
         err.index = len(played) + 1
         raise
-    return fields, marks, dictated, loser, played
+    return GameState(n, tuple(played), tuple(fields), marks, dictated, loser)
 
 
 def _as_move(move) -> Move:
@@ -258,32 +240,27 @@ def _as_move(move) -> Move:
 def apply_move(state: GameState, move: Move) -> GameState:
     """Place an X and return the resulting state.
 
-    Raises IllegalMoveError for a move the rules forbid, and ValueError for
-    one that is not a pair of integers.
+    Raises IllegalMoveError for a move the rules forbid, with ``index`` its
+    number in the game, ``len(state.moves) + 1``, as :func:`replay` gives
+    it; and ValueError for a move that is not a pair of integers.
     """
-    fields = list(state.field_bits)
-    played = list(state.moves)
-    marks, dictated, loser = _advance(
-        state.n, fields, state.mark_bits, state.dictated, state.loser, played, (move,)
-    )
-    return GameState(state.n, tuple(played), tuple(fields), marks, dictated, loser)
+    return _advance(state, (move,))
 
 
 def replay(moves: Iterable[Move | tuple[int, int]], n: int) -> GameState:
     """Replay a move sequence from the empty board.
 
-    Raises IllegalMoveError (with the 1-based move index) on the first
-    violation, including a move made after the game ended, and ValueError
-    for a move that is not a pair of integers, once every move before it
-    has been checked.
+    Raises IllegalMoveError on the first violation, including a move made
+    after the game ended, with ``index`` the move's 1-based number, as
+    :func:`apply_move` reports it; and ValueError for a move that is not a
+    pair of integers, once every move before it has been checked.
     """
-    fields, marks, dictated, loser, played = _play(moves, n)
-    return GameState(n, tuple(played), tuple(fields), marks, dictated, loser)
+    return _advance(GameState.initial(n), moves)
 
 
 def is_valid_game(moves: Iterable[Move | tuple[int, int]], n: int) -> GameValidation:
     try:
-        _play(moves, n)
+        replay(moves, n)
     except IllegalMoveError as err:
         return GameValidation(False, err.index, err.rule, str(err))
     except ValueError as err:
@@ -293,7 +270,7 @@ def is_valid_game(moves: Iterable[Move | tuple[int, int]], n: int) -> GameValida
 
 def final_board(moves: Iterable[Move | tuple[int, int]], n: int) -> Board:
     """Replay and return the ending board."""
-    return Board._of(n, fields_to_bitstring(_play(moves, n)[0], n))
+    return replay(moves, n).board
 
 
 def _checked(
@@ -310,14 +287,13 @@ def _checked(
     it, and the message names both.
     """
     try:
-        played = _play(moves, n)[4]
+        return replay(moves, n).moves
     except IllegalMoveError as err:
         if elem is None:
             why = f"input game invalid at move {err.index}: {err}"
         else:
             why = f"action a={elem.a} b={elem.b} broke game {list(source)}: {err}"
         raise InvalidGameError(why) from err
-    return tuple(played)
 
 
 @lru_cache(maxsize=4096)

@@ -10,7 +10,8 @@ class Permutation:
     """A bijection on {1..N} stored as an image tuple.
 
     Composition follows function application: ``(p * q)(x) == p(q(x))``.
-    Instances are immutable and hashable.
+    Instances are immutable (assigning or deleting an attribute raises
+    AttributeError) and hashable.
     """
 
     __slots__ = ("_image",)
@@ -19,7 +20,16 @@ class Permutation:
         img = tuple(image)
         if sorted(img) != list(range(1, len(img) + 1)):
             raise ValueError(f"not a bijection on 1..{len(img)}: {img}")
-        self._image = img
+        object.__setattr__(self, "_image", img)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"Permutation is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"Permutation is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return Permutation, (self._image,)
 
     @classmethod
     def identity(cls, n_sq: int) -> Permutation:

@@ -32,8 +32,9 @@ class NumberedSquare:
 
     Cells are (row, col) pairs, 0-indexed from the top-left; labels run
     1..n^2; ``reading[x - 1]`` is label x's 0-based reading index and
-    ``labels[k]`` the label at reading index k.  Instances are immutable;
-    build them through :func:`spiral_numbering`, which caches per size.
+    ``labels[k]`` the label at reading index k.  Instances are immutable
+    (assigning or deleting an attribute raises AttributeError), so the
+    tables :func:`spiral_numbering` caches per size can be shared.
     Side lengths run 1..56: a board on the grid has n^4 cells, and n >= 57
     would exceed 10^7.
     """
@@ -48,7 +49,6 @@ class NumberedSquare:
                 f"side length {n} is too large: a board of n^4 = {n**4} cells "
                 f"exceeds 10^7 (the largest supported n is 56)"
             )
-        self.n = n
         count = (n + 1) // 2
         reading: list[int] = []
         layers = [0]
@@ -67,10 +67,19 @@ class NumberedSquare:
             level_sets.append(tuple(range(first, len(reading) + 1)))
         level_sets.reverse()  # layer 1 is the innermost ring
 
-        self.reading = tuple(reading)
-        self.labels = tuple(label for _, label in sorted(zip(reading, range(1, n * n + 1))))
-        self._layers = tuple(layers)
-        self._level_sets = tuple(level_sets)
+        labels = tuple(label for _, label in sorted(zip(reading, range(1, n * n + 1))))
+        tables = (n, tuple(reading), labels, tuple(layers), tuple(level_sets))
+        for name, value in zip(self.__slots__, tables):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"NumberedSquare is immutable; cannot set {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"NumberedSquare is immutable; cannot delete {name!r}")
+
+    def __reduce__(self):
+        return NumberedSquare, (self.n,)
 
     @property
     def n_sq(self) -> int:

@@ -367,6 +367,22 @@ def test_census_diff_rejects_malformed_jsonl(tmp_path, capsys, line):
     assert err.startswith("error: line 1: ")
 
 
+@pytest.mark.parametrize(
+    "member, argv",
+    [("0" * 15, ()), ("1" * 16, ("--n", "3")), ("0" * 81, ("--n", "2"))],
+    ids=["fifteen-chars", "n2-member-read-as-n3", "n3-member-read-as-n2"],
+)
+def test_census_diff_rejects_members_of_the_wrong_length(tmp_path, capsys, member, argv):
+    # a wrong-length member is a domain error, not a census mismatch (exit 2)
+    bad = tmp_path / "bad.jsonl"
+    bad.write_text(json.dumps({"members": [member]}) + "\n")
+    code, out, err = run(capsys, "census", "diff", "--computed", str(bad), *argv)
+    want = int(argv[1]) ** 4 if argv else 16
+    assert code == 1
+    assert out == ""
+    assert err == f"error: member {member} has length {len(member)}, expected n^4 = {want}\n"
+
+
 def test_output_dir_env_override(tmp_path, capsys, monkeypatch):
     monkeypatch.setenv("STTT_OUTPUT_DIR", str(tmp_path))
     code, _, _ = run(capsys, "census", "--n", "2", "--out", "nested/classes.jsonl")

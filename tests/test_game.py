@@ -360,21 +360,26 @@ def test_int_engine_matches_the_frozenset_reference(n, games):
         moves = []
         while True:
             cells, marks, dictated, loser = position
-            for got in (state, replay(moves, n)):
+            replayed = replay(moves, n)
+            for got in (state, replayed):
                 assert got.field_cells == cells
                 assert got.marks == marks
                 assert (got.dictated, got.loser) == (dictated, loser)
                 assert got.moves == tuple(moves)
+            assert final_board(moves, n) == replayed.board
             for rule, bad in _illegal_moves(n, *position).items():
                 want = _reference_error(n, position, len(moves), bad)
                 with pytest.raises(IllegalMoveError) as err:
                     apply_move(state, bad)
                 assert (err.value.rule, str(err.value)) == (rule, str(want))
-                assert err.value.index is None
+                assert err.value.index == len(moves) + 1
                 with pytest.raises(IllegalMoveError) as err:
                     replay(moves + [bad], n)
                 assert (err.value.rule, str(err.value)) == (rule, str(want))
                 assert err.value.index == len(moves) + 1
+                assert is_valid_game(moves + [bad], n) == (
+                    False, err.value.index, err.value.rule, str(err.value)
+                )
                 rules.add(rule)
             if loser is not None:
                 break

@@ -1,7 +1,11 @@
+import copy
+import pickle
 import random
 
 import pytest
 
+from sttt.board import Board, act_board
+from sttt.dihedral import group_elements
 from sttt.perm import Permutation
 
 
@@ -89,6 +93,23 @@ def test_hash_and_equality():
     assert p == q
     assert hash(p) == hash(q)
     assert len({p, q}) == 1
+
+
+def test_cached_element_permutation_rejects_assignment_and_deletion():
+    # group_elements(n) is cached, so a write to a permutation would change
+    # every later action by its element
+    elem = group_elements(2)[2]
+    board = Board(2, {(1, 2), (3, 4)})
+    before = act_board(board, elem)
+    with pytest.raises(AttributeError):
+        elem.perm._image = (1, 2, 3, 4)
+    with pytest.raises(AttributeError):
+        del elem.perm._image
+    with pytest.raises(AttributeError):
+        Permutation((2, 1)).other = 1
+    assert group_elements(2)[2].perm.image == elem.perm.image != (1, 2, 3, 4)
+    assert act_board(board, elem) == before
+    assert copy.deepcopy(elem.perm) == pickle.loads(pickle.dumps(elem.perm)) == elem.perm
 
 
 def test_random_group_axioms():

@@ -30,6 +30,28 @@ def test_only_spiral_maps_cells_to_labels():
     assert not found, found
 
 
+def _builds_game_state(node) -> bool:
+    func = getattr(node, "func", None)
+    return getattr(func, "id", getattr(func, "attr", None)) == "GameState"
+
+
+def test_only_advance_builds_a_game_state():
+    # one stepping function: game._advance is the only GameState(...) call,
+    # so the engine cannot grow a second stepping path (GameState.initial
+    # builds through cls, the empty game every replay steps from)
+    trees = {path.name: ast.parse(path.read_text("utf-8")) for path in SRC.glob("*.py")}
+    advance = next(f for f in trees["game.py"].body if getattr(f, "name", "") == "_advance")
+    inside = [node for node in ast.walk(advance) if _builds_game_state(node)]
+    assert len(inside) == 1
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in sorted(trees.items())
+        for node in ast.walk(tree)
+        if _builds_game_state(node) and node not in inside
+    ]
+    assert not found, found
+
+
 def test_mutant_snippets_occur_once():
     # the full mutant run is slow and stays out of this suite; this keeps its
     # table from rotting when the code it mutates moves

@@ -1,3 +1,6 @@
+import copy
+import pickle
+
 import pytest
 
 from sttt.spiral import (
@@ -141,6 +144,21 @@ def test_deterministic_rebuild():
     assert a == b
     assert a.rows == b.rows
     assert [a.level_set(k) for k in range(1, 5)] == [b.level_set(k) for k in range(1, 5)]
+
+
+@pytest.mark.parametrize("name", ["n", "reading", "labels"])
+def test_cached_square_rejects_assignment_and_deletion(name):
+    # spiral_numbering shares one instance per n, so a write would corrupt
+    # every later caller's tables
+    sq = spiral_numbering(2)
+    with pytest.raises(AttributeError):
+        setattr(sq, name, (9, 9, 9, 9))
+    with pytest.raises(AttributeError):
+        delattr(sq, name)
+    assert spiral_numbering(2).labels == (1, 4, 2, 3)
+    assert spiral_numbering(2).reading == (0, 2, 3, 1)
+    assert spiral_numbering(2).n == 2
+    assert copy.deepcopy(sq) == pickle.loads(pickle.dumps(sq)) == sq
 
 
 def test_bad_lookups():

@@ -153,6 +153,63 @@ MUTANTS = (
         "if _fixes(table[3], blocks):",
         ("tests/test_board.py",),
     ),
+    Mutant(
+        "advance-index-one-short",
+        "src/sttt/game.py",
+        "err.index = len(played) + 1",
+        "err.index = len(played)",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "advance-forgets-earlier-moves",
+        "src/sttt/game.py",
+        "played = list(state.moves)",
+        "played = []",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "loser-parity-flipped",
+        "src/sttt/game.py",
+        "loser = 1 if len(played) % 2 else 2",
+        "loser = 2 if len(played) % 2 else 1",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "square-unguarded",
+        "src/sttt/spiral.py",
+        "    def __setattr__(self, name: str, value: object) -> None:\n"
+        '        raise AttributeError(f"NumberedSquare is immutable; cannot set {name!r}")\n'
+        "\n"
+        "    def __delattr__(self, name: str) -> None:\n"
+        '        raise AttributeError(f"NumberedSquare is immutable; cannot delete {name!r}")\n',
+        "",
+        ("tests/test_spiral.py",),
+    ),
+    Mutant(
+        "square-deletion-unguarded",
+        "src/sttt/spiral.py",
+        'raise AttributeError(f"NumberedSquare is immutable; cannot delete {name!r}")',
+        "object.__delattr__(self, name)",
+        ("tests/test_spiral.py",),
+    ),
+    Mutant(
+        "permutation-unguarded",
+        "src/sttt/perm.py",
+        "    def __setattr__(self, name: str, value: object) -> None:\n"
+        '        raise AttributeError(f"Permutation is immutable; cannot set {name!r}")\n'
+        "\n"
+        "    def __delattr__(self, name: str) -> None:\n"
+        '        raise AttributeError(f"Permutation is immutable; cannot delete {name!r}")\n',
+        "",
+        ("tests/test_perm.py",),
+    ),
+    Mutant(
+        "permutation-deletion-unguarded",
+        "src/sttt/perm.py",
+        'raise AttributeError(f"Permutation is immutable; cannot delete {name!r}")',
+        "object.__delattr__(self, name)",
+        ("tests/test_perm.py",),
+    ),
 )
 
 
