@@ -132,15 +132,26 @@ _COUNT_RE = re.compile(
 )
 
 
+def _claim(members, line: int, owner: dict[str, int]) -> None:
+    """Record the members as in the class on this line, each board in one class."""
+    for m in members:
+        if m in owner:
+            raise ListingParseError(
+                f"board {m} is already in the class on line {owner[m]}", line
+            )
+        owner[m] = line
+
+
 def parse_census_text(text: str, n: int = 2) -> list[IsoClass]:
     """Read classes from a listing of parenthesized bitstring tuples.
 
     Tuples may span lines; prose outside parentheses, and parenthesized text
     that is not made of 0/1 strings, is ignored.  A tuple containing a string
-    of the wrong length raises ListingParseError with its line number.
+    of the wrong length, or a board already in a class, raises
+    ListingParseError with its line number.
     """
     want = n * n * n * n
-    classes = []
+    classes, owner = [], {}
     for m in _TUPLE_RE.finditer(text):
         body = m.group(1).strip()
         if not body:
@@ -155,6 +166,7 @@ def parse_census_text(text: str, n: int = 2) -> list[IsoClass]:
                     f"bitstring {part!r} has length {len(part)}, expected {want}",
                     line,
                 )
+        _claim(parts, line, owner)
         classes.append(IsoClass.from_members(parts))
     return classes
 
@@ -255,8 +267,9 @@ def classes_to_jsonl(classes) -> str:
 
 
 def classes_from_jsonl(text: str) -> list[IsoClass]:
-    """Read classes from JSONL; a malformed line raises ListingParseError."""
-    classes = []
+    """Read classes from JSONL; a malformed line, or a board already in a
+    class, raises ListingParseError."""
+    classes, owner = [], {}
     for line, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
             continue
@@ -269,6 +282,7 @@ def classes_from_jsonl(text: str) -> list[IsoClass]:
             raise ListingParseError(
                 "not an object with a non-empty members list of 0/1 strings", line
             )
+        _claim(members, line, owner)
         classes.append(IsoClass.from_members(members))
     return classes
 

@@ -264,6 +264,11 @@ def _cmd_census(args) -> int:
     if args.mode == "diff":
         if not args.computed:
             raise ValueError("census diff needs --computed <classes.jsonl>")
+        if args.n != 2 and not args.reference:
+            raise ValueError(
+                f"the bundled reference is the n = 2 census; census diff --n {args.n} "
+                "needs --reference <listing>"
+            )
         computed = census_mod.classes_from_jsonl(Path(args.computed).read_text("utf-8"))
         want = args.n**4
         bad = next((m for c in computed for m in c.members if len(m) != want), None)

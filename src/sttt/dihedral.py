@@ -68,7 +68,7 @@ class GroupElement:
     perm: Permutation
 
     def __call__(self, label: int) -> int:
-        img = self.perm._image  # Permutation.__call__ inlined, property skipped
+        img = self.perm.image  # Permutation.__call__ inlined
         if not 1 <= label <= len(img):
             raise ValueError(f"label {label} outside 1..{len(img)}")
         return img[label - 1]

@@ -2,34 +2,27 @@
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Sequence
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class Permutation:
-    """A bijection on {1..N} stored as an image tuple.
+    """A bijection on {1..N}: ``image[x - 1]`` is the image of label x.
 
     Composition follows function application: ``(p * q)(x) == p(q(x))``.
-    Instances are immutable (assigning or deleting an attribute raises
-    AttributeError) and hashable.
+    A frozen dataclass: assigning or deleting an attribute raises
+    AttributeError, and equality and hashing are the image tuple's.
     """
 
-    __slots__ = ("_image",)
+    image: tuple[int, ...]
 
     def __init__(self, image: Iterable[int]):
         img = tuple(image)
         if sorted(img) != list(range(1, len(img) + 1)):
             raise ValueError(f"not a bijection on 1..{len(img)}: {img}")
-        object.__setattr__(self, "_image", img)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"Permutation is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"Permutation is immutable; cannot delete {name!r}")
-
-    def __reduce__(self):
-        return Permutation, (self._image,)
+        object.__setattr__(self, "image", img)
 
     @classmethod
     def identity(cls, n_sq: int) -> Permutation:
@@ -47,30 +40,26 @@ class Permutation:
 
     @property
     def n_sq(self) -> int:
-        return len(self._image)
-
-    @property
-    def image(self) -> tuple[int, ...]:
-        return self._image
+        return len(self.image)
 
     def __call__(self, label: int) -> int:
-        if not (1 <= label <= len(self._image)):
-            raise ValueError(f"label {label} outside 1..{len(self._image)}")
-        return self._image[label - 1]
+        if not (1 <= label <= len(self.image)):
+            raise ValueError(f"label {label} outside 1..{len(self.image)}")
+        return self.image[label - 1]
 
     def __mul__(self, other: Permutation) -> Permutation:
-        if len(self._image) != len(other._image):
+        if len(self.image) != len(other.image):
             raise ValueError("cannot compose permutations of different domains")
-        return Permutation(self._image[y - 1] for y in other._image)
+        return Permutation(self.image[y - 1] for y in other.image)
 
     def inverse(self) -> Permutation:
-        inv = [0] * len(self._image)
-        for i, y in enumerate(self._image):
+        inv = [0] * len(self.image)
+        for i, y in enumerate(self.image):
             inv[y - 1] = i + 1
         return Permutation(inv)
 
     def __pow__(self, k: int) -> Permutation:
-        img = [0] * len(self._image)
+        img = [0] * len(self.image)
         for cyc in self.cycles(include_fixed=True):
             s = len(cyc)
             for i, x in enumerate(cyc):
@@ -79,18 +68,18 @@ class Permutation:
 
     def cycles(self, include_fixed: bool = False) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles, each starting at its smallest label, sorted by it."""
-        seen = [False] * (len(self._image) + 1)
+        seen = [False] * (len(self.image) + 1)
         out = []
-        for start in range(1, len(self._image) + 1):
+        for start in range(1, len(self.image) + 1):
             if seen[start]:
                 continue
             cyc = [start]
             seen[start] = True
-            x = self._image[start - 1]
+            x = self.image[start - 1]
             while x != start:
                 cyc.append(x)
                 seen[x] = True
-                x = self._image[x - 1]
+                x = self.image[x - 1]
             if len(cyc) > 1 or include_fixed:
                 out.append(tuple(cyc))
         return tuple(out)
@@ -100,7 +89,7 @@ class Permutation:
         return lcm(*(len(c) for c in self.cycles(include_fixed=True)))
 
     def is_identity(self) -> bool:
-        return all(y == i + 1 for i, y in enumerate(self._image))
+        return all(y == i + 1 for i, y in enumerate(self.image))
 
     def cycle_string(self) -> str:
         cycs = self.cycles()
@@ -108,13 +97,5 @@ class Permutation:
             return "id"
         return "".join("(" + " ".join(map(str, c)) + ")" for c in cycs)
 
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, Permutation):
-            return self._image == other._image
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(self._image)
-
     def __repr__(self) -> str:
-        return f"Permutation({self.cycle_string()}, n_sq={len(self._image)})"
+        return f"Permutation({self.cycle_string()}, n_sq={len(self.image)})"

@@ -16,6 +16,7 @@ NumberedSquare's ``reading`` and ``labels`` tuples.
 
 from __future__ import annotations
 
+from dataclasses import dataclass, fields
 from functools import lru_cache
 
 
@@ -27,19 +28,24 @@ class InvalidLayerError(ValueError):
     """Layer index outside 1..layer_count."""
 
 
+@dataclass(frozen=True, init=False, repr=False)
 class NumberedSquare:
     """Spiral-numbered n x n grid with its layer decomposition.
 
     Cells are (row, col) pairs, 0-indexed from the top-left; labels run
     1..n^2; ``reading[x - 1]`` is label x's 0-based reading index and
-    ``labels[k]`` the label at reading index k.  Instances are immutable
+    ``labels[k]`` the label at reading index k.  A frozen dataclass
     (assigning or deleting an attribute raises AttributeError), so the
     tables :func:`spiral_numbering` caches per size can be shared.
     Side lengths run 1..56: a board on the grid has n^4 cells, and n >= 57
     would exceed 10^7.
     """
 
-    __slots__ = ("n", "reading", "labels", "_layers", "_level_sets")
+    n: int
+    reading: tuple[int, ...]
+    labels: tuple[int, ...]
+    _layers: tuple[int, ...]
+    _level_sets: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int):
         if n < 1:
@@ -69,17 +75,8 @@ class NumberedSquare:
 
         labels = tuple(label for _, label in sorted(zip(reading, range(1, n * n + 1))))
         tables = (n, tuple(reading), labels, tuple(layers), tuple(level_sets))
-        for name, value in zip(self.__slots__, tables):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name: str, value: object) -> None:
-        raise AttributeError(f"NumberedSquare is immutable; cannot set {name!r}")
-
-    def __delattr__(self, name: str) -> None:
-        raise AttributeError(f"NumberedSquare is immutable; cannot delete {name!r}")
-
-    def __reduce__(self):
-        return NumberedSquare, (self.n,)
+        for f, value in zip(fields(self), tables):
+            object.__setattr__(self, f.name, value)
 
     @property
     def n_sq(self) -> int:
@@ -119,14 +116,6 @@ class NumberedSquare:
     def _check_label(self, label: int) -> None:
         if not (1 <= label <= self.n_sq):
             raise ValueError(f"label {label} outside 1..{self.n_sq}")
-
-    def __eq__(self, other: object) -> bool:
-        if isinstance(other, NumberedSquare):
-            return self.labels == other.labels
-        return NotImplemented
-
-    def __hash__(self) -> int:
-        return hash(("NumberedSquare", self.n))
 
     def __repr__(self) -> str:
         return f"NumberedSquare(n={self.n})"

@@ -223,6 +223,25 @@ def test_jsonl_round_trip(classes):
     assert classes_from_jsonl(text) == classes
 
 
+@pytest.mark.parametrize(
+    "groups, line, owner",
+    [([[ORDER2_A, ORDER2_B], [ORDER2_B]], 2, 1), ([[ORDER2_A, ORDER2_B, ORDER2_A]], 1, 1)],
+    ids=["shared-by-two-classes", "repeated-within-a-class"],
+)
+def test_readers_reject_a_board_in_two_classes(groups, line, owner):
+    # diff_census keys classes by canonical form, so an overlap would
+    # otherwise collapse into one class and pass as a match
+    jsonl = "".join(json.dumps({"members": g}) + "\n" for g in groups)
+    listing = "".join(f"({', '.join(g)})\n" for g in groups)
+    for read, text in ((classes_from_jsonl, jsonl), (parse_census_text, listing)):
+        with pytest.raises(ListingParseError) as info:
+            read(text)
+        assert info.value.line == line
+        assert str(info.value) == (
+            f"line {line}: board {groups[-1][-1]} is already in the class on line {owner}"
+        )
+
+
 def test_listing_round_trip(classes):
     text = classes_to_listing_text(classes)
     assert parse_census_text(text) == classes

@@ -369,7 +369,11 @@ def test_census_diff_rejects_malformed_jsonl(tmp_path, capsys, line):
 
 @pytest.mark.parametrize(
     "member, argv",
-    [("0" * 15, ()), ("1" * 16, ("--n", "3")), ("0" * 81, ("--n", "2"))],
+    [
+        ("0" * 15, ()),
+        ("1" * 16, ("--n", "3", "--reference", "listing.txt")),  # listing never read
+        ("0" * 81, ("--n", "2")),
+    ],
     ids=["fifteen-chars", "n2-member-read-as-n3", "n3-member-read-as-n2"],
 )
 def test_census_diff_rejects_members_of_the_wrong_length(tmp_path, capsys, member, argv):
@@ -381,6 +385,43 @@ def test_census_diff_rejects_members_of_the_wrong_length(tmp_path, capsys, membe
     assert code == 1
     assert out == ""
     assert err == f"error: member {member} has length {len(member)}, expected n^4 = {want}\n"
+
+
+def test_census_diff_beyond_n2_needs_a_reference(tmp_path, capsys):
+    # the bundled listing is the n = 2 census; reading it as n = 3 blamed a
+    # line of a file the user never named
+    member = "0" * 40 + "1" + "0" * 40
+    computed = tmp_path / "classes.jsonl"
+    computed.write_text(json.dumps({"members": [member]}) + "\n")
+    code, out, err = run(capsys, "census", "diff", "--n", "3", "--computed", str(computed))
+    assert code == 1
+    assert out == ""
+    assert err == (
+        "error: the bundled reference is the n = 2 census; "
+        "census diff --n 3 needs --reference <listing>\n"
+    )
+    listing = tmp_path / "listing.txt"
+    listing.write_text(f"({member})\n")
+    code, out, _ = run(
+        capsys, "census", "diff", "--n", "3", "--computed", str(computed),
+        "--reference", str(listing),
+    )
+    assert code == 0
+    assert out == "censuses match\n"
+
+
+def test_census_diff_rejects_a_repeated_class(tmp_path, capsys):
+    # classes are keyed by canonical form, so a repeated class collapsed
+    # into one and the file passed as a match
+    out_file = tmp_path / "classes.jsonl"
+    run(capsys, "census", "--n", "2", "--out", str(out_file))
+    lines = out_file.read_text().splitlines()
+    out_file.write_text("\n".join(lines + lines[-1:]) + "\n")
+    code, out, err = run(capsys, "census", "diff", "--computed", str(out_file))
+    first = json.loads(lines[-1])["members"][0]
+    assert code == 1
+    assert out == ""
+    assert err == f"error: line 249: board {first} is already in the class on line 248\n"
 
 
 def test_output_dir_env_override(tmp_path, capsys, monkeypatch):

@@ -52,6 +52,33 @@ def test_only_advance_builds_a_game_state():
     assert not found, found
 
 
+HAND_ROLLED = {"__slots__", "__setattr__", "__delattr__", "__reduce__", "__eq__", "__hash__"}
+
+
+def _class_level_names(cls: ast.ClassDef) -> set[str]:
+    names = set()
+    for node in cls.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            names.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            names.update(t.id for t in targets if isinstance(t, ast.Name))
+    return names
+
+
+def test_value_semantics_come_from_dataclasses():
+    # one way to make a value: frozen dataclasses (or NamedTuple) supply
+    # immutability, equality, hashing and pickling, so no class hand-rolls them
+    found = [
+        f"{path.name}:{node.lineno} {node.name}.{name}"
+        for path in sorted(SRC.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.ClassDef)
+        for name in sorted(_class_level_names(node) & HAND_ROLLED)
+    ]
+    assert not found, found
+
+
 def test_mutant_snippets_occur_once():
     # the full mutant run is slow and stays out of this suite; this keeps its
     # table from rotting when the code it mutates moves

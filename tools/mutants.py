@@ -175,40 +175,32 @@ MUTANTS = (
         ("tests/test_game.py",),
     ),
     Mutant(
-        "square-unguarded",
+        "square-not-frozen",
         "src/sttt/spiral.py",
-        "    def __setattr__(self, name: str, value: object) -> None:\n"
-        '        raise AttributeError(f"NumberedSquare is immutable; cannot set {name!r}")\n'
-        "\n"
-        "    def __delattr__(self, name: str) -> None:\n"
-        '        raise AttributeError(f"NumberedSquare is immutable; cannot delete {name!r}")\n',
-        "",
+        "@dataclass(frozen=True, init=False, repr=False)",
+        "@dataclass(init=False, repr=False)",
         ("tests/test_spiral.py",),
     ),
     Mutant(
-        "square-deletion-unguarded",
-        "src/sttt/spiral.py",
-        'raise AttributeError(f"NumberedSquare is immutable; cannot delete {name!r}")',
-        "object.__delattr__(self, name)",
-        ("tests/test_spiral.py",),
+        "permutation-not-frozen",
+        "src/sttt/perm.py",
+        "@dataclass(frozen=True, init=False, repr=False)",
+        "@dataclass(init=False, repr=False)",
+        ("tests/test_perm.py",),
     ),
     Mutant(
-        "permutation-unguarded",
-        "src/sttt/perm.py",
-        "    def __setattr__(self, name: str, value: object) -> None:\n"
-        '        raise AttributeError(f"Permutation is immutable; cannot set {name!r}")\n'
-        "\n"
-        "    def __delattr__(self, name: str) -> None:\n"
-        '        raise AttributeError(f"Permutation is immutable; cannot delete {name!r}")\n',
+        "diff-reads-bundled-reference-for-any-n",
+        "src/sttt/cli.py",
+        "if args.n != 2 and not args.reference:",
+        "if False:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "jsonl-classes-may-overlap",
+        "src/sttt/census.py",
+        "        _claim(members, line, owner)\n",
         "",
-        ("tests/test_perm.py",),
-    ),
-    Mutant(
-        "permutation-deletion-unguarded",
-        "src/sttt/perm.py",
-        'raise AttributeError(f"Permutation is immutable; cannot delete {name!r}")',
-        "object.__delattr__(self, name)",
-        ("tests/test_perm.py",),
+        ("tests/test_census.py",),
     ),
 )
 
