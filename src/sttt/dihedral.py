@@ -68,10 +68,12 @@ class GroupElement:
     perm: Permutation
 
     def __call__(self, label: int) -> int:
-        img = self.perm.image  # Permutation.__call__ inlined
-        if not 1 <= label <= len(img):
-            raise ValueError(f"label {label} outside 1..{len(img)}")
-        return img[label - 1]
+        if label > 0:  # Permutation.__call__ inlined
+            try:
+                return self.perm.image[label - 1]
+            except IndexError:
+                pass
+        raise ValueError(f"label {label} outside 1..{len(self.perm.image)}")
 
     def __mul__(self, other: GroupElement) -> GroupElement:
         """Composition: (g * h) acts as g after h.  By the dihedral law,

@@ -16,11 +16,15 @@ line, so every finished game has a loser.
 
 The state is kept in ints: one bitmask per field, where bit p-1 is set when
 position p holds an X, and one bitmask of the marked (closed) fields, where
-bit f-1 is set when field f is marked.  Each label has the bitmasks of the
-grid lines through it, cached per n, so a move tests only the lines through
-the cell it fills.  One function, :func:`_advance`, steps a ``GameState`` by
-moves, checking each is a pair of integers; :func:`apply_move` and
-:func:`replay` are each one call to it, and every validity check replays.
+bit f-1 is set when field f is marked.  Two tables, cached per n and indexed
+directly by label (index 0 unused), hold each label x's bit ``1 << (x-1)``
+and the bitmasks of the grid lines through x; at n = 56 that is 3,136 ints
+and 3,136 small tuples, about 0.9 MB.  A move tests only the lines through
+the cell it fills, and only once its field holds n X's, since a line has n
+cells.  One function, :func:`_advance`, steps a ``GameState`` by moves,
+checking each is a pair of integers; :func:`apply_move` and :func:`replay`
+are each one call to it, and every validity check replays from
+``GameState.initial(n)``, one shared empty state per n.
 ``GameState.field_cells``, ``marks`` and ``board`` are views of the bits.
 
 :func:`act_game` maps a game move by move, (i, j) -> (g(i), g(j)), and
@@ -81,14 +85,16 @@ def grid_lines(n: int) -> tuple[frozenset[int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _line_masks(n: int) -> tuple[tuple[int, ...], ...]:
-    """For each label (index label-1), the bitmasks of the lines through it."""
-    through: list[list[int]] = [[] for _ in range(n * n)]
+def _label_tables(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Two tables indexed by label x, index 0 unused: ``bit[x] = 1 << (x-1)``,
+    and ``through[x]``, the bitmasks of the grid lines through x."""
+    bit = tuple([0] + [1 << x for x in range(n * n)])
+    through: list[list[int]] = [[] for _ in bit]
     for line in grid_lines(n):
-        mask = sum(1 << (label - 1) for label in line)
-        for label in line:
-            through[label - 1].append(mask)
-    return tuple(map(tuple, through))
+        mask = sum(bit[x] for x in line)
+        for x in line:
+            through[x].append(mask)
+    return bit, tuple(map(tuple, through))
 
 
 def _labels(bits: int) -> Iterator[int]:
@@ -119,7 +125,13 @@ class GameState:
     loser: int | None = None
 
     @classmethod
+    @lru_cache(maxsize=None, typed=True)
     def initial(cls, n: int) -> GameState:
+        """The empty game: one shared state per n, as it is immutable.
+
+        ``typed``, so that ``initial(3.0)`` raises as ``spiral_numbering``
+        does, whether or not ``initial(3)`` ran before.
+        """
         return cls(n, (), (0,) * spiral_numbering(n).n_sq, 0, None)
 
     @property
@@ -179,10 +191,10 @@ def _advance(state: GameState, moves: Iterable[Move | tuple[int, int]]) -> GameS
     whole game, counting the moves ``state`` already holds, as ``index``.
     """
     n, marks, dictated, loser = state.n, state.mark_bits, state.dictated, state.loser
-    fields = list(state.field_bits)
+    fields = [0, *state.field_bits]  # index 0 unused: fields[f] is field f
     played = list(state.moves)
     n_sq = n * n
-    through = _line_masks(n)
+    bit, through = _label_tables(n)
     try:
         for move in moves:
             if type(move) is not Move:
@@ -196,34 +208,36 @@ def _advance(state: GameState, moves: Iterable[Move | tuple[int, int]]) -> GameS
                 raise IllegalMoveError(
                     "out of range", f"move ({field}, {pos}) outside 1..{n_sq} labels"
                 )
-            if marks >> (field - 1) & 1:
+            if marks & bit[field]:
                 raise IllegalMoveError("closed field", f"field {field} is closed")
             if dictated is not None and field != dictated:
                 raise IllegalMoveError(
                     "wrong field",
                     f"move dictated into open field {dictated}, not field {field}",
                 )
-            cells = fields[field - 1]
-            bit = 1 << (pos - 1)
-            if cells & bit:
+            cells = fields[field]
+            pos_bit = bit[pos]  # also field pos's mark bit
+            if cells & pos_bit:
                 raise IllegalMoveError(
                     "occupied cell", f"position {pos} of field {field} is already an X"
                 )
-            cells |= bit
-            fields[field - 1] = cells
+            cells |= pos_bit
+            fields[field] = cells
             played.append(move)
-            for line in through[pos - 1]:
-                if cells & line == line:  # the field closes: mark its board square
-                    marks |= 1 << (field - 1)
-                    for board_line in through[field - 1]:
-                        if marks & board_line == board_line:
-                            loser = 1 if len(played) % 2 else 2
-                            break
-                    break
-            dictated = None if marks >> (pos - 1) & 1 else pos
+            if cells.bit_count() >= n:  # a line has n cells
+                for line in through[pos]:
+                    if cells & line == line:  # the field closes: mark its board square
+                        marks |= bit[field]
+                        for board_line in through[field]:
+                            if marks & board_line == board_line:
+                                loser = 1 if len(played) % 2 else 2
+                                break
+                        break
+            dictated = None if marks & pos_bit else pos
     except IllegalMoveError as err:
         err.index = len(played) + 1
         raise
+    del fields[0]  # cheaper than slicing a copy
     return GameState(n, tuple(played), tuple(fields), marks, dictated, loser)
 
 
@@ -259,8 +273,14 @@ def replay(moves: Iterable[Move | tuple[int, int]], n: int) -> GameState:
 
 
 def is_valid_game(moves: Iterable[Move | tuple[int, int]], n: int) -> GameValidation:
+    """Replay the moves and report the first fault in them, if any.
+
+    An invalid side length is not a fault of the moves: it raises
+    InvalidSizeError, as :func:`replay` does.
+    """
+    start = GameState.initial(n)
     try:
-        replay(moves, n)
+        _advance(start, moves)
     except IllegalMoveError as err:
         return GameValidation(False, err.index, err.rule, str(err))
     except ValueError as err:

@@ -43,9 +43,12 @@ class Permutation:
         return len(self.image)
 
     def __call__(self, label: int) -> int:
-        if not (1 <= label <= len(self.image)):
-            raise ValueError(f"label {label} outside 1..{len(self.image)}")
-        return self.image[label - 1]
+        if label > 0:
+            try:
+                return self.image[label - 1]
+            except IndexError:
+                pass
+        raise ValueError(f"label {label} outside 1..{len(self.image)}")
 
     def __mul__(self, other: Permutation) -> Permutation:
         if len(self.image) != len(other.image):

@@ -118,6 +118,17 @@ def test_element_call_matches_its_permutation():
         assert str(err.value) == f"label {label} outside 1..4"
 
 
+def test_element_call_bounds_and_types():
+    g = group_element(3, 1, 0)
+    for label in (0, -1, 10):
+        with pytest.raises(ValueError) as err:
+            g(label)
+        assert str(err.value) == f"label {label} outside 1..9"
+    assert g(True) == g(1)  # a bool is an int
+    with pytest.raises(TypeError):
+        g(1.5)
+
+
 def test_full_products_n5():
     sigma = group_element(5, 1, 0).perm
     assert sigma.cycles() == (tuple(range(1, 17)), tuple(range(17, 25)))

@@ -24,6 +24,7 @@ from sttt.game import (
     legal_moves,
     replay,
 )
+from sttt.spiral import InvalidSizeError
 
 EXAMPLE_GAME = (Move(3, 1), Move(1, 1), Move(1, 3), Move(3, 3))
 
@@ -76,6 +77,53 @@ def test_dictation_into_a_closed_field_is_free():
         for p in range(1, 10)
         if p not in state.field_cells[f - 1]
     }
+
+
+def test_a_field_closes_on_a_line_not_on_a_count():
+    # field 5 holds three X's off every line of the n = 3 grid and stays open
+    state = replay([(5, 1), (1, 5), (5, 2), (2, 5), (5, 4), (4, 5)], 3)
+    assert state.field_cells[4] == frozenset({1, 2, 4})
+    assert state.marks == frozenset()
+    assert state.dictated == 5
+    # the X that completes the line {1, 2, 3} closes it and marks the board
+    state = apply_move(state, Move(5, 3))
+    assert state.marks == frozenset({5})
+    assert state.dictated == 3  # field 3 is open
+    # a field also closes on its third X, the least that can make a line
+    state = replay([(5, 1), (1, 5), (5, 2), (2, 5), (5, 3)], 3)
+    assert state.field_cells[4] == frozenset({1, 2, 3})
+    assert state.marks == frozenset({5})
+    assert state.dictated == 3
+
+
+def test_n1_first_move_closes_the_field_and_ends_the_game():
+    state = replay([(1, 1)], 1)
+    assert state.marks == frozenset({1})
+    assert state.dictated is None
+    assert (state.terminal, state.loser) == (True, 1)
+
+
+def test_initial_state_is_shared():
+    for n in (1, 2, 3, 4):
+        empty = GameState(n, (), (0,) * (n * n), 0, None)
+        assert GameState.initial(n) is GameState.initial(n)
+        assert GameState.initial(n) == empty
+        apply_move(GameState.initial(n), Move(1, 1))
+        assert is_valid_game([(1, 1)], n).valid
+        final_board([(1, 1)], n)
+        assert GameState.initial(n) == empty
+    # the cache tells 3.0 from 3: a float size raises as spiral_numbering does
+    with pytest.raises(TypeError):
+        GameState.initial(3.0)
+
+
+@pytest.mark.parametrize("n", (0, 57))
+def test_is_valid_game_raises_on_a_bad_size(n):
+    # a bad size is not a fault of the moves: raised, not reported
+    with pytest.raises(InvalidSizeError):
+        is_valid_game([(1, 1)], n)
+    with pytest.raises(InvalidSizeError):
+        replay([(1, 1)], n)
 
 
 def test_example_game_replay():

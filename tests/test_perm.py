@@ -87,6 +87,17 @@ def test_call_out_of_range():
         p(5)
 
 
+def test_call_bounds_and_types():
+    p = group_elements(3)[2].perm
+    for label in (0, -1, 10):
+        with pytest.raises(ValueError) as err:
+            p(label)
+        assert str(err.value) == f"label {label} outside 1..9"
+    assert p(True) == p(1)  # a bool is an int
+    with pytest.raises(TypeError):
+        p(1.5)
+
+
 def test_hash_and_equality():
     p = Permutation.from_cycles(4, [(1, 2)])
     q = Permutation((2, 1, 3, 4))

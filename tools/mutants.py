@@ -175,6 +175,34 @@ MUTANTS = (
         ("tests/test_game.py",),
     ),
     Mutant(
+        "line-gate-one-high",
+        "src/sttt/game.py",
+        "if cells.bit_count() >= n:",
+        "if cells.bit_count() > n:",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "dictated-by-field-bit",
+        "src/sttt/game.py",
+        "dictated = None if marks & pos_bit else pos",
+        "dictated = None if marks & bit[field] else pos",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "bad-size-reported-as-malformed",
+        "src/sttt/game.py",
+        "    start = GameState.initial(n)\n    try:\n",
+        "    try:\n        start = GameState.initial(n)\n",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "element-call-accepts-zero",
+        "src/sttt/dihedral.py",
+        "if label > 0:",
+        "if label >= 0:",
+        ("tests/test_dihedral.py",),
+    ),
+    Mutant(
         "square-not-frozen",
         "src/sttt/spiral.py",
         "@dataclass(frozen=True, init=False, repr=False)",
