@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import json
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from importlib import resources
 
 from .board import fields_to_bitstring, image_bitstrings
@@ -195,16 +195,12 @@ class CensusDiff:
         )
 
     def as_dict(self) -> dict:
-        return {
-            "match": self.match,
-            "only_in_computed": list(self.only_in_computed),
-            "only_in_reference": list(self.only_in_reference),
-            "member_mismatches": [
-                {"canonical": c, "computed": list(a), "reference": list(b)}
-                for c, a, b in self.member_mismatches
-            ],
-            "notes": list(self.notes),
-        }
+        """The fields and ``match``, with each mismatch triple as an object."""
+        mismatches = [
+            {"canonical": c, "computed": a, "reference": b}
+            for c, a, b in self.member_mismatches
+        ]
+        return {**asdict(self), "match": self.match, "member_mismatches": mismatches}
 
     def summary(self) -> str:
         lines = ["censuses match" if self.match else "censuses differ"]

@@ -9,7 +9,7 @@ suites draw random boards up to 5x5.
 from __future__ import annotations
 
 import random
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 
 from .board import (
     Board,
@@ -46,14 +46,7 @@ class SuiteResult:
             self.first_failure = detail
 
     def as_dict(self) -> dict:
-        return {
-            "name": self.name,
-            "cases": self.cases,
-            "failures": self.failures,
-            "skipped": self.skipped,
-            "ok": self.ok,
-            "first_failure": self.first_failure,
-        }
+        return {**asdict(self), "ok": self.ok}
 
 
 def random_board(rng: random.Random, sizes=(2, 3, 4, 5)) -> Board:
@@ -165,7 +158,3 @@ def run_suite(name: str, cases: int = 10_000, seed: int = 0) -> SuiteResult:
     result = SuiteResult(name=name, cases=cases, failures=0)
     _SUITES[name](result, rng)
     return result
-
-
-def run_all(cases: int = 10_000, seed: int = 0) -> list[SuiteResult]:
-    return [run_suite(name, cases=cases, seed=seed) for name in SUITE_NAMES]

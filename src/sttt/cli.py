@@ -16,7 +16,7 @@ from pathlib import Path
 
 from . import census as census_mod
 from .board import act_board, from_bitstring, image_bitstrings, to_bitstring
-from .checks import SUITE_NAMES, run_all, run_suite
+from .checks import SUITE_NAMES, run_suite
 from .dihedral import dihedral_order, group_element, verify_dihedral
 from .game import GameState, IllegalMoveError, Move, act_game, apply_move
 from .spiral import spiral_numbering
@@ -195,7 +195,7 @@ def _replay_steps(moves, n: int):
         steps.append(
             {
                 "index": idx,
-                "move": {"field": mv.field, "pos": mv.pos},
+                "move": mv._asdict(),
                 "field_status": "won" if closed else "open",
                 "mark_placed": closed,
                 "terminal": state.terminal,
@@ -214,8 +214,8 @@ def _cmd_game(args) -> int:
                 "command": "game-act",
                 "n": args.n,
                 "element": {"a": elem.a, "b": elem.b},
-                "moves": [{"field": f, "pos": p} for f, p in moves],
-                "result": [{"field": f, "pos": p} for f, p in result],
+                "moves": [m._asdict() for m in moves],
+                "result": [m._asdict() for m in result],
             }
             sys.stdout.write(_json_dump(payload))
         else:
@@ -228,7 +228,7 @@ def _cmd_game(args) -> int:
         payload = {
             "command": "game-replay",
             "n": args.n,
-            "moves": [{"field": f, "pos": p} for f, p in moves],
+            "moves": [m._asdict() for m in moves],
             "steps": steps,
             "valid": violation is None,
             "violation": violation,
@@ -321,10 +321,8 @@ def _census_unread_flag(args) -> str | None:
 
 
 def _cmd_fuzz(args) -> int:
-    if args.suite:
-        results = [run_suite(s, cases=args.cases, seed=args.seed) for s in args.suite]
-    else:
-        results = run_all(cases=args.cases, seed=args.seed)
+    names = args.suite or SUITE_NAMES
+    results = [run_suite(s, cases=args.cases, seed=args.seed) for s in names]
     ok = all(r.ok for r in results)
     if args.format == "json":
         payload = {

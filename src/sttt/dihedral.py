@@ -22,7 +22,7 @@ sigma^a rho^b * sigma^c rho^d = sigma^(a - c if b else a + c) rho^(b xor d).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, field
 from functools import lru_cache
 from math import lcm
 
@@ -65,7 +65,7 @@ class GroupElement:
     n: int
     a: int
     b: int
-    perm: Permutation
+    perm: Permutation = field(repr=False)
 
     def __call__(self, label: int) -> int:
         if label > 0:  # Permutation.__call__ inlined
@@ -85,9 +85,6 @@ class GroupElement:
 
     def inverse(self) -> GroupElement:
         return group_element(self.n, self.a if self.b else -self.a, self.b)
-
-    def __repr__(self) -> str:
-        return f"GroupElement(n={self.n}, a={self.a}, b={self.b})"
 
 
 def group_element(n: int, a: int, b: int) -> GroupElement:
@@ -144,15 +141,7 @@ class DihedralReport:
         return tuple(r.name for r in self.relations if not r.ok)
 
     def as_dict(self) -> dict:
-        return {
-            "n": self.n,
-            "m": self.m,
-            "group_order": self.group_order,
-            "ok": self.ok,
-            "relations": [
-                {"name": r.name, "ok": r.ok, "detail": r.detail} for r in self.relations
-            ],
-        }
+        return {**asdict(self), "ok": self.ok}
 
     def __str__(self) -> str:
         lines = [f"n={self.n}  m={self.m}  group order {self.group_order}"]

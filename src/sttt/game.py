@@ -293,27 +293,15 @@ def final_board(moves: Iterable[Move | tuple[int, int]], n: int) -> Board:
     return replay(moves, n).board
 
 
-def _checked(
-    moves: Iterable[Move | tuple[int, int]],
-    n: int,
-    source: tuple[Move, ...] = (),
-    elem: GroupElement | None = None,
-) -> tuple[Move, ...]:
-    """Return ``moves`` as a tuple of Moves if they replay legally, else
-    raise InvalidGameError, or ValueError at a move that is not a pair of
-    integers, whichever comes first.
-
-    With ``elem`` given, ``moves`` is the image of the game ``source`` under
-    it, and the message names both.
-    """
+def _checked(moves: Iterable[Move | tuple[int, int]], n: int) -> tuple[Move, ...]:
+    """Return the input game ``moves`` as a tuple of Moves if it replays
+    legally, else raise InvalidGameError naming its first offending move, or
+    ValueError at a move that is not a pair of integers, whichever comes
+    first."""
     try:
         return replay(moves, n).moves
     except IllegalMoveError as err:
-        if elem is None:
-            why = f"input game invalid at move {err.index}: {err}"
-        else:
-            why = f"action a={elem.a} b={elem.b} broke game {list(source)}: {err}"
-        raise InvalidGameError(why) from err
+        raise InvalidGameError(f"input game invalid at move {err.index}: {err}") from err
 
 
 @lru_cache(maxsize=4096)
@@ -324,10 +312,21 @@ def _keeps_lines(n: int, image: tuple[int, ...]) -> bool:
 
 
 def _image(moves: tuple[Move, ...], elem: GroupElement) -> tuple[Move, ...]:
+    """The image under ``elem`` of ``moves``, a game that replayed legally.
+
+    The image is replayed only when ``elem`` does not map the grid lines
+    onto lines; if it then breaks a rule, InvalidGameError names ``elem``
+    and the input game.
+    """
     n, img = elem.n, elem.perm.image  # moves that replayed legally have labels in range
     mapped = tuple([_move_row(n, img[i - 1])[img[j - 1] - 1] for i, j in moves])
-    # under a line-preserving element the image is legal by construction
-    return mapped if _keeps_lines(n, img) else _checked(mapped, n, moves, elem)
+    if _keeps_lines(n, img):  # the image is legal by construction
+        return mapped
+    try:
+        return replay(mapped, n).moves
+    except IllegalMoveError as err:
+        why = f"action a={elem.a} b={elem.b} broke game {list(moves)}: {err}"
+        raise InvalidGameError(why) from err
 
 
 def act_game(

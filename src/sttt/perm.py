@@ -38,10 +38,6 @@ class Permutation:
                 img[x - 1] = cyc[(i + 1) % len(cyc)]
         return cls(img)
 
-    @property
-    def n_sq(self) -> int:
-        return len(self.image)
-
     def __call__(self, label: int) -> int:
         if label > 0:
             try:

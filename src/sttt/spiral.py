@@ -37,8 +37,9 @@ class NumberedSquare:
     ``labels[k]`` the label at reading index k.  A frozen dataclass
     (assigning or deleting an attribute raises AttributeError), so the
     tables :func:`spiral_numbering` caches per size can be shared.
-    Side lengths run 1..56: a board on the grid has n^4 cells, and n >= 57
-    would exceed 10^7.
+    Side lengths are ints from 1 to 56: a board on the grid has n^4 cells,
+    and n >= 57 would exceed 10^7.  Any other type raises TypeError, a bool
+    too, so ``True`` is not cached as a second side length 1.
     """
 
     n: int
@@ -48,6 +49,8 @@ class NumberedSquare:
     _level_sets: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int):
+        if type(n) is not int:
+            raise TypeError(f"side length must be an int, not {type(n).__name__}")
         if n < 1:
             raise InvalidSizeError(f"side length must be a positive integer, got {n}")
         if n**4 > 10**7:

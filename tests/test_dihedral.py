@@ -109,6 +109,11 @@ def test_full_products_n2():
     assert group_element(2, 0, 1).perm.cycle_string() == "(2 4)"
 
 
+def test_element_repr_names_its_exponents():
+    # n, a and b name the element; its permutation is left out
+    assert repr(group_element(3, 5, 1)) == "GroupElement(n=3, a=5, b=1)"
+
+
 def test_element_call_matches_its_permutation():
     g = group_element(2, 1, 0)
     assert [g(label) for label in range(1, 5)] == [g.perm(label) for label in range(1, 5)]

@@ -30,9 +30,9 @@ def test_only_spiral_maps_cells_to_labels():
     assert not found, found
 
 
-def _builds_game_state(node) -> bool:
+def _calls(node, name: str) -> bool:
     func = getattr(node, "func", None)
-    return getattr(func, "id", getattr(func, "attr", None)) == "GameState"
+    return getattr(func, "id", getattr(func, "attr", None)) == name
 
 
 def test_only_advance_builds_a_game_state():
@@ -41,13 +41,13 @@ def test_only_advance_builds_a_game_state():
     # builds through cls, the empty game every replay steps from)
     trees = {path.name: ast.parse(path.read_text("utf-8")) for path in SRC.glob("*.py")}
     advance = next(f for f in trees["game.py"].body if getattr(f, "name", "") == "_advance")
-    inside = [node for node in ast.walk(advance) if _builds_game_state(node)]
+    inside = [node for node in ast.walk(advance) if _calls(node, "GameState")]
     assert len(inside) == 1
     found = [
         f"{name}:{node.lineno}"
         for name, tree in sorted(trees.items())
         for node in ast.walk(tree)
-        if _builds_game_state(node) and node not in inside
+        if _calls(node, "GameState") and node not in inside
     ]
     assert not found, found
 
@@ -76,6 +76,20 @@ def test_value_semantics_come_from_dataclasses():
         if isinstance(node, ast.ClassDef)
         for name in sorted(_class_level_names(node) & HAND_ROLLED)
     ]
+    assert not found, found
+
+
+def test_records_serialize_from_their_fields():
+    # every as_dict builds on dataclasses.asdict, so a record's JSON keys are
+    # its fields and no hand-listed copy of them can drift from the class
+    found, seen = [], 0
+    for path in sorted(SRC.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text("utf-8"))):
+            if isinstance(node, ast.FunctionDef) and node.name == "as_dict":
+                seen += 1
+                if not any(_calls(call, "asdict") for call in ast.walk(node)):
+                    found.append(f"{path.name}:{node.lineno}")
+    assert seen >= 3
     assert not found, found
 
 

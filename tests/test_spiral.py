@@ -3,13 +3,15 @@ import pickle
 
 import pytest
 
+from sttt.board import Board
+from sttt.dihedral import group_elements
+from sttt.game import GameState, grid_lines, replay
 from sttt.spiral import (
     InvalidLayerError,
     InvalidSizeError,
     NumberedSquare,
     spiral_numbering,
 )
-from sttt.game import grid_lines
 
 # 5x5 grid, row by row from the top left
 GRID_5 = (
@@ -72,6 +74,24 @@ def test_invalid_sizes():
     for n in (0, -1, -7, 57):  # n = 57: a board's n^4 cells exceed 10^7
         with pytest.raises(InvalidSizeError):
             NumberedSquare(n)
+
+
+def test_side_length_must_be_an_int():
+    # a bool is an int to Python, but not a side length: True would build and
+    # cache a second n = 1 square, and GameState(n=True, ...) would follow
+    calls = (
+        spiral_numbering,
+        GameState.initial,
+        lambda n: replay([(1, 1)], n),
+        lambda n: Board(n, [(1, 1)]),
+        group_elements,
+    )
+    for call in calls:
+        with pytest.raises(TypeError, match="side length must be an int, not bool"):
+            call(True)
+    for n in (False, 3.0, "3"):
+        with pytest.raises(TypeError, match="side length must be an int, not"):
+            replay([(1, 1)], n)
 
 
 def test_level_sets_n5():

@@ -203,6 +203,20 @@ MUTANTS = (
         ("tests/test_dihedral.py",),
     ),
     Mutant(
+        "image-replay-skipped",
+        "src/sttt/game.py",
+        "if _keeps_lines(n, img):",
+        "if True:",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "size-admits-bool",
+        "src/sttt/spiral.py",
+        "if type(n) is not int:",
+        "if type(n) not in (int, bool):",
+        ("tests/test_spiral.py",),
+    ),
+    Mutant(
         "square-not-frozen",
         "src/sttt/spiral.py",
         "@dataclass(frozen=True, init=False, repr=False)",
