@@ -12,22 +12,28 @@ spiral-to-reading map, is read from the numbering: R(x) is
 n=2, R sends labels 1, 2, 3, 4 to 0, 2, 3, 1.
 
 The group action moves the content of cell (i, j) to cell (g(i), g(j)).
-On bitstrings it is two gathers with one index map: with ``src[R(g(x))] =
-R(x)``, the image holds at reading index (K, k) the source cell
-(src[K], src[k]).  One gather
-reorders the n^2 field blocks and the same gather reorders the n^2 positions
-inside each block, so an element costs n^2 indices, not n^4.  act_board
-builds its gather on each call and caches nothing.
+With ``src[R(g(x))] = R(x)``, the image holds at reading index (K, k) the
+source cell (src[K], src[k]).  Per n, the first use caches for each element
+the gather of the n^2 indices src and, while the 2m elements' cell gathers
+hold at most CELL_GATHER_BOUND = 10^6 entries in all (n = 1..7), its cell
+gather: the n^4 source indices src[K] n^2 + src[k], so that an image is one
+gather and one join.  The n^4 indices are drawn from one list of ints per n
+and shared by every element.  Above the bound an image takes two gathers by
+src: one reorders the n^2 field blocks and the same one reorders the n^2
+positions inside each block.  act_board uses the cached cell gather of its
+element within the bound; above it, it builds its element's gather on each
+call, so it never needs the group.
 
-canonical_form does not build every image.  It compares the images one
-field block at a time in reading order and drops each element whose block
-is larger than the smallest, as a canonical labelling search prunes its
-candidates; the last element left has its image finished in one step.  A
+canonical_form does not build every image.  One gather first takes the
+first n characters of every image, and only the elements whose n are the
+smallest stay.  If several do, it compares their images one field block at
+a time in reading order and drops each element whose block is larger than
+the smallest, as a canonical labelling search prunes its candidates.  A
 block of all 0s or all 1s is its own image under every element, so it is
 never gathered.  If every image has the same first block, the search checks
 whether sigma or rho fixes the board; each that does lets it keep one element
-per coset of the subgroup that generator generates.  Each element's block
-order is cached beside its gather: another n^2 indices per element.
+per coset of the subgroup that generator generates.  The last element left
+has its image built by its cell gather, or by two gathers above the bound.
 """
 
 from __future__ import annotations
@@ -35,9 +41,10 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from functools import lru_cache
 from operator import index, itemgetter
+from struct import Struct
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .dihedral import GroupElement, group_elements
+from .dihedral import GroupElement, dihedral_order, group_elements
 from .spiral import spiral_numbering
 
 
@@ -143,28 +150,74 @@ def from_bitstring(bits: str, n: int) -> Board:
     return Board._of(n, bits)
 
 
-# a label permutation's gather and block order, as _element builds them
-_Element = tuple[Callable[[Sequence[str]], tuple[str, ...]], tuple[int, ...]]
+# Each element's cell gather holds n^4 indices.  They are built only while
+# the 2m of them hold at most this many, which is true for n = 1..7.
+CELL_GATHER_BOUND = 10**6
 
 
-def _element(n: int, image: Sequence[int]) -> _Element:
-    """The gather and block order of the label permutation g with
-    ``image[x-1] = g(x)``.  The gather picks, for reading index K, the item
-    at src[K] with ``src[R(g(x))] = R(x)``, and always returns a tuple, also
-    at n = 1; the block order is src, so image block K is the gathered source
-    block ``order[K]``."""
+# a label permutation's gather, block order and cell gather, as _element
+# builds them; a plain tuple, which unpacks faster than a NamedTuple
+_Element = tuple[
+    Callable[[Sequence[str]], tuple[str, ...]],
+    tuple[int, ...],
+    Callable[[str], Sequence[str]] | None,
+]
+
+
+def _element(n: int, image: Sequence[int], pool: list[int] | None = None) -> _Element:
+    """The gathers of the label permutation g with ``image[x-1] = g(x)``.
+
+    The gather picks, for reading index K, the item at src[K] with
+    ``src[R(g(x))] = R(x)``, and always returns a tuple, also at n = 1; the
+    block order is src, so image block K is the gathered source block
+    ``order[K]``.  Given ``pool``, the ints 0 .. n^4 - 1, the cell gather
+    picks source cell src[K] n^2 + src[k] for image cell K n^2 + k, with
+    each index drawn from the pool, so all elements share the int objects.
+    """
     read = spiral_numbering(n).reading
     src = [0] * (n * n)
     for read_x, gx in zip(read, image):
         src[read[gx - 1]] = read_x
     gather = itemgetter(*src) if n > 1 else lambda seq: (seq[0],)
-    return gather, tuple(src)
+    cells = None
+    if pool is not None:  # at n = 1 it returns the one character, which joins alike
+        n_sq = n * n
+        cells = itemgetter(*[pool[K * n_sq + k] for K in src for k in src])
+    return gather, tuple(src), cells
+
+
+def _cells_fit(n: int) -> bool:
+    """Whether the 2m cell gathers for n stay within CELL_GATHER_BOUND
+    indices.  It reads only m, so it builds no group."""
+    return 2 * dihedral_order(n) * n**4 <= CELL_GATHER_BOUND
 
 
 @lru_cache(maxsize=None)
 def _gathers(n: int) -> tuple[_Element, ...]:
-    """The _element of each of group_elements(n), in that order."""
-    return tuple(_element(n, elem.perm.image) for elem in group_elements(n))
+    """The _element of each of group_elements(n), in that order, with cell
+    gathers if they fit the bound."""
+    pool = list(range(n**4)) if _cells_fit(n) else None
+    return tuple(_element(n, elem.perm.image, pool) for elem in group_elements(n))
+
+
+@lru_cache(maxsize=None)
+def _cell_gathers(n: int) -> dict[tuple[int, ...], Callable[[str], Sequence[str]]]:
+    """The cell gather of each of group_elements(n), keyed by the image of
+    its permutation.  Above the bound it is empty and builds no group."""
+    if not _cells_fit(n):
+        return {}
+    return {elem.perm.image: cells for elem, (_, _, cells) in zip(group_elements(n), _gathers(n))}
+
+
+@lru_cache(maxsize=None)
+def _screen(n: int) -> tuple[Callable[[str], tuple[str, ...]], Callable[[bytes], tuple]]:
+    """One gather of the first n characters of every image, in the order of
+    group_elements(n), and the split of their joined bytes into the 2m
+    prefixes.  The n are the first row of the image's first block."""
+    n_sq = n * n
+    table = _gathers(n)
+    gather = itemgetter(*[order[0] * n_sq + order[k] for _, order, _ in table for k in range(n)])
+    return gather, Struct(f"{n}s" * len(table)).unpack
 
 
 def _blocks(bits: str, n: int) -> list[str]:
@@ -174,17 +227,22 @@ def _blocks(bits: str, n: int) -> list[str]:
 
 
 def _image(gather: Callable, blocks: list[str]) -> str:
-    """The image bitstring: the gathered blocks, each gathered in turn."""
+    """The image bitstring by the two-level gather: the gathered blocks,
+    each gathered in turn."""
     join = "".join
     return join([join(gather(block)) for block in gather(blocks)])
 
 
 def act_board(board: Board, elem: GroupElement) -> Board:
     """Move the content of every cell (i, j) to (g(i), g(j))."""
-    if board.n != elem.n:
-        raise ValueError(f"board is {board.n}x{board.n} but element acts on n={elem.n}")
-    gather, _ = _element(board.n, elem.perm.image)
-    return Board._of(board.n, _image(gather, _blocks(board.bits, board.n)))
+    n = board.n
+    if n != elem.n:
+        raise ValueError(f"board is {n}x{n} but element acts on n={elem.n}")
+    cells = _cell_gathers(n).get(elem.perm.image)
+    if cells is None:  # above the bound: this element's own gather, per call
+        gather, _, _ = _element(n, elem.perm.image)
+        return Board._of(n, _image(gather, _blocks(board.bits, n)))
+    return Board._of(n, "".join(cells(board.bits)))
 
 
 def image_bitstrings(bits: str, n: int) -> Iterator[str]:
@@ -195,50 +253,63 @@ def image_bitstrings(bits: str, n: int) -> Iterator[str]:
     BitstringError) before it returns.
     """
     _check_bitstring(bits, n)
-    blocks = _blocks(bits, n)
-    return (_image(gather, blocks) for gather, _ in _gathers(n))
+    table = _gathers(n)
+    if table[0][2] is None:  # no cell gathers above the bound
+        blocks = _blocks(bits, n)
+        return (_image(gather, blocks) for gather, _, _ in table)
+    join = "".join
+    return (join(cells(bits)) for _, _, cells in table)
 
 
 def _fixes(element: _Element, blocks: list[str]) -> bool:
     """Whether the element with this entry of _gathers maps the board whose
     field blocks are ``blocks`` to itself."""
-    gather, order = element
+    gather, order, _ = element
     return all("".join(gather(blocks[i])) == block for i, block in zip(order, blocks))
 
 
 def canonical_form(board: Board) -> str:
     """Lexicographically smallest bitstring over the orbit; orbit-constant.
 
-    A pruned search over the images' field blocks: block K of every live
-    element's image is built, only the elements whose block is the smallest
-    stay live, and the last one left has its image finished in one step.
-    All-0 and all-1 blocks are their own images and are not gathered.  When
-    every element ties on the first block and sigma or rho fixes the board,
-    one element per coset of the subgroup it generates is searched.
+    A pruned search.  One gather screens every element by the first n
+    characters of its image, and only those with the smallest stay live.
+    If several do, block K of every live element's image is built, for K in
+    reading order, and again only the smallest stay live.  All-0 and all-1
+    blocks are their own images and are not gathered.  When every element
+    ties on the first block and sigma or rho fixes the board, one element
+    per coset of the subgroup it generates is searched.  The last element
+    left has its image built whole, by its cell gather if it has one, unless
+    the live elements tied on every block, which then make up the image.
     """
-    n_sq = board.n * board.n
-    blocks = _blocks(board.bits, board.n)
-    uniform = ("0" * n_sq, "1" * n_sq)
+    n, bits = board.n, board.bits
     join = "".join
-    table = _gathers(board.n)
-    live, head = table, []
-    while len(live) > 1 and len(head) < n_sq:
-        k = len(head)
-        images = [
-            block if (block := blocks[order[k]]) in uniform else join(gather(block))
-            for gather, order in live
-        ]
-        best = min(images)
-        live = [el for el, image in zip(live, images) if image == best]
-        head.append(best)
-        if k == 0 and len(live) == len(table) > 2:
-            # table runs e, rho, sigma, sigma rho, ...: if sigma fixes the
-            # board the images are those of e and rho, if rho fixes it those
-            # of the rotations
-            if _fixes(table[2], blocks):
-                live = live[:2]
-            if _fixes(table[1], blocks):
-                live = live[::2]
-    gather, order = live[0]
-    head += [join(gather(blocks[i])) for i in order[len(head) :]]
-    return join(head)
+    table = _gathers(n)
+    screen, split = _screen(n)
+    prefixes = split(join(screen(bits)).encode())
+    least = min(prefixes)
+    live = [el for el, prefix in zip(table, prefixes) if prefix == least]
+    n_sq, head = n * n, []
+    if len(live) > 1:
+        blocks = _blocks(bits, n)
+        uniform = ("0" * n_sq, "1" * n_sq)
+        while len(live) > 1 and len(head) < n_sq:
+            k = len(head)
+            images = [
+                block if (block := blocks[order[k]]) in uniform else join(gather(block))
+                for gather, order, _ in live
+            ]
+            best = min(images)
+            live = [el for el, image in zip(live, images) if image == best]
+            head.append(best)
+            if k == 0 and len(live) == len(table) > 2:
+                # table runs e, rho, sigma, sigma rho, ...: if sigma fixes the
+                # board the images are those of e and rho, if rho fixes it
+                # those of the rotations
+                if _fixes(table[2], blocks):
+                    live = live[:2]
+                if _fixes(table[1], blocks):
+                    live = live[::2]
+    if len(head) == n_sq:  # the survivors tied to the last block
+        return join(head)
+    gather, _, cells = live[0]
+    return join(cells(bits)) if cells else _image(gather, _blocks(bits, n))

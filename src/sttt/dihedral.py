@@ -31,9 +31,12 @@ from .spiral import InvalidSizeError, NumberedSquare, spiral_numbering
 
 
 def ring_sizes(n: int) -> tuple[int, ...]:
-    """Layer cardinalities, innermost first."""
-    if n < 1:
-        raise InvalidSizeError(f"side length must be a positive integer, got {n}")
+    """Layer cardinalities, innermost first.
+
+    Checks n as spiral_numbering does: TypeError for a non-int, True
+    included, and InvalidSizeError outside 1..56.
+    """
+    spiral_numbering(n)
     count = (n + 1) // 2
     if n % 2:
         return (1,) + tuple(8 * k for k in range(1, count))

@@ -11,7 +11,11 @@ from sttt.board import (
     from_bitstring,
     image_bitstrings,
     to_bitstring,
+    CELL_GATHER_BOUND,
+    _blocks,
+    _cell_gathers,
     _gathers,
+    _image,
 )
 from sttt.dihedral import dihedral_order, group_element, group_elements
 from sttt.spiral import InvalidSizeError, spiral_numbering
@@ -173,7 +177,8 @@ def _boards(n: int, count: int = 20):
         yield Board(n, frozenset(rng.sample(cells, rng.randint(0, len(cells)))))
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
+# 7 is the largest n with cell gathers, 9 a size above the bound
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7, 9))
 def test_image_bitstrings_match_act_board(n):
     elems = group_elements(n)
     for board in _boards(n):
@@ -216,7 +221,9 @@ def test_fields_to_bitstring_rejects_bad_bitmasks(field_bits):
         fields_to_bitstring(field_bits, 0)
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
+# above n = 7 act_board takes the two-level path, checked cell by cell at
+# n = 14 and 19 below, where the boards are sparse and the test fast
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7))
 def test_act_board_maps_each_cell(n):
     for board in _boards(n, count=5):
         for g in group_elements(n):
@@ -227,7 +234,7 @@ def test_act_board_maps_each_cell(n):
 @pytest.mark.parametrize("n, a, b", ((14, 3, 1), (14, 5, 0), (19, 7, 1), (19, 2, 0)))
 def test_act_board_without_the_group(n, a, b):
     # group_elements refuses n = 14 and n = 19, so act_board must build its
-    # element's gather alone and cache nothing
+    # element's gather alone, with no group and no cell gathers
     g = group_element(n, a, b)
     rng = random.Random(n + a + b)
     n_sq = n * n
@@ -237,20 +244,41 @@ def test_act_board_without_the_group(n, a, b):
     before = group_elements.cache_info(), _gathers.cache_info()
     image = act_board(board, g)
     assert (group_elements.cache_info(), _gathers.cache_info()) == before
+    assert _cell_gathers(n) == {}
     assert image == Board(n, frozenset((g(i), g(j)) for i, j in cells))
     assert image.x_count == len(cells)
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
-def test_gather_cache_holds_n_squared_indices_per_element(n):
-    # one (gather, block order) pair per element; both are the same
-    # permutation of the n^2 reading indices: 2 * 2m * n^2 indices in all,
-    # never a table of n^4 entries per element
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7, 8, 9))
+def test_cell_gathers_exist_exactly_for_n_up_to_7(n):
+    # one (gather, block order) pair per element, the same permutation of
+    # the n^2 reading indices; n = 1..7 also hold a cell gather per element,
+    # a permutation of the n^4 indices drawn from one shared set of ints
     gathers = _gathers(n)
-    assert len(gathers) == len(group_elements(n)) == 2 * dihedral_order(n)
-    for gather, order in gathers:
+    m2 = 2 * dihedral_order(n)
+    assert len(gathers) == len(group_elements(n)) == m2
+    for gather, order, _ in gathers:
         assert sorted(order) == list(range(n * n))
         assert gather(range(n * n)) == order
+    cells = [c for _, _, c in gathers]
+    if n >= 8:
+        assert m2 * n**4 > CELL_GATHER_BOUND
+        assert cells == [None] * m2 and _cell_gathers(n) == {}
+        return
+    assert m2 * n**4 <= CELL_GATHER_BOUND
+    assert _cell_gathers(n) == {g.perm.image: c for g, c in zip(group_elements(n), cells)}
+    indices = [c.__reduce__()[1] for c in cells]  # an itemgetter's indices
+    assert sum(map(len, indices)) == m2 * n**4
+    assert all(sorted(idx) == list(range(n**4)) for idx in indices)
+    assert len({id(i) for idx in indices for i in idx}) == n**4
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7))
+def test_cell_gather_matches_the_two_level_gather(n):
+    for board in _boards(n, count=3):
+        blocks = _blocks(board.bits, n)
+        for gather, _, cells in _gathers(n):
+            assert "".join(cells(board.bits)) == _image(gather, blocks)
 
 
 def _union_of_orbit(board: Board, elems) -> Board:
@@ -285,7 +313,7 @@ def _tie_heavy_boards(n: int):
             yield Board(n, frozenset((i, j) for i in labels for j in pattern))
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7, 9))
 def test_canonical_form_on_tie_heavy_boards(n):
     for board in _tie_heavy_boards(n):
         expected = min(image_bitstrings(to_bitstring(board), n))

@@ -92,7 +92,7 @@ def test_import_leaves_multiprocessing_unloaded():
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
         [sys.executable, "-c", code],
-        env={"PYTHONPATH": str(src)},
+        env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True,
         text=True,
         timeout=60,

@@ -31,6 +31,18 @@ def test_ring_sizes():
         ring_sizes(0)
 
 
+def test_ring_sizes_check_the_side_length_as_the_numbering_does():
+    # the closed formula alone would give 29 rings for n = 57 and m = 1 for True
+    with pytest.raises(InvalidSizeError, match="side length 57 is too large"):
+        ring_sizes(57)
+    with pytest.raises(InvalidSizeError, match="side length 57 is too large"):
+        dihedral_order(57)
+    with pytest.raises(TypeError, match="^side length must be an int, not bool$"):
+        dihedral_order(True)
+    with pytest.raises(TypeError, match="^side length must be an int, not float$"):
+        group_elements(3.0)
+
+
 @pytest.mark.parametrize("n,m", sorted(EXPECTED_M.items()))
 def test_dihedral_order_values(n, m):
     assert dihedral_order(n) == m

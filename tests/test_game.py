@@ -269,7 +269,7 @@ def test_act_game_rejects_invalid_image_without_asserts():
     src = Path(__file__).resolve().parents[1] / "src"
     done = subprocess.run(
         [sys.executable, "-O", "-c", code],
-        env={"PYTHONPATH": str(src)},
+        env={"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"},
         capture_output=True,
         text=True,
         timeout=60,

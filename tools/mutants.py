@@ -79,8 +79,15 @@ MUTANTS = (
     Mutant(
         "act-board-through-gathers",
         "src/sttt/board.py",
-        "gather, _ = _element(board.n, elem.perm.image)",
-        "gather, _ = _gathers(board.n)[2 * elem.a + elem.b]",
+        "gather, _, _ = _element(n, elem.perm.image)",
+        "gather, _, _ = _gathers(n)[2 * elem.a + elem.b]",
+        ("tests/test_board.py",),
+    ),
+    Mutant(
+        "cell-gather-transposed",
+        "src/sttt/board.py",
+        "pool[K * n_sq + k] for K in src for k in src",
+        "pool[k * n_sq + K] for K in src for k in src",
         ("tests/test_board.py",),
     ),
     Mutant(
@@ -142,8 +149,15 @@ MUTANTS = (
     Mutant(
         "canonical-coset-cuts-swapped",
         "src/sttt/board.py",
-        "live = live[:2]\n            if _fixes(table[1], blocks):\n                live = live[::2]",
-        "live = live[::2]\n            if _fixes(table[1], blocks):\n                live = live[:2]",
+        "live = live[:2]\n                if _fixes(table[1], blocks):\n                    live = live[::2]",
+        "live = live[::2]\n                if _fixes(table[1], blocks):\n                    live = live[:2]",
+        ("tests/test_board.py",),
+    ),
+    Mutant(
+        "screen-keeps-the-largest-prefix",
+        "src/sttt/board.py",
+        "least = min(prefixes)",
+        "least = max(prefixes)",
         ("tests/test_board.py",),
     ),
     Mutant(
@@ -194,6 +208,13 @@ MUTANTS = (
         "    start = GameState.initial(n)\n    try:\n",
         "    try:\n        start = GameState.initial(n)\n",
         ("tests/test_game.py",),
+    ),
+    Mutant(
+        "ring-sizes-unchecked",
+        "src/sttt/dihedral.py",
+        "    spiral_numbering(n)\n    count = (n + 1) // 2\n",
+        "    count = (n + 1) // 2\n",
+        ("tests/test_dihedral.py",),
     ),
     Mutant(
         "element-call-accepts-zero",
