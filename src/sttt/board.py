@@ -13,16 +13,19 @@ n=2, R sends labels 1, 2, 3, 4 to 0, 2, 3, 1.
 
 The group action moves the content of cell (i, j) to cell (g(i), g(j)).
 With ``src[R(g(x))] = R(x)``, the image holds at reading index (K, k) the
-source cell (src[K], src[k]).  Per n, the first use caches for each element
-the gather of the n^2 indices src and, while the 2m elements' cell gathers
-hold at most CELL_GATHER_BOUND = 10^6 entries in all (n = 1..7), its cell
-gather: the n^4 source indices src[K] n^2 + src[k], so that an image is one
-gather and one join.  The n^4 indices are drawn from one list of ints per n
-and shared by every element.  Above the bound an image takes two gathers by
-src: one reorders the n^2 field blocks and the same one reorders the n^2
-positions inside each block.  act_board uses the cached cell gather of its
-element within the bound; above it, it builds its element's gather on each
-call, so it never needs the group.
+source cell (src[K], src[k]): the n^2 x n^2 field/position matrix with its
+rows and its columns permuted alike.  Slice c of a bitstring with step n^2,
+``bits[c::n^2]``, is column c of that matrix, so an element's kernel, the
+itemgetter of the slices of columns src[0], src[1], ..., gives the columns
+in image order; joined, they are the column-permuted matrix stored column
+by column.  The same kernel applied to that string permutes the rows and
+transposes back, so an image is two kernel calls and two joins, 2 n^2
+slice copies in C.  Per n, the first use caches the n^2 slices, shared by
+every element, and for each element its kernel and the gather of the n^2
+indices src, which canonical_form applies to single field blocks.
+act_board looks its element's kernel up in that table while the group
+holds at most ACT_TABLE_BOUND labels (n = 1..7); above it, it builds its
+one element's kernel on each call, so it never needs the group.
 
 canonical_form does not build every image.  One gather first takes the
 first n characters of every image, and only the elements whose n are the
@@ -33,7 +36,7 @@ block of all 0s or all 1s is its own image under every element, so it is
 never gathered.  If every image has the same first block, the search checks
 whether sigma or rho fixes the board; each that does lets it keep one element
 per coset of the subgroup that generator generates.  The last element left
-has its image built by its cell gather, or by two gathers above the bound.
+has its image built by its kernel.
 """
 
 from __future__ import annotations
@@ -150,63 +153,74 @@ def from_bitstring(bits: str, n: int) -> Board:
     return Board._of(n, bits)
 
 
-# Each element's cell gather holds n^4 indices.  They are built only while
-# the 2m of them hold at most this many, which is true for n = 1..7.
-CELL_GATHER_BOUND = 10**6
+# act_board builds and caches the table of group_elements(n) on its first
+# call for n only while the 2m permutations hold at most this many labels,
+# 2m n^2, which is true for n = 1..7 (n = 9 has 15,552 and n = 8 53,760).
+ACT_TABLE_BOUND = 10**4
 
 
-# a label permutation's gather, block order and cell gather, as _element
-# builds them; a plain tuple, which unpacks faster than a NamedTuple
+# a label permutation's gather, block order and kernel, as _element builds
+# them; a plain tuple, which unpacks faster than a NamedTuple
 _Element = tuple[
-    Callable[[Sequence[str]], tuple[str, ...]],
+    Callable[[str], Sequence[str]],
     tuple[int, ...],
-    Callable[[str], Sequence[str]] | None,
+    Callable[[str], Sequence[str]],
 ]
 
 
-def _element(n: int, image: Sequence[int], pool: list[int] | None = None) -> _Element:
-    """The gathers of the label permutation g with ``image[x-1] = g(x)``.
+@lru_cache(maxsize=None)
+def _slices(n: int) -> tuple[slice, ...]:
+    """The n^2 slices ``slice(c, None, n^2)``: slice c of a bitstring is
+    position c of every field block, column c of the field/position matrix."""
+    n_sq = n * n
+    return tuple(slice(c, None, n_sq) for c in range(n_sq))
+
+
+def _element(n: int, image: Sequence[int]) -> _Element:
+    """The gather, block order and kernel of the label permutation g with
+    ``image[x-1] = g(x)``.
 
     The gather picks, for reading index K, the item at src[K] with
-    ``src[R(g(x))] = R(x)``, and always returns a tuple, also at n = 1; the
-    block order is src, so image block K is the gathered source block
-    ``order[K]``.  Given ``pool``, the ints 0 .. n^4 - 1, the cell gather
-    picks source cell src[K] n^2 + src[k] for image cell K n^2 + k, with
-    each index drawn from the pool, so all elements share the int objects.
+    ``src[R(g(x))] = R(x)``; the block order is src, so image block K is
+    the gathered source block ``order[K]``.  The kernel takes the slices of
+    the columns src[0], src[1], ... of a bitstring, see _image.  At n = 1
+    both return the string itself.
     """
     read = spiral_numbering(n).reading
     src = [0] * (n * n)
     for read_x, gx in zip(read, image):
         src[read[gx - 1]] = read_x
-    gather = itemgetter(*src) if n > 1 else lambda seq: (seq[0],)
-    cells = None
-    if pool is not None:  # at n = 1 it returns the one character, which joins alike
-        n_sq = n * n
-        cells = itemgetter(*[pool[K * n_sq + k] for K in src for k in src])
-    return gather, tuple(src), cells
+    slices = _slices(n)
+    return itemgetter(*src), tuple(src), itemgetter(*[slices[c] for c in src])
 
 
-def _cells_fit(n: int) -> bool:
-    """Whether the 2m cell gathers for n stay within CELL_GATHER_BOUND
-    indices.  It reads only m, so it builds no group."""
-    return 2 * dihedral_order(n) * n**4 <= CELL_GATHER_BOUND
+def _image(kernel: Callable[[str], Sequence[str]], bits: str) -> str:
+    """The image bitstring of a board under the element with this kernel.
+
+    With the field/position matrix ``M[i][j] = bits[i n^2 + j]``, the
+    first pass's piece k is column src[k], so the joined string holds
+    the column-permuted matrix column by column.  The second pass's piece K,
+    a stride-n^2 slice from offset src[K], is row src[K] of that matrix, so
+    image block K is ``M[src[K]][src[k]]`` for k = 0 .. n^2 - 1.
+    """
+    join = "".join
+    return join(kernel(join(kernel(bits))))
 
 
 @lru_cache(maxsize=None)
 def _gathers(n: int) -> tuple[_Element, ...]:
-    """The _element of each of group_elements(n), in that order, with cell
-    gathers if they fit the bound."""
-    pool = list(range(n**4)) if _cells_fit(n) else None
-    return tuple(_element(n, elem.perm.image, pool) for elem in group_elements(n))
+    """The _element of each of group_elements(n), in that order."""
+    return tuple(_element(n, elem.perm.image) for elem in group_elements(n))
 
 
 @lru_cache(maxsize=None)
-def _cell_gathers(n: int) -> dict[tuple[int, ...], Callable[[str], Sequence[str]]]:
-    """The cell gather of each of group_elements(n), keyed by the image of
-    its permutation.  Above the bound it is empty and builds no group."""
-    if not _cells_fit(n):
+def _kernels(n: int) -> dict[tuple[int, ...], Callable[[str], Sequence[str]]]:
+    """The kernel of each of group_elements(n), keyed by the image of its
+    permutation, while the group fits ACT_TABLE_BOUND.  Above the bound it
+    is empty: the bound is read from dihedral_order(n), so no group is built."""
+    if 2 * dihedral_order(n) * n * n > ACT_TABLE_BOUND:
         return {}
-    return {elem.perm.image: cells for elem, (_, _, cells) in zip(group_elements(n), _gathers(n))}
+    return {elem.perm.image: kernel for elem, (_, _, kernel) in zip(group_elements(n), _gathers(n))}
 
 
 @lru_cache(maxsize=None)
@@ -226,23 +240,15 @@ def _blocks(bits: str, n: int) -> list[str]:
     return [bits[k : k + n_sq] for k in range(0, len(bits), n_sq)]
 
 
-def _image(gather: Callable, blocks: list[str]) -> str:
-    """The image bitstring by the two-level gather: the gathered blocks,
-    each gathered in turn."""
-    join = "".join
-    return join([join(gather(block)) for block in gather(blocks)])
-
-
 def act_board(board: Board, elem: GroupElement) -> Board:
     """Move the content of every cell (i, j) to (g(i), g(j))."""
     n = board.n
     if n != elem.n:
         raise ValueError(f"board is {n}x{n} but element acts on n={elem.n}")
-    cells = _cell_gathers(n).get(elem.perm.image)
-    if cells is None:  # above the bound: this element's own gather, per call
-        gather, _, _ = _element(n, elem.perm.image)
-        return Board._of(n, _image(gather, _blocks(board.bits, n)))
-    return Board._of(n, "".join(cells(board.bits)))
+    kernel = _kernels(n).get(elem.perm.image)
+    if kernel is None:  # above the bound: this element's own kernel, per call
+        _, _, kernel = _element(n, elem.perm.image)
+    return Board._of(n, _image(kernel, board.bits))
 
 
 def image_bitstrings(bits: str, n: int) -> Iterator[str]:
@@ -253,12 +259,7 @@ def image_bitstrings(bits: str, n: int) -> Iterator[str]:
     BitstringError) before it returns.
     """
     _check_bitstring(bits, n)
-    table = _gathers(n)
-    if table[0][2] is None:  # no cell gathers above the bound
-        blocks = _blocks(bits, n)
-        return (_image(gather, blocks) for gather, _, _ in table)
-    join = "".join
-    return (join(cells(bits)) for _, _, cells in table)
+    return (_image(kernel, bits) for _, _, kernel in _gathers(n))
 
 
 def _fixes(element: _Element, blocks: list[str]) -> bool:
@@ -278,8 +279,8 @@ def canonical_form(board: Board) -> str:
     blocks are their own images and are not gathered.  When every element
     ties on the first block and sigma or rho fixes the board, one element
     per coset of the subgroup it generates is searched.  The last element
-    left has its image built whole, by its cell gather if it has one, unless
-    the live elements tied on every block, which then make up the image.
+    left has its image built whole by its kernel, unless the live elements
+    tied on every block, which then make up the image.
     """
     n, bits = board.n, board.bits
     join = "".join
@@ -311,5 +312,4 @@ def canonical_form(board: Board) -> str:
                     live = live[::2]
     if len(head) == n_sq:  # the survivors tied to the last block
         return join(head)
-    gather, _, cells = live[0]
-    return join(cells(bits)) if cells else _image(gather, _blocks(bits, n))
+    return _image(live[0][2], bits)

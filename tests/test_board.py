@@ -11,11 +11,11 @@ from sttt.board import (
     from_bitstring,
     image_bitstrings,
     to_bitstring,
-    CELL_GATHER_BOUND,
-    _blocks,
-    _cell_gathers,
+    ACT_TABLE_BOUND,
     _gathers,
     _image,
+    _kernels,
+    _slices,
 )
 from sttt.dihedral import dihedral_order, group_element, group_elements
 from sttt.spiral import InvalidSizeError, spiral_numbering
@@ -177,7 +177,9 @@ def _boards(n: int, count: int = 20):
         yield Board(n, frozenset(rng.sample(cells, rng.randint(0, len(cells)))))
 
 
-# 7 is the largest n with cell gathers, 9 a size above the bound
+# image_bitstrings and act_board share each element's kernel, so this checks
+# the pruned canonical_form against the least image; at n = 9, above
+# ACT_TABLE_BOUND, act_board builds its element's kernel on each call
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7, 9))
 def test_image_bitstrings_match_act_board(n):
     elems = group_elements(n)
@@ -221,12 +223,26 @@ def test_fields_to_bitstring_rejects_bad_bitmasks(field_bits):
         fields_to_bitstring(field_bits, 0)
 
 
-# above n = 7 act_board takes the two-level path, checked cell by cell at
-# n = 14 and 19 below, where the boards are sparse and the test fast
-@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7))
+def _sparse_board(n: int, rng: random.Random) -> Board:
+    """About 60 random X cells and three corner cells."""
+    n_sq = n * n
+    cells = {(rng.randint(1, n_sq), rng.randint(1, n_sq)) for _ in range(60)}
+    return Board(n, frozenset(cells | {(1, 1), (n_sq, n_sq), (1, n_sq)}))
+
+
+# n = 8 and 9 lie above ACT_TABLE_BOUND, where act_board builds its element's
+# kernel on each call; there sparse boards and a sample of the elements keep
+# the test fast
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7, 8, 9))
 def test_act_board_maps_each_cell(n):
-    for board in _boards(n, count=5):
-        for g in group_elements(n):
+    elems = group_elements(n)
+    boards = list(_boards(n, count=5))
+    if n >= 8:
+        rng = random.Random(300 + n)
+        elems = rng.sample(elems, 12)
+        boards = [Board.empty(n)] + [_sparse_board(n, rng) for _ in range(3)]
+    for board in boards:
+        for g in elems:
             expected = Board(n, frozenset((g(i), g(j)) for i, j in board.xs))
             assert act_board(board, g) == expected
 
@@ -234,51 +250,56 @@ def test_act_board_maps_each_cell(n):
 @pytest.mark.parametrize("n, a, b", ((14, 3, 1), (14, 5, 0), (19, 7, 1), (19, 2, 0)))
 def test_act_board_without_the_group(n, a, b):
     # group_elements refuses n = 14 and n = 19, so act_board must build its
-    # element's gather alone, with no group and no cell gathers
+    # element's kernel alone, with no group and no table for n
     g = group_element(n, a, b)
-    rng = random.Random(n + a + b)
-    n_sq = n * n
-    cells = {(rng.randint(1, n_sq), rng.randint(1, n_sq)) for _ in range(60)}
-    cells |= {(1, 1), (n_sq, n_sq), (1, n_sq)}
-    board = Board(n, frozenset(cells))
+    board = _sparse_board(n, random.Random(n + a + b))
     before = group_elements.cache_info(), _gathers.cache_info()
     image = act_board(board, g)
     assert (group_elements.cache_info(), _gathers.cache_info()) == before
-    assert _cell_gathers(n) == {}
-    assert image == Board(n, frozenset((g(i), g(j)) for i, j in cells))
-    assert image.x_count == len(cells)
+    assert _kernels(n) == {}
+    assert image == Board(n, frozenset((g(i), g(j)) for i, j in board.xs))
+    assert image.x_count == board.x_count
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7, 8, 9))
-def test_cell_gathers_exist_exactly_for_n_up_to_7(n):
-    # one (gather, block order) pair per element, the same permutation of
-    # the n^2 reading indices; n = 1..7 also hold a cell gather per element,
-    # a permutation of the n^4 indices drawn from one shared set of ints
-    gathers = _gathers(n)
+def test_table_has_one_kernel_per_element(n):
+    # each element's gather and kernel follow its block order, the same
+    # permutation of the n^2 reading indices, and all kernels draw on the
+    # n^2 shared slices; act_board looks kernels up only for n = 1..7
+    table = _gathers(n)
     m2 = 2 * dihedral_order(n)
-    assert len(gathers) == len(group_elements(n)) == m2
-    for gather, order, _ in gathers:
-        assert sorted(order) == list(range(n * n))
-        assert gather(range(n * n)) == order
-    cells = [c for _, _, c in gathers]
+    n_sq = n * n
+    slices = _slices(n)
+    assert slices == tuple(slice(c, None, n_sq) for c in range(n_sq))
+    assert len(table) == len(group_elements(n)) == m2
+    drawn = set()
+    for gather, order, kernel in table:
+        assert sorted(order) == list(range(n_sq))
+        pieces = kernel.__reduce__()[1]  # an itemgetter's items
+        assert gather.__reduce__()[1] == order
+        assert pieces == tuple(slices[c] for c in order)
+        drawn |= {id(s) for s in pieces}
+    assert drawn == {id(s) for s in slices}
     if n >= 8:
-        assert m2 * n**4 > CELL_GATHER_BOUND
-        assert cells == [None] * m2 and _cell_gathers(n) == {}
+        assert m2 * n_sq > ACT_TABLE_BOUND and _kernels(n) == {}
         return
-    assert m2 * n**4 <= CELL_GATHER_BOUND
-    assert _cell_gathers(n) == {g.perm.image: c for g, c in zip(group_elements(n), cells)}
-    indices = [c.__reduce__()[1] for c in cells]  # an itemgetter's indices
-    assert sum(map(len, indices)) == m2 * n**4
-    assert all(sorted(idx) == list(range(n**4)) for idx in indices)
-    assert len({id(i) for idx in indices for i in idx}) == n**4
+    assert m2 * n_sq <= ACT_TABLE_BOUND
+    assert _kernels(n) == {g.perm.image: k for g, (_, _, k) in zip(group_elements(n), table)}
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7))
-def test_cell_gather_matches_the_two_level_gather(n):
-    for board in _boards(n, count=3):
-        blocks = _blocks(board.bits, n)
-        for gather, _, cells in _gathers(n):
-            assert "".join(cells(board.bits)) == _image(gather, blocks)
+def _two_level_image(order: tuple[int, ...], bits: str) -> str:
+    """The image by block order alone: field block order[K] moves to block K,
+    and inside every block position order[k] moves to position k."""
+    n_sq = len(order)
+    blocks = [bits[i : i + n_sq] for i in range(0, len(bits), n_sq)]
+    return "".join(blocks[K][k] for K in order for k in order)
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7, 8, 9))
+def test_kernel_matches_the_two_level_gather(n):
+    *_, board = _boards(n, count=1)  # a random board, after the empty and the full
+    for _, order, kernel in _gathers(n):
+        assert _image(kernel, board.bits) == _two_level_image(order, board.bits)
 
 
 def _union_of_orbit(board: Board, elems) -> Board:

@@ -70,24 +70,38 @@ MUTANTS = (
         ("tests/test_spiral.py",),
     ),
     Mutant(
-        "image-gathers-only-blocks",
+        "kernel-permutes-columns-only",
         "src/sttt/board.py",
-        "return join([join(gather(block)) for block in gather(blocks)])",
-        "return join(gather(blocks))",
+        "return join(kernel(join(kernel(bits))))",
+        "return join(kernel(bits))",
         ("tests/test_board.py",),
     ),
     Mutant(
-        "act-board-through-gathers",
+        "kernel-from-inverse-block-order",
         "src/sttt/board.py",
-        "gather, _, _ = _element(n, elem.perm.image)",
-        "gather, _, _ = _gathers(n)[2 * elem.a + elem.b]",
+        "itemgetter(*[slices[c] for c in src])",
+        "itemgetter(*[slices[src.index(c)] for c in range(len(src))])",
         ("tests/test_board.py",),
     ),
     Mutant(
-        "cell-gather-transposed",
+        "kernel-slices-blocks-not-columns",
         "src/sttt/board.py",
-        "pool[K * n_sq + k] for K in src for k in src",
-        "pool[k * n_sq + K] for K in src for k in src",
+        "slice(c, None, n_sq) for c in range(n_sq)",
+        "slice(c * n_sq, c * n_sq + n_sq) for c in range(n_sq)",
+        ("tests/test_board.py",),
+    ),
+    Mutant(
+        "act-board-through-the-table",
+        "src/sttt/board.py",
+        "_, _, kernel = _element(n, elem.perm.image)",
+        "_, _, kernel = _gathers(n)[2 * elem.a + elem.b]",
+        ("tests/test_board.py",),
+    ),
+    Mutant(
+        "act-table-bound-unchecked",
+        "src/sttt/board.py",
+        "if 2 * dihedral_order(n) * n * n > ACT_TABLE_BOUND:",
+        "if False:",
         ("tests/test_board.py",),
     ),
     Mutant(
