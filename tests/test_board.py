@@ -265,13 +265,12 @@ def test_act_board_without_the_group(n, a, b):
 def test_table_has_one_kernel_per_element(n):
     # each element's gather and kernel follow its block order, the same
     # permutation of the n^2 reading indices, and all kernels draw on the
-    # n^2 shared slices; act_board looks kernels up only for n = 1..7
+    # n^2 shared slices
     table = _gathers(n)
-    m2 = 2 * dihedral_order(n)
     n_sq = n * n
     slices = _slices(n)
     assert slices == tuple(slice(c, None, n_sq) for c in range(n_sq))
-    assert len(table) == len(group_elements(n)) == m2
+    assert len(table) == len(group_elements(n)) == 2 * dihedral_order(n)
     drawn = set()
     for gather, order, kernel in table:
         assert sorted(order) == list(range(n_sq))
@@ -280,6 +279,15 @@ def test_table_has_one_kernel_per_element(n):
         assert pieces == tuple(slices[c] for c in order)
         drawn |= {id(s) for s in pieces}
     assert drawn == {id(s) for s in slices}
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7, 8, 9))
+def test_cell_gathers_exist_exactly_for_n_up_to_7(n):
+    # act_board's table of cell gathers, each element's kernel keyed by its
+    # permutation, is held for n = 1..7 and is empty above ACT_TABLE_BOUND
+    table = _gathers(n)
+    m2 = 2 * dihedral_order(n)
+    n_sq = n * n
     if n >= 8:
         assert m2 * n_sq > ACT_TABLE_BOUND and _kernels(n) == {}
         return
