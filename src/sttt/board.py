@@ -29,14 +29,17 @@ one element's kernel on each call, so it never needs the group.
 
 canonical_form does not build every image.  One gather first takes the
 first n characters of every image, and only the elements whose n are the
-smallest stay.  If several do, it compares their images one field block at
-a time in reading order and drops each element whose block is larger than
-the smallest, as a canonical labelling search prunes its candidates.  A
-block of all 0s or all 1s is its own image under every element, so it is
-never gathered.  If every image has the same first block, the search checks
-whether sigma or rho fixes the board; each that does lets it keep one element
-per coset of the subgroup that generator generates.  The last element left
-has its image built by its kernel.
+smallest stay.  While several do, it compares their images one field block
+at a time in reading order and drops each element whose block is larger
+than the smallest, as a canonical labelling search prunes its candidates.
+A block of all 0s or all 1s is its own image under every element, so it is
+never gathered.  If at least half the elements tie on the first block, as
+they do on every board sigma fixes, the search compares the board with its
+images under sigma and rho.  A board sigma fixes has
+only two distinct images, itself and its image under rho, so the smaller
+is the answer.  A board rho fixes has the same image under sigma^a and
+sigma^a rho, so one of each pair stays.  The first element left has its
+image built by its kernel.
 """
 
 from __future__ import annotations
@@ -234,12 +237,6 @@ def _screen(n: int) -> tuple[Callable[[str], tuple[str, ...]], Callable[[bytes],
     return gather, Struct(f"{n}s" * len(table)).unpack
 
 
-def _blocks(bits: str, n: int) -> list[str]:
-    """The n^2 field blocks of a bitstring, in reading order."""
-    n_sq = n * n
-    return [bits[k : k + n_sq] for k in range(0, len(bits), n_sq)]
-
-
 def act_board(board: Board, elem: GroupElement) -> Board:
     """Move the content of every cell (i, j) to (g(i), g(j))."""
     n = board.n
@@ -262,25 +259,19 @@ def image_bitstrings(bits: str, n: int) -> Iterator[str]:
     return (_image(kernel, bits) for _, _, kernel in _gathers(n))
 
 
-def _fixes(element: _Element, blocks: list[str]) -> bool:
-    """Whether the element with this entry of _gathers maps the board whose
-    field blocks are ``blocks`` to itself."""
-    gather, order, _ = element
-    return all("".join(gather(blocks[i])) == block for i, block in zip(order, blocks))
-
-
 def canonical_form(board: Board) -> str:
     """Lexicographically smallest bitstring over the orbit; orbit-constant.
 
     A pruned search.  One gather screens every element by the first n
     characters of its image, and only those with the smallest stay live.
-    If several do, block K of every live element's image is built, for K in
-    reading order, and again only the smallest stay live.  All-0 and all-1
-    blocks are their own images and are not gathered.  When every element
-    ties on the first block and sigma or rho fixes the board, one element
-    per coset of the subgroup it generates is searched.  The last element
-    left has its image built whole by its kernel, unless the live elements
-    tied on every block, which then make up the image.
+    While several do, block K of every live element's image is built, for K
+    in reading order, and again only the smallest stay live.  All-0 and
+    all-1 blocks are their own images and are not gathered.  If at least
+    half the elements tie on the first block, whole images test whether
+    sigma fixes the board, which leaves it two images, or rho does, which
+    leaves one live element per rotation.  The first element left has its
+    image built whole by its kernel: survivors that tie on every block
+    have equal images.
     """
     n, bits = board.n, board.bits
     join = "".join
@@ -289,27 +280,26 @@ def canonical_form(board: Board) -> str:
     prefixes = split(join(screen(bits)).encode())
     least = min(prefixes)
     live = [el for el, prefix in zip(table, prefixes) if prefix == least]
-    n_sq, head = n * n, []
     if len(live) > 1:
-        blocks = _blocks(bits, n)
+        n_sq = n * n
+        blocks = [bits[i : i + n_sq] for i in range(0, len(bits), n_sq)]
         uniform = ("0" * n_sq, "1" * n_sq)
-        while len(live) > 1 and len(head) < n_sq:
-            k = len(head)
+        for k in range(n_sq):
             images = [
                 block if (block := blocks[order[k]]) in uniform else join(gather(block))
                 for gather, order, _ in live
             ]
             best = min(images)
             live = [el for el, image in zip(live, images) if image == best]
-            head.append(best)
-            if k == 0 and len(live) == len(table) > 2:
-                # table runs e, rho, sigma, sigma rho, ...: if sigma fixes the
-                # board the images are those of e and rho, if rho fixes it
-                # those of the rotations
-                if _fixes(table[2], blocks):
-                    live = live[:2]
-                if _fixes(table[1], blocks):
+            if len(live) == 1:
+                break
+            if k == 0 and 2 * len(live) >= len(table) > 2:
+                # table runs e, rho, sigma, sigma rho, ...: a board sigma
+                # fixes has the images of e and rho, and one rho fixes has
+                # those of the rotations, each twice in a row
+                flipped = _image(table[1][2], bits)
+                if _image(table[2][2], bits) == bits:
+                    return min(bits, flipped)
+                if flipped == bits:
                     live = live[::2]
-    if len(head) == n_sq:  # the survivors tied to the last block
-        return join(head)
     return _image(live[0][2], bits)

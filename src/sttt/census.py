@@ -24,6 +24,7 @@ from importlib import resources
 from .board import fields_to_bitstring, image_bitstrings
 from .dihedral import group_elements
 from .game import GameState, apply_move, legal_moves
+from .spiral import spiral_numbering
 
 
 class ClosureError(ValueError):
@@ -148,9 +149,10 @@ def parse_census_text(text: str, n: int = 2) -> list[IsoClass]:
     Tuples may span lines; prose outside parentheses, and parenthesized text
     that is not made of 0/1 strings, is ignored.  A tuple containing a string
     of the wrong length, or a board already in a class, raises
-    ListingParseError with its line number.
+    ListingParseError with its line number.  An invalid side length raises
+    InvalidSizeError before the text is read.
     """
-    want = n * n * n * n
+    want = spiral_numbering(n).n_sq ** 2
     classes, owner = [], {}
     for m in _TUPLE_RE.finditer(text):
         body = m.group(1).strip()

@@ -262,6 +262,7 @@ def _cmd_game(args) -> int:
 
 def _cmd_census(args) -> int:
     if args.mode == "diff":
+        n_sq = spiral_numbering(args.n).n_sq  # the size check, before any file is read
         if not args.computed:
             raise ValueError("census diff needs --computed <classes.jsonl>")
         if args.n != 2 and not args.reference:
@@ -270,7 +271,7 @@ def _cmd_census(args) -> int:
                 "needs --reference <listing>"
             )
         computed = census_mod.classes_from_jsonl(Path(args.computed).read_text("utf-8"))
-        want = args.n**4
+        want = n_sq * n_sq
         bad = next((m for c in computed for m in c.members if len(m) != want), None)
         if bad is not None:
             raise ValueError(f"member {bad} has length {len(bad)}, expected n^4 = {want}")

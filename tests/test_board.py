@@ -334,7 +334,11 @@ def _tie_heavy_boards(n: int):
         for xs in (cells, {(i, j) for i, j in cells if i not in hollow}):
             seed = Board(n, frozenset(xs))
             yield _union_of_orbit(seed, elems)  # fixed by every element
-            yield _union_of_orbit(seed, elems[::2])  # fixed by the rotations
+            turned = _union_of_orbit(seed, elems[::2])  # fixed by the rotations
+            # the screen leaves the rotations on one of these and the
+            # reflections on the other
+            yield turned
+            yield act_board(turned, elems[1])
             yield _union_of_orbit(seed, elems[:2])  # fixed by rho
             yield _union_of_orbit(seed, elems[:4:3])  # fixed by sigma rho
         if n > 1:  # every block the same pattern, neither all 0 nor all 1

@@ -23,6 +23,7 @@ from sttt.census import (
     partition_classes,
     size_histogram,
 )
+from sttt.spiral import InvalidSizeError
 
 ORDER2_A = "0000011001100000"
 ORDER2_B = "1001000000001001"
@@ -166,6 +167,13 @@ def test_parse_wrong_length_raises_with_line():
     with pytest.raises(ListingParseError) as err:
         parse_census_text("header\n\n1. (0101, 1010)")
     assert err.value.line == 3
+
+
+@pytest.mark.parametrize("n", (0, -2))
+def test_parse_checks_the_side_length(n):
+    # n^4 is 16 at n = -2, so the n = 2 listing used to parse as its census
+    with pytest.raises(InvalidSizeError, match="side length must be a positive integer"):
+        parse_census_text(bundled_census_text(), n=n)
 
 
 def test_parse_ignores_prose_parentheses():

@@ -422,6 +422,18 @@ def test_census_diff_rejects_members_of_the_wrong_length(tmp_path, capsys, membe
     assert err == f"error: member {member} has length {len(member)}, expected n^4 = {want}\n"
 
 
+@pytest.mark.parametrize("n", ("0", "-2"))
+def test_census_diff_checks_the_side_length_first(tmp_path, capsys, n):
+    # neither file exists: the size is checked before either is read
+    code, out, err = run(
+        capsys, "census", "diff", "--n", n, "--computed", str(tmp_path / "F"),
+        "--reference", str(tmp_path / "listing.txt"),
+    )
+    assert code == 1
+    assert out == ""
+    assert err == f"error: side length must be a positive integer, got {n}\n"
+
+
 def test_census_diff_beyond_n2_needs_a_reference(tmp_path, capsys):
     # the bundled listing is the n = 2 census; reading it as n = 3 blamed a
     # line of a file the user never named

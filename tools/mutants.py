@@ -161,10 +161,24 @@ MUTANTS = (
         ("tests/test_board.py",),
     ),
     Mutant(
-        "canonical-coset-cuts-swapped",
+        "canonical-sigma-branch-returns-the-board",
         "src/sttt/board.py",
-        "live = live[:2]\n                if _fixes(table[1], blocks):\n                    live = live[::2]",
-        "live = live[::2]\n                if _fixes(table[1], blocks):\n                    live = live[:2]",
+        "return min(bits, flipped)",
+        "return bits",
+        ("tests/test_board.py",),
+    ),
+    Mutant(
+        "canonical-tests-sigma-rho-for-sigma",
+        "src/sttt/board.py",
+        "if _image(table[2][2], bits) == bits:",
+        "if _image(table[3][2], bits) == bits:",
+        ("tests/test_board.py",),
+    ),
+    Mutant(
+        "canonical-rho-cut-keeps-e-and-rho",
+        "src/sttt/board.py",
+        "live = live[::2]",
+        "live = live[:2]",
         ("tests/test_board.py",),
     ),
     Mutant(
@@ -172,13 +186,6 @@ MUTANTS = (
         "src/sttt/board.py",
         "least = min(prefixes)",
         "least = max(prefixes)",
-        ("tests/test_board.py",),
-    ),
-    Mutant(
-        "canonical-tests-sigma-rho-for-sigma",
-        "src/sttt/board.py",
-        "if _fixes(table[2], blocks):",
-        "if _fixes(table[3], blocks):",
         ("tests/test_board.py",),
     ),
     Mutant(
@@ -271,6 +278,13 @@ MUTANTS = (
         "if args.n != 2 and not args.reference:",
         "if False:",
         ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "listing-width-from-unchecked-n",
+        "src/sttt/census.py",
+        "want = spiral_numbering(n).n_sq ** 2",
+        "want = n * n * n * n",
+        ("tests/test_census.py",),
     ),
     Mutant(
         "jsonl-classes-may-overlap",
