@@ -46,7 +46,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from functools import lru_cache
-from operator import index, itemgetter
+from operator import itemgetter
 from struct import Struct
 from typing import Callable, Iterable, Iterator, Sequence
 
@@ -114,33 +114,12 @@ def to_bitstring(board: Board) -> str:
     return board.bits
 
 
-def fields_to_bitstring(field_bits: Sequence[int], n: int) -> str:
-    """The bitstring of the board whose field i (spiral label) holds an X at
-    position p exactly when bit p-1 of ``field_bits[i-1]`` is set.
-
-    Raises InvalidSizeError for an invalid side length, and ValueError
-    unless there are n^2 bitmasks, each an int in 0 .. 2^(n^2) - 1.
-    """
-    sq = spiral_numbering(n)
-    n_sq, read = sq.n_sq, sq.reading
-    chars = ["0"] * (n_sq * n_sq)
-    try:  # zip raises ValueError for a wrong count, index TypeError for a float or str
-        for read_field, bits in zip(read, map(index, field_bits), strict=True):
-            if bits < 0 or bits >> n_sq:
-                raise ValueError
-            offset = read_field * n_sq
-            while bits:
-                low = bits & -bits
-                chars[offset + read[low.bit_length() - 1]] = "1"
-                bits ^= low
-    except (TypeError, ValueError):
-        raise ValueError(f"need {n_sq} field bitmasks of {n_sq} bits for n={n}")
-    return "".join(chars)
-
-
 def _check_bitstring(bits: str, n: int) -> None:
-    """Raise for an invalid side length, then for a wrong length or a non-0/1."""
+    """Raise for an invalid side length, then for a non-str, then for a
+    wrong length or a non-0/1."""
     n_sq = spiral_numbering(n).n_sq
+    if not isinstance(bits, str):
+        raise TypeError(f"bitstring must be a str, not {type(bits).__name__}")
     if len(bits) != n_sq * n_sq:
         raise BitstringError(
             f"need {n_sq * n_sq} characters for n={n}, got {len(bits)}"

@@ -21,7 +21,7 @@ import re
 from dataclasses import asdict, dataclass
 from importlib import resources
 
-from .board import fields_to_bitstring, image_bitstrings
+from .board import image_bitstrings
 from .dihedral import group_elements
 from .game import GameState, apply_move, legal_moves
 from .spiral import spiral_numbering
@@ -66,7 +66,7 @@ def enumerate_winning_boards(n: int = 2, *, jobs: int = 1) -> frozenset[str]:
         raise ValueError(f"the census search is serial; jobs must be 1, got {jobs}")
     if n > 2:
         raise ValueError(f"the exhaustive census runs for n <= 2 only, got n={n}")
-    found = set()  # the field bitmasks of each winning board
+    found = {}  # one terminal state per winning board's field bitmasks
     seen = set()
     stack = [GameState.initial(n)]
     while stack:
@@ -78,10 +78,10 @@ def enumerate_winning_boards(n: int = 2, *, jobs: int = 1) -> frozenset[str]:
         for move in legal_moves(state):
             nxt = apply_move(state, move)
             if nxt.terminal:
-                found.add(nxt.field_bits)
+                found.setdefault(nxt.field_bits, nxt)
             else:
                 stack.append(nxt)
-    return frozenset(fields_to_bitstring(bits, n) for bits in found)
+    return frozenset(state.board.bits for state in found.values())
 
 
 def partition_classes(boards, n: int) -> list[IsoClass]:
@@ -133,9 +133,14 @@ _COUNT_RE = re.compile(
 )
 
 
-def _claim(members, line: int, owner: dict[str, int]) -> None:
-    """Record the members as in the class on this line, each board in one class."""
+def _claim(members, want: int, line: int, owner: dict[str, int]) -> None:
+    """Record the members as in the class on this line: each must have
+    ``want`` characters, and each board is in one class."""
     for m in members:
+        if len(m) != want:
+            raise ListingParseError(
+                f"bitstring {m!r} has length {len(m)}, expected {want}", line
+            )
         if m in owner:
             raise ListingParseError(
                 f"board {m} is already in the class on line {owner[m]}", line
@@ -163,12 +168,7 @@ def parse_census_text(text: str, n: int = 2) -> list[IsoClass]:
         for part in parts:
             if not _is_bitstring(part):
                 raise ListingParseError(f"malformed tuple entry {part!r}", line)
-            if len(part) != want:
-                raise ListingParseError(
-                    f"bitstring {part!r} has length {len(part)}, expected {want}",
-                    line,
-                )
-        _claim(parts, line, owner)
+        _claim(parts, want, line, owner)
         classes.append(IsoClass.from_members(parts))
     return classes
 
@@ -264,9 +264,12 @@ def classes_to_jsonl(classes) -> str:
     return "\n".join(lines) + ("\n" if lines else "")
 
 
-def classes_from_jsonl(text: str) -> list[IsoClass]:
-    """Read classes from JSONL; a malformed line, or a board already in a
-    class, raises ListingParseError."""
+def classes_from_jsonl(text: str, n: int = 2) -> list[IsoClass]:
+    """Read classes from JSONL.  A malformed line, a member of the wrong
+    length, or a board already in a class, raises ListingParseError with its
+    line number.  An invalid side length raises InvalidSizeError before the
+    text is read."""
+    want = spiral_numbering(n).n_sq ** 2
     classes, owner = [], {}
     for line, raw in enumerate(text.splitlines(), 1):
         if not raw.strip():
@@ -280,7 +283,7 @@ def classes_from_jsonl(text: str) -> list[IsoClass]:
             raise ListingParseError(
                 "not an object with a non-empty members list of 0/1 strings", line
             )
-        _claim(members, line, owner)
+        _claim(members, want, line, owner)
         classes.append(IsoClass.from_members(members))
     return classes
 

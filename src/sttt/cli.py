@@ -262,7 +262,7 @@ def _cmd_game(args) -> int:
 
 def _cmd_census(args) -> int:
     if args.mode == "diff":
-        n_sq = spiral_numbering(args.n).n_sq  # the size check, before any file is read
+        spiral_numbering(args.n)  # the size check, before any file is read
         if not args.computed:
             raise ValueError("census diff needs --computed <classes.jsonl>")
         if args.n != 2 and not args.reference:
@@ -270,11 +270,9 @@ def _cmd_census(args) -> int:
                 f"the bundled reference is the n = 2 census; census diff --n {args.n} "
                 "needs --reference <listing>"
             )
-        computed = census_mod.classes_from_jsonl(Path(args.computed).read_text("utf-8"))
-        want = n_sq * n_sq
-        bad = next((m for c in computed for m in c.members if len(m) != want), None)
-        if bad is not None:
-            raise ValueError(f"member {bad} has length {len(bad)}, expected n^4 = {want}")
+        computed = census_mod.classes_from_jsonl(
+            Path(args.computed).read_text("utf-8"), n=args.n
+        )
         if args.reference:
             ref_text = Path(args.reference).read_text("utf-8")
         else:

@@ -159,8 +159,12 @@ def verify_dihedral(n: int) -> DihedralReport:
     """Check the presentation sigma^m = rho^2 = (sigma rho)^2 = 1, the
     exactness of m, and the distinctness of the 2m realized permutations.
 
-    A failed relation signals an implementation bug, not bad input.
+    Checks n as spiral_numbering does (TypeError for a non-int, True
+    included; InvalidSizeError outside 1..56), then raises
+    InvalidSizeError for n = 1, whose action is trivial.  A failed relation
+    signals an implementation bug, not bad input.
     """
+    spiral_numbering(n)
     if n < 2:
         raise InvalidSizeError(
             f"verification needs n >= 2 (the n={n} action collapses to the trivial group)"

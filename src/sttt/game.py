@@ -25,7 +25,8 @@ cells.  One function, :func:`_advance`, steps a ``GameState`` by moves,
 checking each is a pair of integers; :func:`apply_move` and :func:`replay`
 are each one call to it, and every validity check replays from
 ``GameState.initial(n)``, one shared empty state per n.
-``GameState.field_cells``, ``marks`` and ``board`` are views of the bits.
+``GameState.field_cells``, ``marks`` and ``board`` are views of the bits;
+``board`` is the one decoder of the field bitmasks into a board bitstring.
 
 :func:`act_game` maps a game move by move, (i, j) -> (g(i), g(j)), and
 replays its input, but its image only when g does not map the grid lines
@@ -40,7 +41,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from .board import Board, fields_to_bitstring
+from .board import Board
 from .dihedral import GroupElement, group_elements
 from .spiral import spiral_numbering
 
@@ -150,7 +151,17 @@ class GameState:
 
     @property
     def board(self) -> Board:
-        return Board._of(self.n, fields_to_bitstring(self.field_bits, self.n))
+        """The board of the X cells: bit p-1 of ``field_bits[f-1]`` sets
+        the character at ``reading[f-1] * n^2 + reading[p-1]``, with
+        ``reading`` the numbering's spiral-to-reading map."""
+        read = spiral_numbering(self.n).reading
+        n_sq = len(read)
+        chars = ["0"] * (n_sq * n_sq)
+        for read_field, bits in zip(read, self.field_bits):
+            offset = read_field * n_sq
+            for pos in _labels(bits):
+                chars[offset + read[pos - 1]] = "1"
+        return Board._of(self.n, "".join(chars))
 
     def open_fields(self) -> tuple[int, ...]:
         unmarked = ~self.mark_bits & ((1 << self.n * self.n) - 1)

@@ -250,6 +250,17 @@ def test_readers_reject_a_board_in_two_classes(groups, line, owner):
         )
 
 
+def test_readers_reject_a_class_of_mixed_widths():
+    # a JSONL class of mixed widths used to be read, and only census diff
+    # checked its members' lengths
+    jsonl = json.dumps({"members": [ORDER2_A, "0101"]}) + "\n"
+    listing = f"({ORDER2_A}, 0101)\n"
+    for read, text in ((classes_from_jsonl, jsonl), (parse_census_text, listing)):
+        with pytest.raises(ListingParseError) as info:
+            read(text)
+        assert str(info.value) == "line 1: bitstring '0101' has length 4, expected 16"
+
+
 def test_listing_round_trip(classes):
     text = classes_to_listing_text(classes)
     assert parse_census_text(text) == classes

@@ -419,7 +419,7 @@ def test_census_diff_rejects_members_of_the_wrong_length(tmp_path, capsys, membe
     want = int(argv[1]) ** 4 if argv else 16
     assert code == 1
     assert out == ""
-    assert err == f"error: member {member} has length {len(member)}, expected n^4 = {want}\n"
+    assert err == f"error: line 1: bitstring '{member}' has length {len(member)}, expected {want}\n"
 
 
 @pytest.mark.parametrize("n", ("0", "-2"))

@@ -269,8 +269,13 @@ def test_verify_dihedral_report_contents():
 
 
 def test_verify_dihedral_rejects_trivial_size():
-    with pytest.raises(InvalidSizeError):
+    with pytest.raises(InvalidSizeError, match="collapses to the trivial group"):
         verify_dihedral(1)
+    # the side length's type is checked first, as every entry point does:
+    # True and 1.0 used to pass as n = 1
+    for n in (True, 1.0):
+        with pytest.raises(TypeError, match=f"not {type(n).__name__}$"):
+            verify_dihedral(n)
 
 
 # content grids after one action step on the 5x5 numbered square: the cell

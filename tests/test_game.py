@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from sttt.board import act_board, to_bitstring
+from sttt.board import Board, act_board, to_bitstring
 from sttt.dihedral import dihedral_order, group_element, group_elements
 from sttt.game import (
     GameState,
@@ -398,7 +398,7 @@ def _reference_error(n, position, made, move):
     return err.value
 
 
-@pytest.mark.parametrize("n, games", ((2, 40), (3, 20), (4, 8), (5, 3)))
+@pytest.mark.parametrize("n, games", ((1, 1), (2, 40), (3, 20), (4, 8), (5, 3), (6, 1)))
 def test_int_engine_matches_the_frozenset_reference(n, games):
     rng = random.Random(1000 + n)
     rules = set()
@@ -414,6 +414,7 @@ def test_int_engine_matches_the_frozenset_reference(n, games):
                 assert got.marks == marks
                 assert (got.dictated, got.loser) == (dictated, loser)
                 assert got.moves == tuple(moves)
+                assert got.board == Board(n, {(f, p) for f, ps in enumerate(cells, 1) for p in ps})
             assert final_board(moves, n) == replayed.board
             for rule, bad in _illegal_moves(n, *position).items():
                 want = _reference_error(n, position, len(moves), bad)
@@ -445,9 +446,12 @@ def test_int_engine_matches_the_frozenset_reference(n, games):
             position = _reference_step(n, *position, len(moves), move)
             state = apply_move(state, move)
             moves.append(move)
-    assert rules == {
-        "terminal game", "out of range", "closed field", "wrong field", "occupied cell"
-    }
+    if n == 1:  # the first move ends the game, so no field is ever closed or taken
+        assert rules == {"terminal game", "out of range"}
+    else:
+        assert rules == {
+            "terminal game", "out of range", "closed field", "wrong field", "occupied cell"
+        }
 
 
 def test_an_illegal_move_is_reported_before_a_later_malformed_one():

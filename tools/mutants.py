@@ -50,10 +50,10 @@ MUTANTS = (
     ),
     Mutant(
         "fields-one-position-late",
-        "src/sttt/board.py",
-        'chars[offset + read[low.bit_length() - 1]] = "1"',
-        'chars[offset + read[low.bit_length() % n_sq]] = "1"',
-        ("tests/test_board.py",),
+        "src/sttt/game.py",
+        'chars[offset + read[pos - 1]] = "1"',
+        'chars[offset + read[pos % n_sq]] = "1"',
+        ("tests/test_game.py",),
     ),
     Mutant(
         "xs-without-label-map",
@@ -101,6 +101,13 @@ MUTANTS = (
         "act-table-bound-unchecked",
         "src/sttt/board.py",
         "if 2 * dihedral_order(n) * n * n > ACT_TABLE_BOUND:",
+        "if False:",
+        ("tests/test_board.py",),
+    ),
+    Mutant(
+        "bitstring-type-unchecked",
+        "src/sttt/board.py",
+        "if not isinstance(bits, str):",
         "if False:",
         ("tests/test_board.py",),
     ),
@@ -231,6 +238,13 @@ MUTANTS = (
         ("tests/test_game.py",),
     ),
     Mutant(
+        "verify-size-after-trivial-test",
+        "src/sttt/dihedral.py",
+        "    spiral_numbering(n)\n    if n < 2:\n",
+        "    if n < 2:\n",
+        ("tests/test_dihedral.py",),
+    ),
+    Mutant(
         "ring-sizes-unchecked",
         "src/sttt/dihedral.py",
         "    spiral_numbering(n)\n    count = (n + 1) // 2\n",
@@ -282,14 +296,21 @@ MUTANTS = (
     Mutant(
         "listing-width-from-unchecked-n",
         "src/sttt/census.py",
-        "want = spiral_numbering(n).n_sq ** 2",
-        "want = n * n * n * n",
+        "want = spiral_numbering(n).n_sq ** 2\n    classes, owner = [], {}\n    for m in",
+        "want = n * n * n * n\n    classes, owner = [], {}\n    for m in",
+        ("tests/test_census.py",),
+    ),
+    Mutant(
+        "member-width-unchecked",
+        "src/sttt/census.py",
+        "if len(m) != want:",
+        "if False:",
         ("tests/test_census.py",),
     ),
     Mutant(
         "jsonl-classes-may-overlap",
         "src/sttt/census.py",
-        "        _claim(members, line, owner)\n",
+        "        _claim(members, want, line, owner)\n",
         "",
         ("tests/test_census.py",),
     ),
