@@ -117,6 +117,23 @@ def test_initial_state_is_shared():
         GameState.initial(3.0)
 
 
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
+def test_board_decodes_any_field_bitmasks(n):
+    # the decode alone, on X sets no game reaches: the empty board, the
+    # full board and 20 seeded random boards, each as per-field bitmasks
+    n_sq = n * n
+    cells = [(f, p) for f in range(1, n_sq + 1) for p in range(1, n_sq + 1)]
+    rng = random.Random(100 + n)
+    samples = [set(), set(cells)]
+    samples += [rng.sample(cells, rng.randint(0, len(cells))) for _ in range(20)]
+    for xs in samples:
+        field_bits = [0] * n_sq
+        for field, pos in xs:
+            field_bits[field - 1] |= 1 << (pos - 1)
+        state = GameState(n, (), tuple(field_bits), 0, None)
+        assert to_bitstring(state.board) == to_bitstring(Board(n, xs))
+
+
 @pytest.mark.parametrize("n", (0, 57))
 def test_is_valid_game_raises_on_a_bad_size(n):
     # a bad size is not a fault of the moves: raised, not reported
