@@ -27,6 +27,12 @@ act_board looks its element's kernel up in that table while the group
 holds at most ACT_TABLE_BOUND labels (n = 1..7); above it, it builds its
 one element's kernel on each call, so it never needs the group.
 
+The same two passes put a label-order bitstring, whose character
+(f-1) n^2 + (p-1) is cell (f, p), into reading order: that is the
+permutation src[K] = labels[K] - 1, and its kernel is _relabel(n), cached
+per n.  The rules engine spells its field bitmasks in label order and
+hands them over, so this module alone writes the reading layout.
+
 canonical_form does not build every image.  One gather first takes the
 first n characters of every image, and only the elements whose n are the
 smallest stay.  While several do, it compares their images one field block
@@ -177,7 +183,8 @@ def _element(n: int, image: Sequence[int]) -> _Element:
 
 
 def _image(kernel: Callable[[str], Sequence[str]], bits: str) -> str:
-    """The image bitstring of a board under the element with this kernel.
+    """The image bitstring of a board under the element with this kernel,
+    or, with _relabel's kernel, a label-order bitstring in reading order.
 
     With the field/position matrix ``M[i][j] = bits[i n^2 + j]``, the
     first pass's piece k is column src[k], so the joined string holds
@@ -187,6 +194,15 @@ def _image(kernel: Callable[[str], Sequence[str]], bits: str) -> str:
     """
     join = "".join
     return join(kernel(join(kernel(bits))))
+
+
+@lru_cache(maxsize=None)
+def _relabel(n: int) -> Callable[[str], Sequence[str]]:
+    """The kernel with which _image puts a label-order bitstring in reading
+    order: the slices of the columns ``labels[k] - 1``, k = 0 .. n^2 - 1,
+    so reading block K is label-order block ``labels[K] - 1``."""
+    slices = _slices(n)
+    return itemgetter(*[slices[x - 1] for x in spiral_numbering(n).labels])
 
 
 @lru_cache(maxsize=None)

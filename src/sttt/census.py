@@ -159,12 +159,14 @@ def parse_census_text(text: str, n: int = 2) -> list[IsoClass]:
     """
     want = spiral_numbering(n).n_sq ** 2
     classes, owner = [], {}
+    line, counted = 1, 0  # text[counted] is on this line
     for m in _TUPLE_RE.finditer(text):
         body = m.group(1).strip()
         if not body:
             continue
         parts = [p.strip() for p in re.split(r"\s*,\s*", body)]
-        line = text.count("\n", 0, m.start()) + 1
+        line += text.count("\n", counted, m.start())
+        counted = m.start()
         for part in parts:
             if not _is_bitstring(part):
                 raise ListingParseError(f"malformed tuple entry {part!r}", line)

@@ -1,7 +1,8 @@
 """Seeded randomized self-checks of the core invariants.
 
-Each suite draws a fixed number of cases from its own deterministic RNG and
-reports how many failed, keeping the first counterexample for diagnosis.
+Each suite checks one case drawn from its own deterministic RNG.
+run_suite draws a fixed number of cases and reports how many failed and how
+many were skipped, keeping the first counterexample for diagnosis.
 The game suites draw random legal playouts on 2x2 and 3x3 boards; the board
 suites draw random boards up to 5x5.
 """
@@ -40,11 +41,6 @@ class SuiteResult:
     def ok(self) -> bool:
         return self.failures == 0
 
-    def record(self, detail: str) -> None:
-        self.failures += 1
-        if self.first_failure is None:
-            self.first_failure = detail
-
     def as_dict(self) -> dict:
         return {**asdict(self), "ok": self.ok}
 
@@ -67,73 +63,71 @@ def random_valid_game(rng: random.Random, n: int) -> tuple:
     return state.moves
 
 
-def _suite_board_action_law(result: SuiteResult, rng: random.Random) -> None:
-    for _ in range(result.cases):
-        b = random_board(rng)
-        g = rng.choice(group_elements(b.n))
-        h = rng.choice(group_elements(b.n))
-        if act_board(act_board(b, h), g) != act_board(b, g * h):
-            result.record(f"n={b.n} g=({g.a},{g.b}) h=({h.a},{h.b}) xs={sorted(b.xs)}")
+# what a suite returns for a case it skips; a case that passes returns None
+# and one that fails returns its failure text
+_SKIPPED = object()
 
 
-def _suite_x_count(result: SuiteResult, rng: random.Random) -> None:
-    for _ in range(result.cases):
-        b = random_board(rng)
-        g = rng.choice(group_elements(b.n))
-        if act_board(b, g).x_count != b.x_count:
-            result.record(f"n={b.n} g=({g.a},{g.b}) xs={sorted(b.xs)}")
+def _suite_board_action_law(rng: random.Random) -> str | None:
+    b = random_board(rng)
+    g = rng.choice(group_elements(b.n))
+    h = rng.choice(group_elements(b.n))
+    if act_board(act_board(b, h), g) != act_board(b, g * h):
+        return f"n={b.n} g=({g.a},{g.b}) h=({h.a},{h.b}) xs={sorted(b.xs)}"
 
 
-def _suite_canonical_constancy(result: SuiteResult, rng: random.Random) -> None:
-    for _ in range(result.cases):
-        b = random_board(rng, sizes=(2, 3))
-        g = rng.choice(group_elements(b.n))
-        if canonical_form(act_board(b, g)) != canonical_form(b):
-            result.record(f"n={b.n} g=({g.a},{g.b}) xs={sorted(b.xs)}")
+def _suite_x_count(rng: random.Random) -> str | None:
+    b = random_board(rng)
+    g = rng.choice(group_elements(b.n))
+    if act_board(b, g).x_count != b.x_count:
+        return f"n={b.n} g=({g.a},{g.b}) xs={sorted(b.xs)}"
 
 
-def _suite_round_trip(result: SuiteResult, rng: random.Random) -> None:
-    for _ in range(result.cases):
-        n = rng.choice((2, 3, 4, 5))
-        if rng.random() < 0.5:
-            bits = "".join(rng.choice("01") for _ in range(n**4))
-            if to_bitstring(from_bitstring(bits, n)) != bits:
-                result.record(f"n={n} bits={bits}")
-        else:
-            b = random_board(rng, sizes=(n,))
-            if from_bitstring(to_bitstring(b), n) != b:
-                result.record(f"n={n} xs={sorted(b.xs)}")
+def _suite_canonical_constancy(rng: random.Random) -> str | None:
+    b = random_board(rng, sizes=(2, 3))
+    g = rng.choice(group_elements(b.n))
+    if canonical_form(act_board(b, g)) != canonical_form(b):
+        return f"n={b.n} g=({g.a},{g.b}) xs={sorted(b.xs)}"
 
 
-def _suite_game_action_validity(result: SuiteResult, rng: random.Random) -> None:
-    for _ in range(result.cases):
-        n = rng.choice((2, 3))
-        moves = random_valid_game(rng, n)
-        g = rng.choice(group_elements(n))
-        try:
-            act_game(moves, g)
-        except InvalidGameError as err:
-            result.record(f"n={n} g=({g.a},{g.b}) {err}")
+def _suite_round_trip(rng: random.Random) -> str | None:
+    n = rng.choice((2, 3, 4, 5))
+    if rng.random() < 0.5:
+        bits = "".join(rng.choice("01") for _ in range(n**4))
+        if to_bitstring(from_bitstring(bits, n)) != bits:
+            return f"n={n} bits={bits}"
+    else:
+        b = random_board(rng, sizes=(n,))
+        if from_bitstring(to_bitstring(b), n) != b:
+            return f"n={n} xs={sorted(b.xs)}"
 
 
-def _suite_commutation(result: SuiteResult, rng: random.Random) -> None:
+def _suite_game_action_validity(rng: random.Random) -> str | None:
+    n = rng.choice((2, 3))
+    moves = random_valid_game(rng, n)
+    g = rng.choice(group_elements(n))
+    try:
+        act_game(moves, g)
+    except InvalidGameError as err:
+        return f"n={n} g=({g.a},{g.b}) {err}"
+
+
+def _suite_commutation(rng: random.Random) -> str | object | None:
     """final_board of the acted game equals the acted final board.
 
     Both game suites take their images from act_game.  Games whose image
     does not replay legally are counted as skipped here; the
     game-action-validity suite owns those findings.
     """
-    for _ in range(result.cases):
-        n = rng.choice((2, 3))
-        moves = random_valid_game(rng, n)
-        g = rng.choice(group_elements(n))
-        try:
-            mapped = act_game(moves, g)
-        except InvalidGameError:
-            result.skipped += 1
-            continue
-        if final_board(mapped, n) != act_board(final_board(moves, n), g):
-            result.record(f"n={n} g=({g.a},{g.b}) game={[tuple(m) for m in moves]}")
+    n = rng.choice((2, 3))
+    moves = random_valid_game(rng, n)
+    g = rng.choice(group_elements(n))
+    try:
+        mapped = act_game(moves, g)
+    except InvalidGameError:
+        return _SKIPPED
+    if final_board(mapped, n) != act_board(final_board(moves, n), g):
+        return f"n={n} g=({g.a},{g.b}) game={[tuple(m) for m in moves]}"
 
 
 _SUITES = {
@@ -156,5 +150,11 @@ def run_suite(name: str, cases: int = 10_000, seed: int = 0) -> SuiteResult:
     # each suite gets an independent deterministic stream
     rng = random.Random(seed * len(SUITE_NAMES) + SUITE_NAMES.index(name))
     result = SuiteResult(name=name, cases=cases, failures=0)
-    _SUITES[name](result, rng)
+    for _ in range(cases):
+        outcome = _SUITES[name](rng)
+        if outcome is _SKIPPED:
+            result.skipped += 1
+        elif outcome is not None:
+            result.failures += 1
+            result.first_failure = result.first_failure or outcome
     return result

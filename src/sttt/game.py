@@ -26,7 +26,8 @@ checking each is a pair of integers; :func:`apply_move` and :func:`replay`
 are each one call to it, and every validity check replays from
 ``GameState.initial(n)``, one shared empty state per n.
 ``GameState.field_cells``, ``marks`` and ``board`` are views of the bits;
-``board`` is the one decoder of the field bitmasks into a board bitstring.
+``board`` is the one decoder of the field bitmasks: it spells them in label
+order, and board.py, which alone knows the reading layout, reorders them.
 
 :func:`act_game` maps a game move by move, (i, j) -> (g(i), g(j)), and
 replays its input, but its image only when g does not map the grid lines
@@ -41,7 +42,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable, Iterator, NamedTuple
 
-from .board import Board
+from .board import Board, _image, _relabel
 from .dihedral import GroupElement, group_elements
 from .spiral import spiral_numbering
 
@@ -151,17 +152,13 @@ class GameState:
 
     @property
     def board(self) -> Board:
-        """The board of the X cells: bit p-1 of ``field_bits[f-1]`` sets
-        the character at ``reading[f-1] * n^2 + reading[p-1]``, with
-        ``reading`` the numbering's spiral-to-reading map."""
-        read = spiral_numbering(self.n).reading
-        n_sq = len(read)
-        chars = ["0"] * (n_sq * n_sq)
-        for read_field, bits in zip(read, self.field_bits):
-            offset = read_field * n_sq
-            for pos in _labels(bits):
-                chars[offset + read[pos - 1]] = "1"
-        return Board._of(self.n, "".join(chars))
+        """The board of the X cells.  Each bitmask ``field_bits[f-1]`` is
+        spelt lowest bit first, so the joined spellings hold cell (f, p) at
+        character (f-1) n^2 + (p-1): label order, which board.py's _relabel
+        kernel puts in reading order."""
+        spell = f"0{self.n ** 2}b"
+        labelled = "".join([format(bits, spell)[::-1] for bits in self.field_bits])
+        return Board._of(self.n, _image(_relabel(self.n), labelled))
 
     def open_fields(self) -> tuple[int, ...]:
         unmarked = ~self.mark_bits & ((1 << self.n * self.n) - 1)
@@ -322,7 +319,7 @@ def _keeps_lines(n: int, image: tuple[int, ...]) -> bool:
     return {frozenset([image[x - 1] for x in line]) for line in lines} == set(lines)
 
 
-def _image(moves: tuple[Move, ...], elem: GroupElement) -> tuple[Move, ...]:
+def _game_image(moves: tuple[Move, ...], elem: GroupElement) -> tuple[Move, ...]:
     """The image under ``elem`` of ``moves``, a game that replayed legally.
 
     The image is replayed only when ``elem`` does not map the grid lines
@@ -352,7 +349,7 @@ def act_game(
     does not map the grid's lines onto lines: a g that does maps a legal
     game to a legal one, while the others can break it for n >= 3.
     """
-    return _image(_checked(moves, elem.n), elem)
+    return _game_image(_checked(moves, elem.n), elem)
 
 
 def game_orbit(
@@ -363,4 +360,4 @@ def game_orbit(
     Raises InvalidGameError as :func:`act_game` does.
     """
     moves = _checked(moves, n)
-    return frozenset(_image(moves, elem) for elem in group_elements(n))
+    return frozenset(_game_image(moves, elem) for elem in group_elements(n))

@@ -117,10 +117,12 @@ def test_initial_state_is_shared():
         GameState.initial(3.0)
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6))
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7, 8, 9, 13))
 def test_board_decodes_any_field_bitmasks(n):
     # the decode alone, on X sets no game reaches: the empty board, the
-    # full board and 20 seeded random boards, each as per-field bitmasks
+    # full board and 20 seeded random boards, each as per-field bitmasks;
+    # its relabel kernel has no group bound, so n goes past n = 7, the
+    # largest n whose group act_board tabulates
     n_sq = n * n
     cells = [(f, p) for f in range(1, n_sq + 1) for p in range(1, n_sq + 1)]
     rng = random.Random(100 + n)

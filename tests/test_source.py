@@ -30,6 +30,19 @@ def test_only_spiral_maps_cells_to_labels():
     assert not found, found
 
 
+def test_only_spiral_and_board_read_the_reading_map():
+    # board.py alone writes the reading layout: the rules engine hands it
+    # label order, so no other module reads a ``reading`` table
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(SRC.glob("*.py"))
+        if path.name not in ("spiral.py", "board.py")
+        for node in ast.walk(ast.parse(path.read_text("utf-8")))
+        if isinstance(node, ast.Attribute) and node.attr == "reading"
+    ]
+    assert not found, found
+
+
 def _calls(node, name: str) -> bool:
     func = getattr(node, "func", None)
     return getattr(func, "id", getattr(func, "attr", None)) == name

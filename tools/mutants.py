@@ -51,8 +51,15 @@ MUTANTS = (
     Mutant(
         "fields-one-position-late",
         "src/sttt/game.py",
-        'chars[offset + read[pos - 1]] = "1"',
-        'chars[offset + read[pos % n_sq]] = "1"',
+        "format(bits, spell)[::-1]",
+        "format(bits, spell)",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "relabel-from-reading-indices",
+        "src/sttt/board.py",
+        "for x in spiral_numbering(n).labels])",
+        "for x in spiral_numbering(n).reading])",
         ("tests/test_game.py",),
     ),
     Mutant(
@@ -296,8 +303,8 @@ MUTANTS = (
     Mutant(
         "listing-width-from-unchecked-n",
         "src/sttt/census.py",
-        "want = spiral_numbering(n).n_sq ** 2\n    classes, owner = [], {}\n    for m in",
-        "want = n * n * n * n\n    classes, owner = [], {}\n    for m in",
+        "want = spiral_numbering(n).n_sq ** 2\n    classes, owner = [], {}\n    line, counted",
+        "want = n * n * n * n\n    classes, owner = [], {}\n    line, counted",
         ("tests/test_census.py",),
     ),
     Mutant(
@@ -313,6 +320,13 @@ MUTANTS = (
         "        _claim(members, want, line, owner)\n",
         "",
         ("tests/test_census.py",),
+    ),
+    Mutant(
+        "skip-counted-as-failure",
+        "src/sttt/checks.py",
+        "result.skipped += 1",
+        "result.failures += 1",
+        ("tests/test_checks.py",),
     ),
 )
 
