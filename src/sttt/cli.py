@@ -1,9 +1,13 @@
 """Command line front end.
 
 Every subcommand produces deterministic output: identical inputs give byte
-identical text or JSON across runs.  Exit codes: 0 success, 1 domain error
-(bad sizes, bitstrings, illegal moves), 2 failed verification (relation
-check, census mismatch, fuzz failure), 64 usage.
+identical text or JSON across runs.  One emitter, ``_emit``, writes every
+result: the command's payload as sorted, indented JSON under ``--format
+json``, else its text lines.  Only ``census`` without ``diff`` writes its own
+output, the data to stdout or ``--out`` and the summary to stderr or stdout.
+Exit codes: 0 success, 1 domain error (bad sizes, bitstrings, illegal
+moves), 2 failed verification (relation check, census mismatch, fuzz
+failure), 64 usage.
 """
 
 from __future__ import annotations
@@ -35,8 +39,12 @@ class _Parser(argparse.ArgumentParser):
         self.exit(EX_USAGE, f"{self.prog}: error: {message}\n")
 
 
-def _json_dump(payload) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
+def _emit(args, payload: dict, lines) -> None:
+    """Write a command's result: its payload under --format json, else its text lines."""
+    if args.format == "json":
+        sys.stdout.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
+    else:
+        sys.stdout.write("".join(f"{line}\n" for line in lines))
 
 
 def _parse_element_arg(text: str, n: int):
@@ -64,10 +72,6 @@ def _parse_moves_arg(text: str) -> tuple[Move, ...]:
     return tuple(moves)
 
 
-def _format_moves(moves) -> str:
-    return ",".join(f"{m[0]}:{m[1]}" for m in moves)
-
-
 def _out_path(raw: str) -> Path:
     path = Path(raw)
     base = os.environ.get("STTT_OUTPUT_DIR")
@@ -78,18 +82,14 @@ def _out_path(raw: str) -> Path:
 
 def _cmd_square(args) -> int:
     sq = spiral_numbering(args.n)
-    if args.format == "json":
-        payload = {
-            "command": "square",
-            "n": sq.n,
-            "labels": list(sq.labels),
-            "layers": [list(sq.level_set(k)) for k in range(1, sq.layer_count + 1)],
-        }
-        sys.stdout.write(_json_dump(payload))
-    else:
-        width = len(str(sq.n_sq))
-        for row in sq.rows:
-            print(" ".join(str(label).rjust(width) for label in row))
+    payload = {
+        "command": "square",
+        "n": sq.n,
+        "labels": list(sq.labels),
+        "layers": [list(sq.level_set(k)) for k in range(1, sq.layer_count + 1)],
+    }
+    width = len(str(sq.n_sq))
+    _emit(args, payload, (" ".join(str(label).rjust(width) for label in row) for row in sq.rows))
     return EX_OK
 
 
@@ -102,37 +102,33 @@ def _cmd_group(args) -> int:
     sigma, rho = group_element(n, 1, 0).perm, group_element(n, 0, 1).perm
     m = dihedral_order(n)
     trivial = n == 1
-    report = None
-    if args.verify and not trivial:
-        report = verify_dihedral(n)
-    if args.format == "json":
-        payload = {
-            "command": "group",
-            "n": n,
-            "m": m,
-            "group_order": 2 * m,
-            "trivial": trivial,
-            "sigma": _perm_payload(sigma),
-            "rho": _perm_payload(rho),
-            "verification": report.as_dict() if report else None,
-        }
-        sys.stdout.write(_json_dump(payload))
-    else:
-        print(f"n = {n}")
-        print(f"m = {m}")
-        print(f"group order = {2 * m}")
-        print(f"sigma = {sigma.cycle_string()}")
-        print(f"rho = {rho.cycle_string()}")
-        if trivial:
-            print("note: sigma and rho are both the identity; the action on a")
-            print("      1x1 board collapses to the trivial group")
-            if args.verify:
-                print("verification skipped for the trivial action")
-        if report is not None:
-            print(str(report))
-    if report is not None and not report.ok:
-        return EX_VERIFY
-    return EX_OK
+    report = verify_dihedral(n) if args.verify and not trivial else None
+    payload = {
+        "command": "group",
+        "n": n,
+        "m": m,
+        "group_order": 2 * m,
+        "trivial": trivial,
+        "sigma": _perm_payload(sigma),
+        "rho": _perm_payload(rho),
+        "verification": report.as_dict() if report else None,
+    }
+    lines = [
+        f"n = {n}",
+        f"m = {m}",
+        f"group order = {2 * m}",
+        f"sigma = {sigma.cycle_string()}",
+        f"rho = {rho.cycle_string()}",
+    ]
+    if trivial:
+        lines.append("note: sigma and rho are both the identity; the action on a")
+        lines.append("      1x1 board collapses to the trivial group")
+        if args.verify:
+            lines.append("verification skipped for the trivial action")
+    if report is not None:
+        lines.append(str(report))
+    _emit(args, payload, lines)
+    return EX_VERIFY if report is not None and not report.ok else EX_OK
 
 
 def _infer_n(bits: str, n: int | None) -> int:
@@ -149,17 +145,14 @@ def _cmd_board(args) -> int:
         board = from_bitstring(args.bits, args.n)
         elem = _parse_element_arg(args.element, args.n)
         result = to_bitstring(act_board(board, elem))
-        if args.format == "json":
-            payload = {
-                "command": "board-act",
-                "n": args.n,
-                "element": {"a": elem.a, "b": elem.b},
-                "input": args.bits,
-                "result": result,
-            }
-            sys.stdout.write(_json_dump(payload))
-        else:
-            print(result)
+        payload = {
+            "command": "board-act",
+            "n": args.n,
+            "element": {"a": elem.a, "b": elem.b},
+            "input": args.bits,
+            "result": result,
+        }
+        _emit(args, payload, [result])
         return EX_OK
     n = _infer_n(args.bits, args.n)
     orbit = sorted(set(image_bitstrings(args.bits, n)))
@@ -171,12 +164,7 @@ def _cmd_board(args) -> int:
         "size": len(orbit),
         "canonical": orbit[0],
     }
-    if args.format == "json":
-        sys.stdout.write(_json_dump(payload))
-    else:
-        print(f"orbit size {len(orbit)}, canonical {payload['canonical']}")
-        for bits in orbit:
-            print(bits)
+    _emit(args, payload, [f"orbit size {len(orbit)}, canonical {orbit[0]}", *orbit])
     return EX_OK
 
 
@@ -209,54 +197,50 @@ def _cmd_game(args) -> int:
     if args.game_cmd == "act":
         elem = _parse_element_arg(args.element, args.n)
         result = act_game(moves, elem)
-        if args.format == "json":
-            payload = {
-                "command": "game-act",
-                "n": args.n,
-                "element": {"a": elem.a, "b": elem.b},
-                "moves": [m._asdict() for m in moves],
-                "result": [m._asdict() for m in result],
-            }
-            sys.stdout.write(_json_dump(payload))
-        else:
-            print(_format_moves(result))
+        payload = {
+            "command": "game-act",
+            "n": args.n,
+            "element": {"a": elem.a, "b": elem.b},
+            "moves": [m._asdict() for m in moves],
+            "result": [m._asdict() for m in result],
+        }
+        _emit(args, payload, [",".join(f"{f}:{p}" for f, p in result)])
         return EX_OK
 
     state, steps, violation = _replay_steps(moves, args.n)
     final_bits = to_bitstring(state.board)
-    if args.format == "json":
-        payload = {
-            "command": "game-replay",
-            "n": args.n,
-            "moves": [m._asdict() for m in moves],
-            "steps": steps,
-            "valid": violation is None,
-            "violation": violation,
-            "terminal": state.terminal,
-            "loser": state.loser,
-            "final_bits": final_bits,
-        }
-        sys.stdout.write(_json_dump(payload))
+    payload = {
+        "command": "game-replay",
+        "n": args.n,
+        "moves": [m._asdict() for m in moves],
+        "steps": steps,
+        "valid": violation is None,
+        "violation": violation,
+        "terminal": state.terminal,
+        "loser": state.loser,
+        "final_bits": final_bits,
+    }
+    lines = []
+    for step in steps:
+        mv = step["move"]
+        notes = []
+        if step["mark_placed"]:
+            notes.append(f"field {mv['field']} {step['field_status']}, board mark placed")
+        if step["terminal"]:
+            notes.append("terminal")
+        suffix = "   " + "; ".join(notes) if notes else ""
+        lines.append(f"move {step['index']}: field {mv['field']} pos {mv['pos']}{suffix}")
+    if violation is not None:
+        lines.append(
+            f"invalid at move {violation['index']}: {violation['message']} "
+            f"({violation['rule']})"
+        )
+    elif state.terminal:
+        lines.append(f"terminal: player {state.loser} completed a board line and loses")
     else:
-        for step in steps:
-            mv = step["move"]
-            notes = []
-            if step["mark_placed"]:
-                notes.append(f"field {mv['field']} {step['field_status']}, board mark placed")
-            if step["terminal"]:
-                notes.append("terminal")
-            suffix = "   " + "; ".join(notes) if notes else ""
-            print(f"move {step['index']}: field {mv['field']} pos {mv['pos']}{suffix}")
-        if violation is not None:
-            print(
-                f"invalid at move {violation['index']}: {violation['message']} "
-                f"({violation['rule']})"
-            )
-        elif state.terminal:
-            print(f"terminal: player {state.loser} completed a board line and loses")
-        else:
-            print("game in progress")
-        print(f"final: {final_bits}")
+        lines.append("game in progress")
+    lines.append(f"final: {final_bits}")
+    _emit(args, payload, lines)
     return EX_DOMAIN if violation is not None else EX_OK
 
 
@@ -280,13 +264,11 @@ def _cmd_census(args) -> int:
         reference = census_mod.parse_census_text(ref_text, n=args.n)
         declared = census_mod.declared_class_counts(ref_text)
         diff = census_mod.diff_census(computed, reference, declared)
-        if args.format == "json":
-            payload = {"command": "census-diff", **diff.as_dict()}
-            sys.stdout.write(_json_dump(payload))
-        else:
-            print(diff.summary())
+        _emit(args, {"command": "census-diff", **diff.as_dict()}, [diff.summary()])
         return EX_OK if diff.match else EX_VERIFY
 
+    # the census itself has its own writer: the data goes to stdout or --out,
+    # and the summary to stderr or stdout
     boards = census_mod.enumerate_winning_boards(args.n)
     classes = census_mod.partition_classes(boards, args.n)
     hist = census_mod.size_histogram(classes)
@@ -323,22 +305,21 @@ def _cmd_fuzz(args) -> int:
     names = args.suite or SUITE_NAMES
     results = [run_suite(s, cases=args.cases, seed=args.seed) for s in names]
     ok = all(r.ok for r in results)
-    if args.format == "json":
-        payload = {
-            "command": "fuzz",
-            "seed": args.seed,
-            "cases": args.cases,
-            "ok": ok,
-            "suites": [r.as_dict() for r in results],
-        }
-        sys.stdout.write(_json_dump(payload))
-    else:
-        for r in results:
-            status = "pass" if r.ok else "FAIL"
-            extra = f", skipped {r.skipped}" if r.skipped else ""
-            print(f"{status}  {r.name}: {r.cases} cases, {r.failures} failures{extra}")
-            if r.first_failure:
-                print(f"      first failure: {r.first_failure}")
+    payload = {
+        "command": "fuzz",
+        "seed": args.seed,
+        "cases": args.cases,
+        "ok": ok,
+        "suites": [r.as_dict() for r in results],
+    }
+    lines = []
+    for r in results:
+        status = "pass" if r.ok else "FAIL"
+        extra = f", skipped {r.skipped}" if r.skipped else ""
+        lines.append(f"{status}  {r.name}: {r.cases} cases, {r.failures} failures{extra}")
+        if r.first_failure:
+            lines.append(f"      first failure: {r.first_failure}")
+    _emit(args, payload, lines)
     return EX_OK if ok else EX_VERIFY
 
 

@@ -258,7 +258,7 @@ def test_table_has_one_kernel_per_element(n):
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7, 8, 9))
 def test_kernel_table_exists_exactly_for_n_up_to_7(n):
-    # act_board's table of cell gathers, each element's kernel keyed by its
+    # act_board's table of slice kernels, each element's kernel keyed by its
     # permutation, is held for n = 1..7 and is empty above ACT_TABLE_BOUND
     table = _gathers(n)
     m2 = 2 * dihedral_order(n)

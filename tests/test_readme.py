@@ -4,6 +4,7 @@ import re
 import shlex
 from pathlib import Path
 
+import sttt
 from sttt.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -32,6 +33,7 @@ def test_readme_library_table_names_resolve():
     rows = [line for line in section.split("\n## ", 1)[0].splitlines()
             if line.startswith("| `")]
     assert len(rows) >= 7
+    listed = {}
     for row in rows:
         module_cell, contents = row.strip("| ").split("|", 1)
         module = importlib.import_module(module_cell.strip().strip("`"))
@@ -41,3 +43,12 @@ def test_readme_library_table_names_resolve():
             assert name.isidentifier() and hasattr(module, name), (
                 f"{module.__name__}: {name!r}"
             )
+        listed[module.__name__] = set(names)
+
+    # and the table lists the whole public API, each name in its module's row
+    missing = [
+        f"{getattr(sttt, name).__module__}: {name}"
+        for name in sttt.__all__
+        if name not in listed.get(getattr(sttt, name).__module__, ())
+    ]
+    assert not missing, missing

@@ -65,6 +65,28 @@ def test_only_advance_builds_a_game_state():
     assert not found, found
 
 
+def _writes_stdout(call: ast.Call) -> bool:
+    if _calls(call, "print"):
+        return not any(k.arg == "file" for k in call.keywords)
+    return ast.unparse(call.func) == "sys.stdout.write"
+
+
+def test_one_emitter_writes_every_cli_result():
+    # cli._emit writes each command's result in either format, so no command
+    # grows its own JSON/text branch; the census alone writes its own output,
+    # since its data and its summary go to different streams
+    tree = ast.parse((SRC / "cli.py").read_text("utf-8"))
+    writers = [f for f in tree.body if getattr(f, "name", "") in ("_emit", "_cmd_census")]
+    assert len(writers) == 2
+    allowed = {node for f in writers for node in ast.walk(f)}
+    found = [
+        f"cli.py:{node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Call) and _writes_stdout(node) and node not in allowed
+    ]
+    assert not found, found
+
+
 HAND_ROLLED = {"__slots__", "__setattr__", "__delattr__", "__reduce__", "__eq__", "__hash__"}
 
 

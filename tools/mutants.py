@@ -301,6 +301,27 @@ MUTANTS = (
         ("tests/test_cli.py",),
     ),
     Mutant(
+        "emit-text-under-json-format",
+        "src/sttt/cli.py",
+        'if args.format == "json":',
+        "if False:",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "emit-text-lines-without-newline",
+        "src/sttt/cli.py",
+        'f"{line}\\n" for line in lines',
+        'f"{line}" for line in lines',
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
+        "emit-json-keys-unsorted",
+        "src/sttt/cli.py",
+        "sort_keys=True, indent=2",
+        "sort_keys=False, indent=2",
+        ("tests/test_cli.py",),
+    ),
+    Mutant(
         "listing-width-from-unchecked-n",
         "src/sttt/census.py",
         "want = spiral_numbering(n).n_sq ** 2\n    classes, owner = [], {}\n    line, counted",
