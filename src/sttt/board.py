@@ -21,11 +21,10 @@ in image order; joined, they are the column-permuted matrix stored column
 by column.  The same kernel applied to that string permutes the rows and
 transposes back, so an image is two kernel calls and two joins, 2 n^2
 slice copies in C.  Per n, the first use caches the n^2 slices, shared by
-every element, and for each element its kernel and the gather of the n^2
-indices src, which canonical_form applies to single field blocks.
-act_board looks its element's kernel up in that table while the group
-holds at most ACT_TABLE_BOUND labels (n = 1..7); above it, it builds its
-one element's kernel on each call, so it never needs the group.
+every element.  Each element's kernel, and the gather of the n^2 indices
+src that canonical_form applies to single field blocks, live in one
+bounded cache keyed by n and the element's image.  The group's table and
+act_board both draw on it, so act_board never needs the group.
 
 The same two passes put a label-order bitstring, whose character
 (f-1) n^2 + (p-1) is cell (f, p), into reading order: that is the
@@ -56,7 +55,7 @@ from operator import itemgetter
 from struct import Struct
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .dihedral import GroupElement, dihedral_order, group_elements
+from .dihedral import GroupElement, group_elements
 from .spiral import spiral_numbering
 
 
@@ -141,12 +140,6 @@ def from_bitstring(bits: str, n: int) -> Board:
     return Board._of(n, bits)
 
 
-# act_board builds and caches the table of group_elements(n) on its first
-# call for n only while the 2m permutations hold at most this many labels,
-# 2m n^2, which is true for n = 1..7 (n = 9 has 15,552 and n = 8 53,760).
-ACT_TABLE_BOUND = 10**4
-
-
 # a label permutation's gather, block order and kernel, as _element builds
 # them; a plain tuple, which unpacks faster than a NamedTuple
 _Element = tuple[
@@ -164,9 +157,14 @@ def _slices(n: int) -> tuple[slice, ...]:
     return tuple(slice(c, None, n_sq) for c in range(n_sq))
 
 
-def _element(n: int, image: Sequence[int]) -> _Element:
+# 512 holds the 298 elements of the groups for n = 1..7 at once; the bound
+# keeps the cache's memory finite for any stream of label permutations
+@lru_cache(maxsize=512)
+def _element(n: int, image: tuple[int, ...]) -> _Element:
     """The gather, block order and kernel of the label permutation g with
-    ``image[x-1] = g(x)``.
+    ``image[x-1] = g(x)``, cached per (n, image) in one bounded cache.
+    _gathers builds the group's table through it, so while an element stays
+    cached, act_board uses the kernel canonical_form and image_bitstrings use.
 
     The gather picks, for reading index K, the item at src[K] with
     ``src[R(g(x))] = R(x)``; the block order is src, so image block K is
@@ -212,16 +210,6 @@ def _gathers(n: int) -> tuple[_Element, ...]:
 
 
 @lru_cache(maxsize=None)
-def _kernels(n: int) -> dict[tuple[int, ...], Callable[[str], Sequence[str]]]:
-    """The kernel of each of group_elements(n), keyed by the image of its
-    permutation, while the group fits ACT_TABLE_BOUND.  Above the bound it
-    is empty: the bound is read from dihedral_order(n), so no group is built."""
-    if 2 * dihedral_order(n) * n * n > ACT_TABLE_BOUND:
-        return {}
-    return {elem.perm.image: kernel for elem, (_, _, kernel) in zip(group_elements(n), _gathers(n))}
-
-
-@lru_cache(maxsize=None)
 def _screen(n: int) -> tuple[Callable[[str], tuple[str, ...]], Callable[[bytes], tuple]]:
     """One gather of the first n characters of every image, in the order of
     group_elements(n), and the split of their joined bytes into the 2m
@@ -237,9 +225,7 @@ def act_board(board: Board, elem: GroupElement) -> Board:
     n = board.n
     if n != elem.n:
         raise ValueError(f"board is {n}x{n} but element acts on n={elem.n}")
-    kernel = _kernels(n).get(elem.perm.image)
-    if kernel is None:  # above the bound: this element's own kernel, per call
-        _, _, kernel = _element(n, elem.perm.image)
+    _, _, kernel = _element(n, elem.perm.image)
     return Board._of(n, _image(kernel, board.bits))
 
 

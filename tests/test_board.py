@@ -10,10 +10,9 @@ from sttt.board import (
     from_bitstring,
     image_bitstrings,
     to_bitstring,
-    ACT_TABLE_BOUND,
+    _element,
     _gathers,
     _image,
-    _kernels,
     _slices,
 )
 from sttt.dihedral import dihedral_order, group_element, group_elements
@@ -187,8 +186,7 @@ def _boards(n: int, count: int = 20):
 
 
 # image_bitstrings and act_board share each element's kernel, so this checks
-# the pruned canonical_form against the least image; at n = 9, above
-# ACT_TABLE_BOUND, act_board builds its element's kernel on each call
+# the pruned canonical_form against the least image
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7, 9))
 def test_image_bitstrings_match_act_board(n):
     elems = group_elements(n)
@@ -205,9 +203,8 @@ def _sparse_board(n: int, rng: random.Random) -> Board:
     return Board(n, frozenset(cells | {(1, 1), (n_sq, n_sq), (1, n_sq)}))
 
 
-# n = 8 and 9 lie above ACT_TABLE_BOUND, where act_board builds its element's
-# kernel on each call; there sparse boards and a sample of the elements keep
-# the test fast
+# at n = 8 and 9, sparse boards and a sample of the elements keep the test
+# fast; test_act_board_with_more_elements_than_the_cache acts with all of n = 8
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7, 8, 9))
 def test_act_board_maps_each_cell(n):
     elems = group_elements(n)
@@ -225,13 +222,12 @@ def test_act_board_maps_each_cell(n):
 @pytest.mark.parametrize("n, a, b", ((14, 3, 1), (14, 5, 0), (19, 7, 1), (19, 2, 0)))
 def test_act_board_without_the_group(n, a, b):
     # group_elements refuses n = 14 and n = 19, so act_board must build its
-    # element's kernel alone, with no group and no table for n
+    # element's kernel alone, with no group and no table of the group
     g = group_element(n, a, b)
     board = _sparse_board(n, random.Random(n + a + b))
     before = group_elements.cache_info(), _gathers.cache_info()
     image = act_board(board, g)
     assert (group_elements.cache_info(), _gathers.cache_info()) == before
-    assert _kernels(n) == {}
     assert image == Board(n, frozenset((g(i), g(j)) for i, j in board.xs))
     assert image.x_count == board.x_count
 
@@ -256,18 +252,28 @@ def test_table_has_one_kernel_per_element(n):
     assert drawn == {id(s) for s in slices}
 
 
-@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7, 8, 9))
-def test_kernel_table_exists_exactly_for_n_up_to_7(n):
-    # act_board's table of slice kernels, each element's kernel keyed by its
-    # permutation, is held for n = 1..7 and is empty above ACT_TABLE_BOUND
-    table = _gathers(n)
-    m2 = 2 * dihedral_order(n)
-    n_sq = n * n
-    if n >= 8:
-        assert m2 * n_sq > ACT_TABLE_BOUND and _kernels(n) == {}
-        return
-    assert m2 * n_sq <= ACT_TABLE_BOUND
-    assert _kernels(n) == {g.perm.image: k for g, (_, _, k) in zip(group_elements(n), table)}
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7))
+def test_act_board_shares_the_table_kernels(n):
+    # act_board and the group's table take their kernels from one cache,
+    # which holds the 298 elements of n = 1..7 at once; cleared first, since
+    # earlier tests at n = 8 and 9 cycle the cache
+    _element.cache_clear()
+    _gathers.cache_clear()
+    for k in range(1, 8):
+        _gathers(k)
+    for g, entry in zip(group_elements(n), _gathers(n), strict=True):
+        assert _element(n, g.perm.image) is entry
+
+
+def test_act_board_with_more_elements_than_the_cache():
+    # n = 8 has 2m = 840 elements, more than _element's cache holds; acting
+    # with each of them leaves the cache bounded and every image right
+    rng = random.Random(8)
+    board = _sparse_board(8, rng)
+    for g in group_elements(8):
+        assert act_board(board, g) == Board(8, frozenset((g(i), g(j)) for i, j in board.xs))
+    info = _element.cache_info()
+    assert info.maxsize is not None and info.currsize <= info.maxsize
 
 
 def _two_level_image(order: tuple[int, ...], bits: str) -> str:

@@ -12,3 +12,10 @@ def test_game_suite_counts_are_pinned():
     commutation = run_suite("replay-action-commutation", cases=2000, seed=2024)
     assert commutation.failures == 0
     assert commutation.skipped == 135
+
+
+def test_round_trip_suite_passes():
+    # the suite writes each board's X cells back through Board(n, cells), so
+    # a cell writer that disagrees with xs fails it
+    result = run_suite("bitstring-round-trip", cases=2000, seed=2024)
+    assert result.failures == 0 and result.skipped == 0

@@ -65,6 +65,22 @@ def test_only_advance_builds_a_game_state():
     assert not found, found
 
 
+def test_act_board_has_one_kernel_source():
+    # act_board takes its kernel from _element alone at every n, so it never
+    # builds the group or a per-n table and has no second path above a bound
+    tree = ast.parse((SRC / "board.py").read_text("utf-8"))
+    act = next(f for f in tree.body if getattr(f, "name", "") == "act_board")
+    calls = [node for node in ast.walk(act) if isinstance(node, ast.Call)]
+    assert sum(_calls(node, "_element") for node in calls) == 1
+    found = [
+        f"board.py:{node.lineno}"
+        for node in calls
+        for name in ("group_elements", "_gathers", "dihedral_order")
+        if _calls(node, name)
+    ]
+    assert not found, found
+
+
 def _writes_stdout(call: ast.Call) -> bool:
     if _calls(call, "print"):
         return not any(k.arg == "file" for k in call.keywords)

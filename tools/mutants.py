@@ -49,6 +49,13 @@ MUTANTS = (
         ("tests/test_board.py",),
     ),
     Mutant(
+        "board-cell-transposed-via-fuzz",
+        "src/sttt/board.py",
+        'chars[read[i - 1] * n_sq + read[j - 1]] = "1"',
+        'chars[read[j - 1] * n_sq + read[i - 1]] = "1"',
+        ("tests/test_checks.py",),
+    ),
+    Mutant(
         "fields-one-position-late",
         "src/sttt/game.py",
         "format(bits, spell)[::-1]",
@@ -105,10 +112,10 @@ MUTANTS = (
         ("tests/test_board.py",),
     ),
     Mutant(
-        "act-table-bound-unchecked",
+        "element-cache-unbounded",
         "src/sttt/board.py",
-        "if 2 * dihedral_order(n) * n * n > ACT_TABLE_BOUND:",
-        "if False:",
+        "@lru_cache(maxsize=512)",
+        "@lru_cache(maxsize=None)",
         ("tests/test_board.py",),
     ),
     Mutant(
