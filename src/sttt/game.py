@@ -107,7 +107,7 @@ def _labels(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False)
 class GameState:
     """Immutable snapshot of a game in progress.
 
@@ -125,6 +125,26 @@ class GameState:
     mark_bits: int
     dictated: int | None
     loser: int | None = None
+
+    def __init__(
+        self,
+        n: int,
+        moves: tuple[Move, ...],
+        field_bits: tuple[int, ...],
+        mark_bits: int,
+        dictated: int | None,
+        loser: int | None = None,
+    ):
+        # the generated __init__ of a frozen dataclass sets each field through
+        # object.__setattr__, about half the cost of a move; writing the
+        # instance dict directly skips that, and the class stays frozen
+        attrs = self.__dict__
+        attrs["n"] = n
+        attrs["moves"] = moves
+        attrs["field_bits"] = field_bits
+        attrs["mark_bits"] = mark_bits
+        attrs["dictated"] = dictated
+        attrs["loser"] = loser
 
     @classmethod
     @lru_cache(maxsize=None, typed=True)
@@ -176,18 +196,24 @@ def _move_row(n: int, field: int) -> tuple[Move, ...]:
     return tuple([Move(field, p) for p in range(1, n * n + 1)])
 
 
-def legal_moves(state: GameState) -> set[Move]:
-    """Every move the next player may make."""
+@lru_cache(maxsize=None)
+def _position_bits(n: int) -> tuple[int, ...]:
+    """``1 << (p-1)`` for p = 1..n^2, the bits of a field's positions."""
+    return _label_tables(n)[0][1:]
+
+
+def legal_moves(state: GameState) -> tuple[Move, ...]:
+    """Every move the next player may make, in increasing (field, pos) order."""
     if state.terminal:
         raise TerminalStateError("the game is over; no moves remain")
     fields = (state.dictated,) if state.dictated is not None else state.open_fields()
     n, bits = state.n, state.field_bits
-    return {
-        move
-        for f in fields
-        for p, move in enumerate(_move_row(n, f))
-        if not bits[f - 1] >> p & 1
-    }
+    pos_bits = _position_bits(n)
+    moves = []
+    for f in fields:  # open fields come in increasing order
+        cells = bits[f - 1]
+        moves += [move for move, b in zip(_move_row(n, f), pos_bits) if not cells & b]
+    return tuple(moves)
 
 
 def _advance(state: GameState, moves: Iterable[Move | tuple[int, int]]) -> GameState:
@@ -200,7 +226,7 @@ def _advance(state: GameState, moves: Iterable[Move | tuple[int, int]]) -> GameS
     """
     n, marks, dictated, loser = state.n, state.mark_bits, state.dictated, state.loser
     fields = [0, *state.field_bits]  # index 0 unused: fields[f] is field f
-    played = list(state.moves)
+    before, played = len(state.moves), []  # played holds only the new moves
     n_sq = n * n
     bit, through = _label_tables(n)
     try:
@@ -238,15 +264,15 @@ def _advance(state: GameState, moves: Iterable[Move | tuple[int, int]]) -> GameS
                         marks |= bit[field]
                         for board_line in through[field]:
                             if marks & board_line == board_line:
-                                loser = 1 if len(played) % 2 else 2
+                                loser = 1 if (before + len(played)) % 2 else 2
                                 break
                         break
             dictated = None if marks & pos_bit else pos
     except IllegalMoveError as err:
-        err.index = len(played) + 1
+        err.index = before + len(played) + 1
         raise
     del fields[0]  # cheaper than slicing a copy
-    return GameState(n, tuple(played), tuple(fields), marks, dictated, loser)
+    return GameState(n, state.moves + tuple(played), tuple(fields), marks, dictated, loser)
 
 
 def _as_move(move) -> Move:

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from sttt import census
 from sttt.board import BitstringError, Board, from_bitstring, to_bitstring
 from sttt.census import (
     ClosureError,
@@ -71,6 +72,23 @@ def test_order2_class_is_first(classes):
 def test_classes_sorted_deterministically(classes):
     keys = [(c.orbit_size, c.canonical) for c in classes]
     assert keys == sorted(keys)
+
+
+def test_census_work_counts_are_pinned(monkeypatch):
+    # the search's work does not depend on the order legal_moves gives
+    calls = Counter()
+
+    def counted(name, fn):
+        def wrapper(*args):
+            calls[name] += 1
+            return fn(*args)
+
+        return wrapper
+
+    monkeypatch.setattr(census, "legal_moves", counted("legal_moves", census.legal_moves))
+    monkeypatch.setattr(census, "apply_move", counted("apply_move", census.apply_move))
+    boards = census.enumerate_winning_boards(2)
+    assert (calls["legal_moves"], calls["apply_move"], len(boards)) == (1685, 6616, 1902)
 
 
 def test_enumerate_guards_large_sizes():

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import random
 import subprocess
@@ -50,20 +51,20 @@ def test_first_move_is_free():
     state = GameState.initial(2)
     moves = legal_moves(state)
     assert len(moves) == 16
-    assert moves == {Move(i, j) for i in range(1, 5) for j in range(1, 5)}
+    assert moves == tuple(Move(i, j) for i in range(1, 5) for j in range(1, 5))
 
 
 def test_dictation_into_open_field():
     state = apply_move(GameState.initial(2), Move(3, 1))
     assert state.dictated == 1
-    assert legal_moves(state) == {Move(1, j) for j in range(1, 5)}
+    assert legal_moves(state) == tuple(Move(1, j) for j in range(1, 5))
 
 
 def test_free_choice_after_closed_dictation():
     # after three moves field 1 is won; the dictated field 3 is open
     state = replay(EXAMPLE_GAME[:3], 2)
     assert state.marks == frozenset({1})
-    assert legal_moves(state) == {Move(3, 2), Move(3, 3), Move(3, 4)}
+    assert legal_moves(state) == (Move(3, 2), Move(3, 3), Move(3, 4))
 
 
 def test_dictation_into_a_closed_field_is_free():
@@ -71,12 +72,29 @@ def test_dictation_into_a_closed_field_is_free():
     state = replay([(5, 1), (1, 5), (5, 2), (2, 5), (5, 3), (3, 5)], 3)
     assert state.marks == frozenset({5})
     assert state.dictated is None
-    assert legal_moves(state) == {
+    assert legal_moves(state) == tuple(
         Move(f, p)
         for f in state.open_fields()
         for p in range(1, 10)
         if p not in state.field_cells[f - 1]
-    }
+    )
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5))
+def test_legal_moves_is_a_strictly_increasing_tuple_of_moves(n):
+    # every state of seeded games, free moves after a closed field included
+    rng = random.Random(70 + n)
+    free = 0
+    for _ in range(6):
+        state = GameState.initial(n)
+        while not state.terminal:
+            got = legal_moves(state)
+            assert type(got) is tuple and got
+            assert all(type(m) is Move for m in got)
+            assert all(a < b for a, b in zip(got, got[1:]))
+            free += state.dictated is None and bool(state.moves)
+            state = apply_move(state, rng.choice(got))
+    assert free > 0 or n == 1  # at n = 1 only the first move is free
 
 
 def test_a_field_closes_on_a_line_not_on_a_count():
@@ -115,6 +133,34 @@ def test_initial_state_is_shared():
     # the cache tells 3.0 from 3: a float size raises as spiral_numbering does
     with pytest.raises(TypeError):
         GameState.initial(3.0)
+
+
+def test_game_state_is_a_frozen_value():
+    # GameState writes its fields itself; the dataclass still supplies
+    # immutability, equality, hashing, repr and asdict from those fields
+    state = replay([(3, 1)], 2)
+    for name in ("n", "moves", "field_bits", "mark_bits", "dictated", "loser"):
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(state, name, None)
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            delattr(state, name)
+    same = dataclasses.replace(state)
+    assert same is not state and same == state and hash(same) == hash(state)
+    moved = dataclasses.replace(state, dictated=2)
+    assert moved != state and moved.dictated == 2
+    assert repr(state) == (
+        "GameState(n=2, moves=(Move(field=3, pos=1),), field_bits=(0, 0, 1, 0), "
+        "mark_bits=0, dictated=1, loser=None)"
+    )
+    assert dataclasses.asdict(state) == {
+        "n": 2,
+        "moves": ((3, 1),),
+        "field_bits": (0, 0, 1, 0),
+        "mark_bits": 0,
+        "dictated": 1,
+        "loser": None,
+    }
+    assert GameState(2, (), (0,) * 4, 0, None).loser is None
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7, 8, 9, 13))
@@ -237,7 +283,7 @@ def test_every_closed_field_is_marked(n):
     for _ in range(100):
         state = GameState.initial(n)
         while not state.terminal and rng.random() < 0.95:
-            state = apply_move(state, rng.choice(sorted(legal_moves(state))))
+            state = apply_move(state, rng.choice(legal_moves(state)))
             for f, cells in enumerate(state.field_cells, 1):
                 has_line = any(line <= cells for line in grid_lines(n))
                 assert (f in state.marks) == has_line
@@ -249,7 +295,7 @@ def test_n2_terminal_exactly_when_second_field_closes():
     for _ in range(200):
         state = GameState.initial(2)
         while not state.terminal:
-            state = apply_move(state, rng.choice(sorted(legal_moves(state))))
+            state = apply_move(state, rng.choice(legal_moves(state)))
             assert state.terminal == (len(state.marks) == 2)
         assert len(state.marks) == 2
         assert 4 <= state.board.x_count <= 6
@@ -332,7 +378,7 @@ def test_orbit_sizes_divide_group_order(n):
         state = GameState.initial(n)
         steps = rng.randint(0, 6)
         while not state.terminal and len(state.moves) < steps:
-            state = apply_move(state, rng.choice(sorted(legal_moves(state))))
+            state = apply_move(state, rng.choice(legal_moves(state)))
         moves = state.moves
         if all(
             is_valid_game(tuple((g(i), g(j)) for i, j in moves), n).valid
@@ -350,7 +396,7 @@ def test_n2_action_preserves_validity_and_commutes():
         state = GameState.initial(2)
         stop = rng.randint(0, 8)
         while not state.terminal and len(state.moves) < stop:
-            state = apply_move(state, rng.choice(sorted(legal_moves(state))))
+            state = apply_move(state, rng.choice(legal_moves(state)))
         moves = state.moves
         for g in group_elements(2):
             mapped = act_game(moves, g)
@@ -459,7 +505,7 @@ def test_int_engine_matches_the_frozenset_reference(n, games):
                 if p not in cells[f - 1]
             }
             got = legal_moves(state)
-            assert got == expected
+            assert got == tuple(sorted(expected))
             assert all(type(m) is Move for m in got)
             move = rng.choice(sorted(expected))
             position = _reference_step(n, *position, len(moves), move)
@@ -535,7 +581,7 @@ def test_act_game_returns_the_mapped_game_exactly_when_it_is_legal(n):
         state = GameState.initial(n)
         stop = rng.randint(1, 4 * n**4)
         while not state.terminal and len(state.moves) < stop:
-            state = apply_move(state, rng.choice(sorted(legal_moves(state))))
+            state = apply_move(state, rng.choice(legal_moves(state)))
         game = state.moves
         for g in group_elements(n):
             mapped = tuple(Move(g(i), g(j)) for i, j in game)

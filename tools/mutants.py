@@ -212,22 +212,36 @@ MUTANTS = (
     Mutant(
         "advance-index-one-short",
         "src/sttt/game.py",
-        "err.index = len(played) + 1",
-        "err.index = len(played)",
+        "err.index = before + len(played) + 1",
+        "err.index = before + len(played)",
         ("tests/test_game.py",),
     ),
     Mutant(
         "advance-forgets-earlier-moves",
         "src/sttt/game.py",
-        "played = list(state.moves)",
-        "played = []",
+        "GameState(n, state.moves + tuple(played),",
+        "GameState(n, tuple(played),",
         ("tests/test_game.py",),
     ),
     Mutant(
         "loser-parity-flipped",
         "src/sttt/game.py",
-        "loser = 1 if len(played) % 2 else 2",
-        "loser = 2 if len(played) % 2 else 1",
+        "loser = 1 if (before + len(played)) % 2 else 2",
+        "loser = 2 if (before + len(played)) % 2 else 1",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "legal-moves-fields-reversed",
+        "src/sttt/game.py",
+        "for f in fields:  # open fields come in increasing order",
+        "for f in reversed(fields):",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "game-state-init-drops-dictated",
+        "src/sttt/game.py",
+        '        attrs["dictated"] = dictated\n',
+        "",
         ("tests/test_game.py",),
     ),
     Mutant(
