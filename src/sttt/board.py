@@ -21,10 +21,10 @@ in image order; joined, they are the column-permuted matrix stored column
 by column.  The same kernel applied to that string permutes the rows and
 transposes back, so an image is two kernel calls and two joins, 2 n^2
 slice copies in C.  Per n, the first use caches the n^2 slices, shared by
-every element.  Each element's kernel, and the gather of the n^2 indices
-src that canonical_form applies to single field blocks, live in one
-bounded cache keyed by n and the element's image.  The group's table and
-act_board both draw on it, so act_board never needs the group.
+every element.  Each element's kernel lives in one bounded cache keyed by
+n and the element's image.  The group's table and act_board both draw on
+it, so act_board never needs the group.  Only the table holds the gather
+of the n^2 indices src that canonical_form applies to single field blocks.
 
 The same two passes put a label-order bitstring, whose character
 (f-1) n^2 + (p-1) is cell (f, p), into reading order: that is the
@@ -140,8 +140,8 @@ def from_bitstring(bits: str, n: int) -> Board:
     return Board._of(n, bits)
 
 
-# a label permutation's gather, block order and kernel, as _element builds
-# them; a plain tuple, which unpacks faster than a NamedTuple
+# a label permutation's gather, block order and kernel, as the group's table
+# holds them; a plain tuple, which unpacks faster than a NamedTuple
 _Element = tuple[
     Callable[[str], Sequence[str]],
     tuple[int, ...],
@@ -157,27 +157,30 @@ def _slices(n: int) -> tuple[slice, ...]:
     return tuple(slice(c, None, n_sq) for c in range(n_sq))
 
 
-# 512 holds the 298 elements of the groups for n = 1..7 at once; the bound
-# keeps the cache's memory finite for any stream of label permutations
-@lru_cache(maxsize=512)
-def _element(n: int, image: tuple[int, ...]) -> _Element:
-    """The gather, block order and kernel of the label permutation g with
-    ``image[x-1] = g(x)``, cached per (n, image) in one bounded cache.
-    _gathers builds the group's table through it, so while an element stays
-    cached, act_board uses the kernel canonical_form and image_bitstrings use.
-
-    The gather picks, for reading index K, the item at src[K] with
-    ``src[R(g(x))] = R(x)``; the block order is src, so image block K is
-    the gathered source block ``order[K]``.  The kernel takes the slices of
-    the columns src[0], src[1], ... of a bitstring, see _image.  At n = 1
-    both return the string itself.
-    """
+def _source(n: int, image: tuple[int, ...]) -> list[int]:
+    """The reading indices src of the label permutation g with
+    ``image[x-1] = g(x)``: ``src[R(g(x))] = R(x)``, so the image holds at
+    reading index K the item at src[K]."""
     read = spiral_numbering(n).reading
     src = [0] * (n * n)
     for read_x, gx in zip(read, image):
         src[read[gx - 1]] = read_x
-    slices = _slices(n)
-    return itemgetter(*src), tuple(src), itemgetter(*[slices[c] for c in src])
+    return src
+
+
+# 512 holds the 298 elements of the groups for n = 1..7 at once; the bound
+# keeps the cache's memory finite for any stream of label permutations
+@lru_cache(maxsize=512)
+def _element(n: int, image: tuple[int, ...]) -> Callable[[str], Sequence[str]]:
+    """The kernel of the label permutation g with ``image[x-1] = g(x)``,
+    cached per (n, image) in one bounded cache: the slices of the columns
+    src[0], src[1], ... of a bitstring, see _source and _image.  _gathers
+    builds the group's table through it, so while an element stays cached,
+    act_board uses the kernel canonical_form and image_bitstrings use.  At
+    n = 1 it returns the string itself.
+    """
+    slices, src = _slices(n), _source(n, image)
+    return itemgetter(*[slices[c] for c in src])
 
 
 def _image(kernel: Callable[[str], Sequence[str]], bits: str) -> str:
@@ -205,8 +208,15 @@ def _relabel(n: int) -> Callable[[str], Sequence[str]]:
 
 @lru_cache(maxsize=None)
 def _gathers(n: int) -> tuple[_Element, ...]:
-    """The _element of each of group_elements(n), in that order."""
-    return tuple(_element(n, elem.perm.image) for elem in group_elements(n))
+    """The gather, block order and kernel of each of group_elements(n), in
+    that order.  The gather picks, for reading index K, the item at src[K];
+    the block order is src, so image block K is the gathered source block
+    ``order[K]``.  The kernel is _element's."""
+    table = []
+    for elem in group_elements(n):
+        src = _source(n, elem.perm.image)
+        table.append((itemgetter(*src), tuple(src), _element(n, elem.perm.image)))
+    return tuple(table)
 
 
 @lru_cache(maxsize=None)
@@ -225,8 +235,7 @@ def act_board(board: Board, elem: GroupElement) -> Board:
     n = board.n
     if n != elem.n:
         raise ValueError(f"board is {n}x{n} but element acts on n={elem.n}")
-    _, _, kernel = _element(n, elem.perm.image)
-    return Board._of(n, _image(kernel, board.bits))
+    return Board._of(n, _image(_element(n, elem.perm.image), board.bits))
 
 
 def image_bitstrings(bits: str, n: int) -> Iterator[str]:

@@ -22,9 +22,13 @@ and the bitmasks of the grid lines through x; at n = 56 that is 3,136 ints
 and 3,136 small tuples, about 0.9 MB.  A move tests only the lines through
 the cell it fills, and only once its field holds n X's, since a line has n
 cells.  One function, :func:`_advance`, steps a ``GameState`` by moves,
-checking each is a pair of integers; :func:`apply_move` and :func:`replay`
-are each one call to it, and every validity check replays from
-``GameState.initial(n)``, one shared empty state per n.
+checking each is a pair of integers; :func:`apply_move` is one call to it.
+:func:`replay` is the one place a game is stepped from
+``GameState.initial(n)``, one shared empty state per n: ``final_board``,
+``is_valid_game``, ``act_game`` and ``game_orbit`` all call it.  It
+remembers the final states of the games it replayed, in a memo bounded by
+the moves it holds, so a game and its images, checked again and again, are
+each stepped once.
 ``GameState.field_cells``, ``marks`` and ``board`` are views of the bits;
 ``board`` is the one decoder of the field bitmasks: it spells them in label
 order, and board.py, which alone knows the reading layout, reorders them.
@@ -38,8 +42,10 @@ those of its image, so the image is legal by construction.
 
 from __future__ import annotations
 
+from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
+from threading import RLock
 from typing import Iterable, Iterator, NamedTuple
 
 from .board import Board, _image, _relabel
@@ -227,15 +233,17 @@ def _advance(state: GameState, moves: Iterable[Move | tuple[int, int]]) -> GameS
     n, marks, dictated, loser = state.n, state.mark_bits, state.dictated, state.loser
     fields = [0, *state.field_bits]  # index 0 unused: fields[f] is field f
     before, played = len(state.moves), []  # played holds only the new moves
+    exact = type(moves) is tuple  # cleared by a move that is not a Move of two ints
     n_sq = n * n
     bit, through = _label_tables(n)
     try:
         for move in moves:
             if type(move) is not Move:
-                move = _as_move(move)
+                move, exact = _as_move(move), False
             field, pos = move
             if type(field) is not int or type(pos) is not int:
                 _as_move(move)  # raises unless both are ints (bools pass)
+                exact = False
             if loser is not None:
                 raise IllegalMoveError("terminal game", "the game is already over")
             if not (1 <= field <= n_sq and 1 <= pos <= n_sq):
@@ -272,7 +280,11 @@ def _advance(state: GameState, moves: Iterable[Move | tuple[int, int]]) -> GameS
         err.index = before + len(played) + 1
         raise
     del fields[0]  # cheaper than slicing a copy
-    return GameState(n, state.moves + tuple(played), tuple(fields), marks, dictated, loser)
+    # a tuple of Moves of two ints is its own record of them: the state keeps
+    # that tuple, which tells replay that it may remember the state
+    new = moves if exact else tuple(played)
+    made = state.moves + new if before else new
+    return GameState(n, made, tuple(fields), marks, dictated, loser)
 
 
 def _as_move(move) -> Move:
@@ -295,6 +307,69 @@ def apply_move(state: GameState, move: Move) -> GameState:
     return _advance(state, (move,))
 
 
+# The replay memo's budget: each stored game is charged its moves and its
+# n^2 fields, so many short games at a large n cannot fill memory either.  A
+# symmetry check replays one game and its images, at n = 4 two dozen games
+# of up to ~150 moves and 16 fields, which fit with room to spare; at ~100
+# bytes a unit the memo stays under half a MB, and a long game, as at
+# n = 56, is never stored.
+_MEMO_MOVES = 4096
+
+
+def _exact(moves: tuple) -> bool:
+    """Whether every move is a Move of two ints, which replay keeps as given."""
+    return all(
+        type(move) is Move and type(move.field) is int and type(move.pos) is int
+        for move in moves
+    )
+
+
+def _charge(state: GameState) -> int:
+    """What a stored state counts against the budget: its moves and fields."""
+    return len(state.moves) + len(state.field_bits)
+
+
+class _Memo:
+    """Final states of replayed games keyed by (n, moves), least recently
+    used first.  Each is charged its moves plus its n^2 fields, and the
+    charges add up to at most ``budget``."""
+
+    def __init__(self, budget: int):
+        self.budget, self.held = budget, 0
+        self.states: OrderedDict[tuple[int, tuple[Move, ...]], GameState] = OrderedDict()
+        # reentrant, since looking a key up may run a move's own __eq__
+        self.lock = RLock()
+
+    def get(self, key: tuple[int, tuple[Move, ...]]) -> GameState | None:
+        """The state stored for the game ``key[1]``, if any.  An equal tuple
+        may hold 1.0, True or an int subclass, which replay rejects or keeps
+        as given, so it is served only if its types are exact."""
+        moves = key[1]
+        with self.lock:
+            state = self.states.get(key)
+            if state is None or not (state.moves is moves or _exact(moves)):
+                return None
+            self.states.move_to_end(key)
+            return state
+
+    def put(self, key: tuple[int, tuple[Move, ...]], state: GameState) -> None:
+        """Store a state, unless its charge is over budget, then drop the
+        least recently used games until the charges fit the budget."""
+        size = _charge(state)
+        if size > self.budget:
+            return
+        with self.lock:
+            if key in self.states:  # another thread stored it meanwhile
+                return
+            self.states[key] = state
+            self.held += size
+            while self.held > self.budget:
+                self.held -= _charge(self.states.popitem(last=False)[1])
+
+
+_memo = _Memo(_MEMO_MOVES)
+
+
 def replay(moves: Iterable[Move | tuple[int, int]], n: int) -> GameState:
     """Replay a move sequence from the empty board.
 
@@ -302,8 +377,25 @@ def replay(moves: Iterable[Move | tuple[int, int]], n: int) -> GameState:
     after the game ended, with ``index`` the move's 1-based number, as
     :func:`apply_move` reports it; and ValueError for a move that is not a
     pair of integers, once every move before it has been checked.
+
+    A game given as a tuple of Moves of two ints, with an int n, is replayed
+    once: its final state is remembered in a bounded memo, and a later call
+    with that tuple, or an equal one of the same exact types, returns it.
+    Every other input, and every game that breaks a rule, is replayed on
+    each call.
     """
-    return _advance(GameState.initial(n), moves)
+    if type(moves) is not tuple or type(n) is not int:
+        return _advance(GameState.initial(n), moves)
+    key = (n, moves)
+    try:
+        state = _memo.get(key)
+    except Exception:  # hashing or comparing a move ran its own code and failed
+        return _advance(GameState.initial(n), moves)
+    if state is None:
+        state = _advance(GameState.initial(n), moves)
+        if state.moves is moves:  # every move was a Move of two ints
+            _memo.put(key, state)
+    return state
 
 
 def is_valid_game(moves: Iterable[Move | tuple[int, int]], n: int) -> GameValidation:
@@ -312,9 +404,9 @@ def is_valid_game(moves: Iterable[Move | tuple[int, int]], n: int) -> GameValida
     An invalid side length is not a fault of the moves: it raises
     InvalidSizeError, as :func:`replay` does.
     """
-    start = GameState.initial(n)
+    GameState.initial(n)  # the size check, before any fault is caught
     try:
-        _advance(start, moves)
+        replay(moves, n)
     except IllegalMoveError as err:
         return GameValidation(False, err.index, err.rule, str(err))
     except ValueError as err:
@@ -371,9 +463,10 @@ def act_game(
     Raises ValueError for a move that is not a pair of integers, and
     InvalidGameError if the input game, or its image, does not replay
     legally; an error in the input is reported at its first offending move.
-    The input is replayed on every call.  Its image is replayed only when g
-    does not map the grid's lines onto lines: a g that does maps a legal
-    game to a legal one, while the others can break it for n >= 3.
+    The input is checked by :func:`replay`, which steps a game it has not
+    replayed lately.  Its image is replayed only when g does not map the
+    grid's lines onto lines: a g that does maps a legal game to a legal one,
+    while the others can break it for n >= 3.
     """
     return _game_image(_checked(moves, elem.n), elem)
 

@@ -1,12 +1,15 @@
 import dataclasses
 import itertools
 import random
+import re
 import subprocess
 import sys
+import threading
 from pathlib import Path
 
 import pytest
 
+from sttt import game as game_module
 from sttt.board import Board, act_board, to_bitstring
 from sttt.dihedral import dihedral_order, group_element, group_elements
 from sttt.game import (
@@ -602,3 +605,150 @@ def test_act_game_at_n14_does_not_build_the_group():
     before = group_elements.cache_info()
     assert act_game(game, rho) == tuple(Move(rho(i), rho(j)) for i, j in game)
     assert group_elements.cache_info() == before
+
+
+def _played(n, seed):
+    """A seeded random game played to the end, as apply_move records it."""
+    rng = random.Random(seed)
+    state = GameState.initial(n)
+    while not state.terminal:
+        state = apply_move(state, rng.choice(legal_moves(state)))
+    return state.moves
+
+
+@pytest.fixture
+def advance_calls(monkeypatch):
+    """Counts the calls to game._advance, the one stepping function."""
+    calls = []
+    advance = game_module._advance
+
+    def counted(state, moves):
+        calls.append(len(state.moves))
+        return advance(state, moves)
+
+    monkeypatch.setattr(game_module, "_advance", counted)
+    return calls
+
+
+def _uncached(moves, n):
+    return game_module._advance(GameState.initial(n), moves)
+
+
+@pytest.mark.parametrize("n", (2, 3, 4))
+def test_a_replayed_game_is_not_stepped_again(n, advance_calls):
+    game = _played(n, 900 + n)
+    del advance_calls[:]
+    state = replay(game, n)
+    assert advance_calls == [0]
+    assert state == _uncached(game, n) and state.moves is game
+    del advance_calls[:]
+    assert final_board(game, n) == state.board
+    assert is_valid_game(game, n).valid
+    assert is_valid_game(tuple(Move(f, p) for f, p in game), n).valid  # an equal copy
+    kept = [g for g in group_elements(n) if _keeps_lines(n, g.perm.image)]
+    images = [act_game(game, g) for g in kept]
+    assert advance_calls == []
+    # each image is stepped once; an equal image built afresh is not
+    for g, image in zip(kept, images):
+        assert final_board(image, n) == act_board(state.board, g)
+        del advance_calls[:]
+        assert is_valid_game(tuple(Move(g(i), g(j)) for i, j in game), n).valid
+        assert advance_calls == []
+
+
+def test_an_equal_game_of_other_types_is_replayed_as_given(monkeypatch):
+    monkeypatch.setattr(game_module, "_memo", game_module._Memo(game_module._MEMO_MOVES))
+    # True == 1 and (3, 1) == Move(3, 1), but replay keeps a bool field as
+    # given and makes Moves of plain pairs; each is replayed before and
+    # after the game itself is stored, and neither takes its place
+    flagged = (Move(3, True),) + EXAMPLE_GAME[1:]
+    pairs = tuple((f, p) for f, p in EXAMPLE_GAME)
+    want = repr(_uncached(flagged, 2).moves)
+    assert "pos=True" in want
+    for _ in range(2):
+        assert repr(replay(flagged, 2).moves) == want
+        assert all(type(move) is Move for move in replay(pairs, 2).moves)
+        assert repr(replay(EXAMPLE_GAME, 2).moves) == repr(EXAMPLE_GAME)
+    # 1.0 == 1 and hashes alike, but a float field is malformed
+    floated = (Move(3, 1.0),) + EXAMPLE_GAME[1:]
+    assert floated == EXAMPLE_GAME
+    message = f"move {floated[0]!r} is not a pair of integers"
+    with pytest.raises(ValueError, match=re.escape(message)):
+        replay(floated, 2)
+    assert is_valid_game(floated, 2) == (False, None, "malformed", message)
+    # a tuple of lists cannot be stored; changed in place, it replays anew
+    lists = tuple([f, p] for f, p in EXAMPLE_GAME)
+    assert replay(lists, 2) == replay(EXAMPLE_GAME, 2)
+    lists[3][1] = 2
+    assert replay(lists, 2) == _uncached(lists, 2) != replay(EXAMPLE_GAME, 2)
+
+
+def test_the_memo_tells_sizes_apart():
+    # EXAMPLE_GAME is legal at n = 2 and 3, with different states
+    two = replay(EXAMPLE_GAME, 2)
+    three = replay(EXAMPLE_GAME, 3)
+    assert (two.n, three.n) == (2, 3)
+    assert three == _uncached(EXAMPLE_GAME, 3) != two
+    # a float size raises as it does on an empty memo
+    with pytest.raises(TypeError):
+        replay(EXAMPLE_GAME, 3.0)
+    with pytest.raises(TypeError):
+        is_valid_game(EXAMPLE_GAME, 3.0)
+    with pytest.raises(TypeError):
+        final_board(EXAMPLE_GAME, 2.0)
+
+
+def test_the_memo_holds_at_most_its_budget_of_moves(monkeypatch):
+    # each game is charged its moves and its n^2 fields
+    memo = game_module._Memo(40)
+    monkeypatch.setattr(game_module, "_memo", memo)
+    games = [_played(2, seed) for seed in range(40)]
+    for game in games:
+        replay(game, 2)
+        held = sum(len(state.moves) + 4 for state in memo.states.values())
+        assert held == memo.held <= 40
+        assert memo.states[2, game].moves is game  # the newest game stays
+    assert len(memo.states) < len(games)  # the oldest were dropped
+    # a hit makes a game the newest, so the next eviction spares it
+    oldest = next(iter(memo.states))
+    replay(oldest[1], 2)
+    replay(_played(2, 99), 2)
+    assert oldest in memo.states
+    # a game over budget is replayed but not stored, and so is a short game
+    # at a large n, whose fields alone are over it
+    before = list(memo.states.items())
+    wide = (Move(1, 1),)
+    assert replay(wide, 7) == _uncached(wide, 7)
+    long_game = _played(4, 7)
+    assert len(long_game) > 40
+    assert replay(long_game, 4) == _uncached(long_game, 4)
+    assert list(memo.states.items()) == before
+
+
+def test_the_memo_stays_within_budget_under_threads(monkeypatch):
+    # threads share the memo: replays, hits and evictions interleave, and
+    # every result must still be the uncached state
+    memo = game_module._Memo(40)
+    monkeypatch.setattr(game_module, "_memo", memo)
+    games = [_played(2, seed) for seed in range(12)]
+    wrong = []
+
+    def work(offset):
+        for k in range(300):
+            game = games[(k + offset) % len(games)]
+            if replay(tuple(Move(f, p) for f, p in game), 2) != _uncached(game, 2):
+                wrong.append(game)
+
+    switch = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=work, args=(k,)) for k in range(4)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(switch)
+    assert not any(thread.is_alive() for thread in threads)
+    assert wrong == []
+    assert memo.held == sum(len(state.moves) + 4 for state in memo.states.values()) <= 40

@@ -107,8 +107,8 @@ MUTANTS = (
     Mutant(
         "act-board-through-the-table",
         "src/sttt/board.py",
-        "_, _, kernel = _element(n, elem.perm.image)",
-        "_, _, kernel = _gathers(n)[2 * elem.a + elem.b]",
+        "_image(_element(n, elem.perm.image), board.bits)",
+        "_image(_gathers(n)[2 * elem.a + elem.b][2], board.bits)",
         ("tests/test_board.py",),
     ),
     Mutant(
@@ -219,8 +219,8 @@ MUTANTS = (
     Mutant(
         "advance-forgets-earlier-moves",
         "src/sttt/game.py",
-        "GameState(n, state.moves + tuple(played),",
-        "GameState(n, tuple(played),",
+        "made = state.moves + new if before else new",
+        "made = new",
         ("tests/test_game.py",),
     ),
     Mutant(
@@ -261,8 +261,57 @@ MUTANTS = (
     Mutant(
         "bad-size-reported-as-malformed",
         "src/sttt/game.py",
-        "    start = GameState.initial(n)\n    try:\n",
-        "    try:\n        start = GameState.initial(n)\n",
+        "    GameState.initial(n)  # the size check, before any fault is caught\n    try:\n",
+        "    try:\n        GameState.initial(n)\n",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "memo-content-hit-unscanned",
+        "src/sttt/game.py",
+        "not (state.moves is moves or _exact(moves))",
+        "not True",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "memo-key-without-size",
+        "src/sttt/game.py",
+        "key = (n, moves)",
+        "key = moves",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "memo-budget-unenforced",
+        "src/sttt/game.py",
+        "while self.held > self.budget:",
+        "while False:",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "memo-stores-games-over-budget",
+        "src/sttt/game.py",
+        "        if size > self.budget:\n            return\n",
+        "",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "memo-charges-moves-only",
+        "src/sttt/game.py",
+        "return len(state.moves) + len(state.field_bits)",
+        "return len(state.moves)",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "advance-keeps-converted-moves",
+        "src/sttt/game.py",
+        "move, exact = _as_move(move), False",
+        "move = _as_move(move)",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "advance-keeps-bool-fields-as-exact",
+        "src/sttt/game.py",
+        "                _as_move(move)  # raises unless both are ints (bools pass)\n                exact = False\n",
+        "                _as_move(move)  # raises unless both are ints (bools pass)\n",
         ("tests/test_game.py",),
     ),
     Mutant(
