@@ -58,6 +58,11 @@ from typing import Callable, Iterable, Iterator, Sequence
 from .dihedral import GroupElement, group_elements
 from .spiral import spiral_numbering
 
+__all__ = (
+    "BitstringError", "Board", "to_bitstring", "from_bitstring", "act_board",
+    "image_bitstrings", "canonical_form",
+)
+
 
 class BitstringError(ValueError):
     """Malformed board bitstring."""

@@ -26,6 +26,13 @@ from .dihedral import group_elements
 from .game import GameState, apply_move, legal_moves
 from .spiral import spiral_numbering
 
+__all__ = (
+    "ClosureError", "ListingParseError", "IsoClass", "enumerate_winning_boards",
+    "partition_classes", "size_histogram", "parse_census_text", "declared_class_counts",
+    "CensusDiff", "diff_census", "classes_to_jsonl", "classes_from_jsonl",
+    "classes_to_listing_text", "bundled_census_text",
+)
+
 
 class ClosureError(ValueError):
     """A board set that is not closed under the group action."""

@@ -29,18 +29,16 @@ from math import lcm
 from .perm import Permutation
 from .spiral import InvalidSizeError, NumberedSquare, spiral_numbering
 
+__all__ = (
+    "ring_sizes", "dihedral_order", "layer_rotation", "layer_reflection", "GroupElement",
+    "group_element", "group_elements", "RelationCheck", "DihedralReport", "verify_dihedral",
+)
+
 
 def ring_sizes(n: int) -> tuple[int, ...]:
-    """Layer cardinalities, innermost first.
-
-    Checks n as spiral_numbering does: TypeError for a non-int, True
-    included, and InvalidSizeError outside 1..56.
-    """
-    spiral_numbering(n)
-    count = (n + 1) // 2
-    if n % 2:
-        return (1,) + tuple(8 * k for k in range(1, count))
-    return tuple(4 + 8 * k for k in range(count))
+    """Layer cardinalities, innermost first: the sizes of the numbering's
+    level sets, so n is checked as spiral_numbering checks it."""
+    return tuple(map(len, spiral_numbering(n)._level_sets))
 
 
 def dihedral_order(n: int) -> int:
@@ -70,6 +68,15 @@ class GroupElement:
     b: int
     perm: Permutation = field(repr=False)
 
+    def __post_init__(self) -> None:
+        # once per element, so that no action indexes a board or a move with
+        # the labels of another size
+        if len(self.perm.image) != self.n * self.n:
+            raise ValueError(
+                f"an element for n={self.n} permutes {self.n * self.n} labels, "
+                f"not {len(self.perm.image)}"
+            )
+
     def __call__(self, label: int) -> int:
         if label > 0:  # Permutation.__call__ inlined
             try:
@@ -97,8 +104,7 @@ def group_element(n: int, a: int, b: int) -> GroupElement:
     sq = spiral_numbering(n)
     a %= dihedral_order(n)
     image = [0] * sq.n_sq
-    for k in range(1, sq.layer_count + 1):
-        ring = sq.level_set(k)
+    for ring in sq._level_sets:
         for i, x in enumerate(ring):
             image[x - 1] = ring[(a - i if b else a + i) % len(ring)]
     return GroupElement(n, a, b, Permutation(image))

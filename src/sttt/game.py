@@ -52,6 +52,12 @@ from .board import Board, _image, _relabel
 from .dihedral import GroupElement, group_elements
 from .spiral import spiral_numbering
 
+__all__ = (
+    "IllegalMoveError", "TerminalStateError", "InvalidGameError", "Move", "GameValidation",
+    "grid_lines", "GameState", "legal_moves", "apply_move", "replay", "is_valid_game",
+    "final_board", "act_game", "game_orbit",
+)
+
 
 class IllegalMoveError(ValueError):
     """A move that breaks the rules; ``rule`` names the violated rule."""
@@ -93,16 +99,19 @@ def grid_lines(n: int) -> tuple[frozenset[int], ...]:
 
 
 @lru_cache(maxsize=None)
-def _label_tables(n: int) -> tuple[tuple[int, ...], tuple[tuple[int, ...], ...]]:
-    """Two tables indexed by label x, index 0 unused: ``bit[x] = 1 << (x-1)``,
-    and ``through[x]``, the bitmasks of the grid lines through x."""
+def _label_tables(
+    n: int,
+) -> tuple[tuple[int, ...], tuple[int, ...], tuple[tuple[int, ...], ...]]:
+    """Two tables indexed by label x, index 0 unused: ``bit[x] = 1 << (x-1)``
+    and ``through[x]``, the bitmasks of the grid lines through x.  Between
+    them comes ``bit[1:]``, the bits of a field's positions 1..n^2."""
     bit = tuple([0] + [1 << x for x in range(n * n)])
     through: list[list[int]] = [[] for _ in bit]
     for line in grid_lines(n):
         mask = sum(bit[x] for x in line)
         for x in line:
             through[x].append(mask)
-    return bit, tuple(map(tuple, through))
+    return bit, bit[1:], tuple(map(tuple, through))
 
 
 def _labels(bits: int) -> Iterator[int]:
@@ -202,19 +211,13 @@ def _move_row(n: int, field: int) -> tuple[Move, ...]:
     return tuple([Move(field, p) for p in range(1, n * n + 1)])
 
 
-@lru_cache(maxsize=None)
-def _position_bits(n: int) -> tuple[int, ...]:
-    """``1 << (p-1)`` for p = 1..n^2, the bits of a field's positions."""
-    return _label_tables(n)[0][1:]
-
-
 def legal_moves(state: GameState) -> tuple[Move, ...]:
     """Every move the next player may make, in increasing (field, pos) order."""
     if state.terminal:
         raise TerminalStateError("the game is over; no moves remain")
     fields = (state.dictated,) if state.dictated is not None else state.open_fields()
     n, bits = state.n, state.field_bits
-    pos_bits = _position_bits(n)
+    pos_bits = _label_tables(n)[1]
     moves = []
     for f in fields:  # open fields come in increasing order
         cells = bits[f - 1]
@@ -235,7 +238,7 @@ def _advance(state: GameState, moves: Iterable[Move | tuple[int, int]]) -> GameS
     before, played = len(state.moves), []  # played holds only the new moves
     exact = type(moves) is tuple  # cleared by a move that is not a Move of two ints
     n_sq = n * n
-    bit, through = _label_tables(n)
+    bit, _, through = _label_tables(n)
     try:
         for move in moves:
             if type(move) is not Move:

@@ -6,6 +6,8 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Sequence
 
+__all__ = ("Permutation",)
+
 
 @dataclass(frozen=True, init=False, repr=False)
 class Permutation:
@@ -30,11 +32,20 @@ class Permutation:
 
     @classmethod
     def from_cycles(cls, n_sq: int, cycles: Iterable[Sequence[int]]) -> Permutation:
-        """Build from disjoint cycles; labels not mentioned are fixed."""
-        img = list(range(1, n_sq + 1))
+        """Build from disjoint cycles; labels not mentioned are fixed.
+
+        Raises ValueError naming the first label outside 1..n_sq, or the
+        first that appears twice, in one cycle or across cycles.
+        """
+        img, seen = list(range(1, n_sq + 1)), set()
         for cyc in cycles:
             cyc = tuple(cyc)
             for i, x in enumerate(cyc):
+                if not 1 <= x <= n_sq:
+                    raise ValueError(f"label {x} outside 1..{n_sq}")
+                if x in seen:
+                    raise ValueError(f"label {x} appears twice in the cycles")
+                seen.add(x)
                 img[x - 1] = cyc[(i + 1) % len(cyc)]
         return cls(img)
 

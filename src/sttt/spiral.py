@@ -19,6 +19,8 @@ from __future__ import annotations
 from dataclasses import dataclass, fields
 from functools import lru_cache
 
+__all__ = ("InvalidSizeError", "InvalidLayerError", "NumberedSquare", "spiral_numbering")
+
 
 class InvalidSizeError(ValueError):
     """Side length outside the supported range."""
@@ -45,7 +47,6 @@ class NumberedSquare:
     n: int
     reading: tuple[int, ...]
     labels: tuple[int, ...]
-    _layers: tuple[int, ...]
     _level_sets: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int):
@@ -58,11 +59,9 @@ class NumberedSquare:
                 f"side length {n} is too large: a board of n^4 = {n**4} cells "
                 f"exceeds 10^7 (the largest supported n is 56)"
             )
-        count = (n + 1) // 2
         reading: list[int] = []
-        layers = [0]
         level_sets: list[tuple[int, ...]] = []
-        for lo in range(count):  # rings from the outside in
+        for lo in range((n + 1) // 2):  # rings from the outside in
             hi = n - 1 - lo
             ring = (
                 [(r, lo) for r in range(lo, hi + 1)]  # down the left edge
@@ -72,12 +71,11 @@ class NumberedSquare:
             )
             first = len(reading) + 1
             reading += [r * n + c for r, c in ring]
-            layers += [count - lo] * len(ring)
             level_sets.append(tuple(range(first, len(reading) + 1)))
         level_sets.reverse()  # layer 1 is the innermost ring
 
         labels = tuple(label for _, label in sorted(zip(reading, range(1, n * n + 1))))
-        tables = (n, tuple(reading), labels, tuple(layers), tuple(level_sets))
+        tables = (n, tuple(reading), labels, tuple(level_sets))
         for f, value in zip(fields(self), tables):
             object.__setattr__(self, f.name, value)
 
@@ -106,7 +104,8 @@ class NumberedSquare:
 
     def layer_of(self, label: int) -> int:
         self._check_label(label)
-        return self._layers[label]
+        # level sets are consecutive blocks, the innermost holding the largest labels
+        return next(k for k, ring in enumerate(self._level_sets, 1) if label >= ring[0])
 
     def level_set(self, k: int) -> tuple[int, ...]:
         """Sorted labels of layer k (1 = innermost)."""

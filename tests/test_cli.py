@@ -580,8 +580,8 @@ def test_fixed_outputs_are_pinned(capsys, argv, md5):
     # census and fuzz, then the README's CLI examples in text and JSON, an
     # illegal replay (exit 1), the trivial group's notes and fuzz's text, so
     # every result path of the CLI has a pinned output; the last fixed one,
-    # `fuzz --cases 10000 --seed 2024` (md5 4461abe4...), is left to a
-    # manual run: it takes about 5 s, and the acceptance suite already runs
-    # those six 10,000-case suites
+    # `fuzz --cases 10000 --seed 2024` (md5 4461abe4...), is checked by
+    # tools/fixed_outputs.py instead: it takes about 5 s, and the acceptance
+    # suite already runs those six 10,000-case suites
     _, out, _ = run(capsys, *argv)
     assert hashlib.md5(out.encode("utf-8")).hexdigest() == md5

@@ -31,6 +31,16 @@ def test_ring_sizes():
         ring_sizes(0)
 
 
+def test_ring_sizes_match_the_closed_formula():
+    # innermost first: 1, 8, 16, ... for odd n and 4, 12, 20, ... for even n
+    for n in range(1, 57):
+        count = (n + 1) // 2
+        if n % 2:
+            assert ring_sizes(n) == (1,) + tuple(8 * k for k in range(1, count))
+        else:
+            assert ring_sizes(n) == tuple(4 + 8 * k for k in range(count))
+
+
 def test_ring_sizes_check_the_side_length_as_the_numbering_does():
     # the closed formula alone would give 29 rings for n = 57 and m = 1 for True
     with pytest.raises(InvalidSizeError, match="side length 57 is too large"):
@@ -246,6 +256,16 @@ def test_element_size_mismatch():
         group_elements(2)[1] * group_elements(3)[1]
     with pytest.raises(ValueError):
         group_element(2, 0, 2)
+
+
+@pytest.mark.parametrize("n,n_sq", [(3, 4), (3, 16), (2, 9), (1, 4)])
+def test_element_rejects_a_permutation_of_another_size(n, n_sq):
+    # the check runs once, when the element is made, so that no action can
+    # index a board or a game with labels of the wrong size
+    message = f"^an element for n={n} permutes {n * n} labels, not {n_sq}$"
+    with pytest.raises(ValueError, match=message):
+        GroupElement(n, 0, 0, Permutation.identity(n_sq))
+    assert GroupElement(n, 0, 0, Permutation.identity(n * n)) == group_element(n, 0, 0)
 
 
 @pytest.mark.parametrize("n", range(2, 9))

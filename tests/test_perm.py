@@ -1,6 +1,7 @@
 import copy
 import pickle
 import random
+import re
 
 import pytest
 
@@ -32,6 +33,24 @@ def test_from_cycles():
     assert [p(x) for x in (1, 2, 3, 4)] == [2, 3, 4, 1]
     q = Permutation.from_cycles(4, [(2, 4)])
     assert [q(x) for x in (1, 2, 3, 4)] == [1, 4, 3, 2]
+
+
+@pytest.mark.parametrize(
+    "n_sq,cycles,message",
+    [
+        (3, [(1, 2, 3), (3, 2, 1)], "label 3 appears twice in the cycles"),
+        (4, [(1, 1)], "label 1 appears twice in the cycles"),
+        (5, [(1, 2), (4, 2, 5)], "label 2 appears twice in the cycles"),
+        (3, [(1, 4)], "label 4 outside 1..3"),
+        (3, [(0, 2, 1)], "label 0 outside 1..3"),
+        (3, [(2, -1)], "label -1 outside 1..3"),
+    ],
+)
+def test_from_cycles_rejects_labels_out_of_range_or_repeated(n_sq, cycles, message):
+    # the cycles must be disjoint cycles of labels in 1..n_sq; anything else
+    # used to be overwritten silently or fail as a non-bijection
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        Permutation.from_cycles(n_sq, cycles)
 
 
 def test_composition_applies_right_factor_first():

@@ -1,4 +1,5 @@
 import ast
+import importlib
 import importlib.util
 from pathlib import Path
 
@@ -106,10 +107,10 @@ def test_one_emitter_writes_every_cli_result():
 HAND_ROLLED = {"__slots__", "__setattr__", "__delattr__", "__reduce__", "__eq__", "__hash__"}
 
 
-def _class_level_names(cls: ast.ClassDef) -> set[str]:
+def _names_defined_in(scope: ast.ClassDef | ast.Module) -> set[str]:
     names = set()
-    for node in cls.body:
-        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+    for node in scope.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             names.add(node.name)
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
@@ -125,7 +126,7 @@ def test_value_semantics_come_from_dataclasses():
         for path in sorted(SRC.glob("*.py"))
         for node in ast.walk(ast.parse(path.read_text("utf-8")))
         if isinstance(node, ast.ClassDef)
-        for name in sorted(_class_level_names(node) & HAND_ROLLED)
+        for name in sorted(_names_defined_in(node) & HAND_ROLLED)
     ]
     assert not found, found
 
@@ -152,4 +153,44 @@ def test_mutant_snippets_occur_once():
     spec.loader.exec_module(mutants)
     assert mutants.MUTANTS
     assert mutants.misplaced() == []
-    assert all((ROOT / test).is_file() for m in mutants.MUTANTS for test in m.tests)
+    named = {test.partition("::")[0] for m in mutants.MUTANTS for test in m.tests}
+    assert all((ROOT / test).is_file() for test in named)
+
+
+# the package's public names, in the order of sttt.__all__
+PUBLIC_API = (
+    "BitstringError", "Board", "CensusDiff", "ClosureError", "DihedralReport", "GameState",
+    "GameValidation", "GroupElement", "IllegalMoveError", "InvalidGameError",
+    "InvalidLayerError", "InvalidSizeError", "IsoClass", "ListingParseError", "Move",
+    "NumberedSquare", "Permutation", "RelationCheck", "TerminalStateError", "act_board",
+    "act_game", "apply_move", "bundled_census_text", "canonical_form", "classes_from_jsonl",
+    "classes_to_jsonl", "classes_to_listing_text", "declared_class_counts", "diff_census",
+    "dihedral_order", "enumerate_winning_boards", "final_board", "from_bitstring",
+    "game_orbit", "grid_lines", "group_element", "group_elements", "image_bitstrings",
+    "is_valid_game", "layer_reflection", "layer_rotation", "legal_moves", "parse_census_text",
+    "partition_classes", "replay", "ring_sizes", "size_histogram", "spiral_numbering",
+    "to_bitstring", "verify_dihedral",
+)
+REEXPORTED = ("board", "census", "dihedral", "game", "perm", "spiral")
+
+
+def test_each_public_name_is_declared_once():
+    # each re-exported module lists its public names in its own __all__, and
+    # the package re-exports their sorted union, so no name is written twice
+    import sttt
+
+    owner: dict[str, str] = {}
+    for name in REEXPORTED:
+        module = importlib.import_module(f"sttt.{name}")
+        defined = _names_defined_in(ast.parse((SRC / f"{name}.py").read_text("utf-8")))
+        assert module.__all__, name
+        for public in module.__all__:
+            assert not public.startswith("_") and public in defined, f"{name}: {public}"
+            assert public not in owner, f"{public} in {owner.get(public)} and {name}"
+            owner[public] = name
+            assert getattr(sttt, public) is getattr(module, public)
+    assert sttt.__all__ == sorted(owner)
+    assert tuple(sttt.__all__) == PUBLIC_API
+    star: dict = {}
+    exec("from sttt import *", star)
+    assert set(star) - {"__builtins__"} == set(PUBLIC_API)

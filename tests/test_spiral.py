@@ -158,6 +158,14 @@ def test_layer_of_matches_ring_distance():
         assert sq.layer_of(label) == 3 - min(r, c, 5 - r, 5 - c)
 
 
+@pytest.mark.parametrize("n", [*range(1, 10), 56])
+def test_layer_of_names_the_level_set_of_each_label(n):
+    sq = spiral_numbering(n)
+    assert [sq.layer_of(x) for x in range(1, n * n + 1)] == [
+        k for k in range(sq.layer_count, 0, -1) for _ in sq.level_set(k)
+    ]
+
+
 def test_deterministic_rebuild():
     a = NumberedSquare(7)
     b = NumberedSquare(7)

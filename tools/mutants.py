@@ -2,9 +2,10 @@
 
 Each mutant replaces one exact source snippet in a temporary copy of the
 tree (``src/``, ``tests/`` and ``pyproject.toml``) and runs pytest on the
-test files named beside it.  The mutant is killed when those tests fail.
-Before any mutant, the named test files run once on an unmutated copy and
-must pass, so a kill shows the tests noticed the mutation.
+tests named beside it, test files or single tests by node id.  The mutant
+is killed when those tests fail.  Before any mutant, the named tests run
+once on an unmutated copy and must pass, so a kill shows the tests noticed
+the mutation.
 
     python3 tools/mutants.py
 
@@ -37,7 +38,7 @@ class Mutant(NamedTuple):
     file: str  # relative to the repository root
     snippet: str  # must occur exactly once in file
     replacement: str
-    tests: tuple[str, ...]  # test files, at least one of which must fail
+    tests: tuple[str, ...]  # test files or pytest node ids, at least one of which must fail
 
 
 MUTANTS = (
@@ -322,11 +323,26 @@ MUTANTS = (
         ("tests/test_dihedral.py",),
     ),
     Mutant(
-        "ring-sizes-unchecked",
+        "ring-sizes-outermost-first",
         "src/sttt/dihedral.py",
-        "    spiral_numbering(n)\n    count = (n + 1) // 2\n",
-        "    count = (n + 1) // 2\n",
+        "map(len, spiral_numbering(n)._level_sets)",
+        "map(len, reversed(spiral_numbering(n)._level_sets))",
         ("tests/test_dihedral.py",),
+    ),
+    Mutant(
+        "element-accepts-any-permutation-size",
+        "src/sttt/dihedral.py",
+        "if len(self.perm.image) != self.n * self.n:",
+        "if False:",
+        ("tests/test_dihedral.py",),
+    ),
+    Mutant(
+        "name-dropped-from-module-all",
+        "src/sttt/dihedral.py",
+        '"ring_sizes", "dihedral_order",',
+        '"dihedral_order",',
+        # one test: the file's others read tools/, which the copy leaves out
+        ("tests/test_source.py::test_each_public_name_is_declared_once",),
     ),
     Mutant(
         "element-call-accepts-zero",
@@ -350,11 +366,25 @@ MUTANTS = (
         ("tests/test_spiral.py",),
     ),
     Mutant(
+        "layer-of-ring-comparison-off-by-one",
+        "src/sttt/spiral.py",
+        "if label >= ring[0])",
+        "if label > ring[0])",
+        ("tests/test_spiral.py",),
+    ),
+    Mutant(
         "square-not-frozen",
         "src/sttt/spiral.py",
         "@dataclass(frozen=True, init=False, repr=False)",
         "@dataclass(init=False, repr=False)",
         ("tests/test_spiral.py",),
+    ),
+    Mutant(
+        "from-cycles-accepts-repeated-labels",
+        "src/sttt/perm.py",
+        "if x in seen:",
+        "if False:",
+        ("tests/test_perm.py",),
     ),
     Mutant(
         "permutation-not-frozen",
@@ -439,7 +469,7 @@ def _copy_tree(dest: Path) -> None:
 
 
 def _tests_pass(tree: Path, tests: tuple[str, ...]) -> bool:
-    """Whether pytest passes on these test files of the tree."""
+    """Whether pytest passes on these tests of the tree."""
     cmd = [sys.executable, "-m", "pytest", "-x", "-q", "-p", "no:cacheprovider", *tests]
     try:
         done = subprocess.run(
