@@ -48,10 +48,14 @@ class ListingParseError(ValueError):
 
 @dataclass(frozen=True)
 class IsoClass:
-    """One isomorphism class: sorted member bitstrings and their minimum."""
+    """One isomorphism class: its member bitstrings, whose least is the
+    canonical form."""
 
-    canonical: str
     members: tuple[str, ...]
+
+    @property
+    def canonical(self) -> str:
+        return min(self.members)
 
     @property
     def orbit_size(self) -> int:
@@ -59,8 +63,7 @@ class IsoClass:
 
     @classmethod
     def from_members(cls, members) -> IsoClass:
-        ordered = tuple(sorted(members))
-        return cls(canonical=ordered[0], members=ordered)
+        return cls(tuple(sorted(members)))
 
 
 def enumerate_winning_boards(n: int = 2, *, jobs: int = 1) -> frozenset[str]:

@@ -7,7 +7,7 @@ k_{s-i} for ring size s = j + 1, indices mod s, which reflects the ring
 across the grid's main diagonal (k_0 is always fixed, and so is k_{s/2} when
 s is even).  The full rotation sigma and reflection rho act on every layer at
 once, so sigma^a rho^b sends k_i to k_{a - i} when b = 1 and to k_{a + i}
-when b = 0, indices mod s; group_element builds each element from that
+when b = 0, indices mod s; GroupElement builds its permutation from that
 formula.
 
 The group generated by sigma and rho is dihedral of order 2m, where m is the
@@ -61,21 +61,26 @@ def layer_reflection(sq: NumberedSquare, k: int) -> Permutation:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Element sigma^a rho^b of the dihedral action for side length n."""
+    """Element sigma^a rho^b of the dihedral action for side length n; a is
+    reduced mod m, b must be 0 or 1, and the permutation is built from them."""
 
     n: int
     a: int
     b: int
-    perm: Permutation = field(repr=False)
+    perm: Permutation = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
-        # once per element, so that no action indexes a board or a move with
-        # the labels of another size
-        if len(self.perm.image) != self.n * self.n:
-            raise ValueError(
-                f"an element for n={self.n} permutes {self.n * self.n} labels, "
-                f"not {len(self.perm.image)}"
-            )
+        n, b = self.n, self.b
+        if b not in (0, 1):
+            raise ValueError(f"reflection flag must be 0 or 1, got {b}")
+        sq = spiral_numbering(n)
+        a = self.a % dihedral_order(n)
+        image = [0] * sq.n_sq
+        for ring in sq._level_sets:
+            for i, x in enumerate(ring):
+                image[x - 1] = ring[(a - i if b else a + i) % len(ring)]
+        object.__setattr__(self, "a", a)
+        object.__setattr__(self, "perm", Permutation(image))
 
     def __call__(self, label: int) -> int:
         if label > 0:  # Permutation.__call__ inlined
@@ -91,23 +96,15 @@ class GroupElement:
         if self.n != other.n:
             raise ValueError(f"group elements for different sizes: {self.n} != {other.n}")
         a = self.a - other.a if self.b else self.a + other.a
-        return group_element(self.n, a, self.b ^ other.b)
+        return GroupElement(self.n, a, self.b ^ other.b)
 
     def inverse(self) -> GroupElement:
-        return group_element(self.n, self.a if self.b else -self.a, self.b)
+        return GroupElement(self.n, self.a if self.b else -self.a, self.b)
 
 
 def group_element(n: int, a: int, b: int) -> GroupElement:
     """The element sigma^a rho^b; a is reduced mod m, b must be 0 or 1."""
-    if b not in (0, 1):
-        raise ValueError(f"reflection flag must be 0 or 1, got {b}")
-    sq = spiral_numbering(n)
-    a %= dihedral_order(n)
-    image = [0] * sq.n_sq
-    for ring in sq._level_sets:
-        for i, x in enumerate(ring):
-            image[x - 1] = ring[(a - i if b else a + i) % len(ring)]
-    return GroupElement(n, a, b, Permutation(image))
+    return GroupElement(n, a, b)
 
 
 @lru_cache(maxsize=None)
@@ -123,7 +120,7 @@ def group_elements(n: int) -> tuple[GroupElement, ...]:
             f"refusing to build the group for n={n}: its 2m = {2 * m} "
             f"permutations of {n * n} labels exceed 10^7 entries"
         )
-    return tuple(group_element(n, a, b) for a in range(m) for b in (0, 1))
+    return tuple(GroupElement(n, a, b) for a in range(m) for b in (0, 1))
 
 
 @dataclass(frozen=True)
@@ -176,7 +173,7 @@ def verify_dihedral(n: int) -> DihedralReport:
             f"verification needs n >= 2 (the n={n} action collapses to the trivial group)"
         )
     elems = group_elements(n)  # first, so a group too large to build fails at once
-    sigma, rho = group_element(n, 1, 0).perm, group_element(n, 0, 1).perm
+    sigma, rho = GroupElement(n, 1, 0).perm, GroupElement(n, 0, 1).perm
     m = dihedral_order(n)
     ident = Permutation.identity(n * n)
 

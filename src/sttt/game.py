@@ -34,10 +34,9 @@ each stepped once.
 order, and board.py, which alone knows the reading layout, reorders them.
 
 :func:`act_game` maps a game move by move, (i, j) -> (g(i), g(j)), and
-replays its input, but its image only when g does not map the grid lines
-onto lines: a g that does, applied to fields and positions alike, maps each
-closed field, mark, dictated field and the losing move of a legal game to
-those of its image, so the image is legal by construction.
+replays both the input and its image, so every image it returns has been
+stepped by the rules; an image it has replayed lately, or the game itself,
+comes from the memo.
 """
 
 from __future__ import annotations
@@ -433,24 +432,14 @@ def _checked(moves: Iterable[Move | tuple[int, int]], n: int) -> tuple[Move, ...
         raise InvalidGameError(f"input game invalid at move {err.index}: {err}") from err
 
 
-@lru_cache(maxsize=4096)
-def _keeps_lines(n: int, image: tuple[int, ...]) -> bool:
-    """Whether g, with ``image[x-1] = g(x)``, maps grid_lines(n) onto itself."""
-    lines = grid_lines(n)
-    return {frozenset([image[x - 1] for x in line]) for line in lines} == set(lines)
-
-
 def _game_image(moves: tuple[Move, ...], elem: GroupElement) -> tuple[Move, ...]:
     """The image under ``elem`` of ``moves``, a game that replayed legally.
 
-    The image is replayed only when ``elem`` does not map the grid lines
-    onto lines; if it then breaks a rule, InvalidGameError names ``elem``
-    and the input game.
+    The image is replayed; if it breaks a rule, InvalidGameError names
+    ``elem`` and the input game.
     """
     n, img = elem.n, elem.perm.image  # moves that replayed legally have labels in range
     mapped = tuple([_move_row(n, img[i - 1])[img[j - 1] - 1] for i, j in moves])
-    if _keeps_lines(n, img):  # the image is legal by construction
-        return mapped
     try:
         return replay(mapped, n).moves
     except IllegalMoveError as err:
@@ -466,10 +455,10 @@ def act_game(
     Raises ValueError for a move that is not a pair of integers, and
     InvalidGameError if the input game, or its image, does not replay
     legally; an error in the input is reported at its first offending move.
-    The input is checked by :func:`replay`, which steps a game it has not
-    replayed lately.  Its image is replayed only when g does not map the
-    grid's lines onto lines: a g that does maps a legal game to a legal one,
-    while the others can break it for n >= 3.
+    The input and its image are both checked by :func:`replay`, which steps
+    a game it has not replayed lately.  An element that maps the grid's
+    lines onto lines maps a legal game to a legal one, while the others can
+    break it for n >= 3.
     """
     return _game_image(_checked(moves, elem.n), elem)
 

@@ -244,7 +244,7 @@ def test_diff_reports_missing_and_mismatched_classes(classes):
 
     mutated = list(ref)
     victim = mutated[3]
-    mutated[3] = IsoClass(victim.canonical, victim.members[:-1] + (victim.members[0],))
+    mutated[3] = IsoClass(victim.members[:-1] + (victim.members[0],))
     tampered = diff_census(classes, mutated)
     assert not tampered.match
     assert tampered.member_mismatches[0][0] == victim.canonical

@@ -258,14 +258,18 @@ def test_element_size_mismatch():
         group_element(2, 0, 2)
 
 
-@pytest.mark.parametrize("n,n_sq", [(3, 4), (3, 16), (2, 9), (1, 4)])
-def test_element_rejects_a_permutation_of_another_size(n, n_sq):
-    # the check runs once, when the element is made, so that no action can
-    # index a board or a game with labels of the wrong size
-    message = f"^an element for n={n} permutes {n * n} labels, not {n_sq}$"
-    with pytest.raises(ValueError, match=message):
-        GroupElement(n, 0, 0, Permutation.identity(n_sq))
-    assert GroupElement(n, 0, 0, Permutation.identity(n * n)) == group_element(n, 0, 0)
+@pytest.mark.parametrize("n", range(2, 6))
+def test_element_is_built_from_its_exponents(n):
+    # the permutation follows from (n, a, b), so no element can carry
+    # exponents that disagree with it
+    m = dihedral_order(n)
+    elems = group_elements(n)
+    for g in elems:
+        assert GroupElement(n, g.a + m, g.b) == GroupElement(n, g.a - m, g.b) == g
+        assert GroupElement(n, g.a + m, g.b).a == g.a
+    for g in elems:
+        for h in elems:
+            assert (g * h).perm == g.perm * h.perm
 
 
 @pytest.mark.parametrize("n", range(2, 9))

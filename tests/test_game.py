@@ -18,7 +18,6 @@ from sttt.game import (
     InvalidGameError,
     Move,
     TerminalStateError,
-    _keeps_lines,
     act_game,
     apply_move,
     final_board,
@@ -552,9 +551,17 @@ def test_moves_must_be_pairs_of_ints():
         assert check.message == f"move {move!r} is not a pair of integers"
 
 
+def _line_preserving(n):
+    """The elements that map the grid lines onto lines."""
+    lines = set(grid_lines(n))
+    return [
+        g for g in group_elements(n) if {frozenset(map(g, line)) for line in lines} == lines
+    ]
+
+
 @pytest.mark.parametrize("n", range(2, 8))
 def test_line_preserving_elements_are_the_readme_list(n):
-    # act_game skips the image replay under exactly these elements
+    # exactly these elements map every legal game to a legal one
     m = dihedral_order(n)
     if n == 2:
         expected = {(a, b) for a in range(m) for b in (0, 1)}
@@ -564,21 +571,13 @@ def test_line_preserving_elements_are_the_readme_list(n):
         expected = {(0, 0), (0, 1), (m // 2, 0), (m // 2, 1)}
     else:
         expected = {(0, 0), (0, 1)}
-    lines = set(grid_lines(n))
-    kept = {
-        (g.a, g.b): {frozenset(map(g, line)) for line in lines} == lines
-        for g in group_elements(n)
-    }
-    assert {ab for ab, keeps in kept.items() if keeps} == expected
-    assert {
-        (g.a, g.b) for g in group_elements(n) if _keeps_lines(n, g.perm.image)
-    } == expected
+    assert {(g.a, g.b) for g in _line_preserving(n)} == expected
 
 
 @pytest.mark.parametrize("n", (2, 3, 4, 5))
 def test_act_game_returns_the_mapped_game_exactly_when_it_is_legal(n):
-    # the image is not replayed under a line-preserving element, so compare
-    # act_game with a full replay of the directly mapped moves
+    # compare act_game with the verdict of is_valid_game on the moves
+    # mapped here label by label
     rng = random.Random(40 + n)
     for _ in range(10):
         state = GameState.initial(n)
@@ -599,7 +598,7 @@ def test_act_game_returns_the_mapped_game_exactly_when_it_is_legal(n):
 
 
 def test_act_game_at_n14_does_not_build_the_group():
-    # group_elements refuses n = 14; the line check must not need it
+    # group_elements refuses n = 14; acting by one element must not need it
     rho = group_element(14, 0, 1)
     game = (Move(5, 1), Move(1, 5), Move(5, 2))
     before = group_elements.cache_info()
@@ -645,15 +644,20 @@ def test_a_replayed_game_is_not_stepped_again(n, advance_calls):
     assert final_board(game, n) == state.board
     assert is_valid_game(game, n).valid
     assert is_valid_game(tuple(Move(f, p) for f, p in game), n).valid  # an equal copy
-    kept = [g for g in group_elements(n) if _keeps_lines(n, g.perm.image)]
-    images = [act_game(game, g) for g in kept]
     assert advance_calls == []
-    # each image is stepped once; an equal image built afresh is not
+    # act_game steps each image once from the empty state, but the identity
+    # image, which is the game itself
+    kept = _line_preserving(n)
+    images = [act_game(game, g) for g in kept]
+    assert game in images
+    assert advance_calls == [0] * len(set(images) - {game})
+    # then neither an image nor an equal image built afresh is stepped
+    del advance_calls[:]
     for g, image in zip(kept, images):
+        assert replay(image, n).moves is image
         assert final_board(image, n) == act_board(state.board, g)
-        del advance_calls[:]
         assert is_valid_game(tuple(Move(g(i), g(j)) for i, j in game), n).valid
-        assert advance_calls == []
+    assert advance_calls == []
 
 
 def test_an_equal_game_of_other_types_is_replayed_as_given(monkeypatch):

@@ -1,11 +1,11 @@
 """Mutation check: every mutant in MUTANTS must make its named tests fail.
 
 Each mutant replaces one exact source snippet in a temporary copy of the
-tree (``src/``, ``tests/`` and ``pyproject.toml``) and runs pytest on the
-tests named beside it, test files or single tests by node id.  The mutant
-is killed when those tests fail.  Before any mutant, the named tests run
-once on an unmutated copy and must pass, so a kill shows the tests noticed
-the mutation.
+tree (``src/``, ``tests/``, ``pyproject.toml`` and ``README.md``) and runs
+pytest on the tests named beside it, test files or single tests by node id.
+The mutant is killed when those tests fail.  Before any mutant, the named
+tests run once on an unmutated copy and must pass, so a kill shows the tests
+noticed the mutation.
 
     python3 tools/mutants.py
 
@@ -157,8 +157,8 @@ MUTANTS = (
     Mutant(
         "inverse-always-negates",
         "src/sttt/dihedral.py",
-        "group_element(self.n, self.a if self.b else -self.a, self.b)",
-        "group_element(self.n, -self.a, self.b)",
+        "GroupElement(self.n, self.a if self.b else -self.a, self.b)",
+        "GroupElement(self.n, -self.a, self.b)",
         ("tests/test_dihedral.py",),
     ),
     Mutant(
@@ -330,10 +330,10 @@ MUTANTS = (
         ("tests/test_dihedral.py",),
     ),
     Mutant(
-        "element-accepts-any-permutation-size",
+        "element-exponent-unreduced",
         "src/sttt/dihedral.py",
-        "if len(self.perm.image) != self.n * self.n:",
-        "if False:",
+        "a = self.a % dihedral_order(n)",
+        "a = self.a",
         ("tests/test_dihedral.py",),
     ),
     Mutant(
@@ -352,10 +352,10 @@ MUTANTS = (
         ("tests/test_dihedral.py",),
     ),
     Mutant(
-        "image-replay-skipped",
+        "image-never-replayed",
         "src/sttt/game.py",
-        "if _keeps_lines(n, img):",
-        "if True:",
+        "return replay(mapped, n).moves",
+        "return mapped",
         ("tests/test_game.py",),
     ),
     Mutant(
@@ -436,6 +436,13 @@ MUTANTS = (
         ("tests/test_census.py",),
     ),
     Mutant(
+        "canonical-is-the-largest-member",
+        "src/sttt/census.py",
+        "return min(self.members)",
+        "return max(self.members)",
+        ("tests/test_census.py",),
+    ),
+    Mutant(
         "jsonl-classes-may-overlap",
         "src/sttt/census.py",
         "        _claim(members, want, line, owner)\n",
@@ -465,7 +472,8 @@ def _copy_tree(dest: Path) -> None:
     ignore = shutil.ignore_patterns("__pycache__", "*.egg-info", ".pytest_cache")
     for part in ("src", "tests"):
         shutil.copytree(ROOT / part, dest / part, ignore=ignore)
-    shutil.copy2(ROOT / "pyproject.toml", dest / "pyproject.toml")
+    for part in ("pyproject.toml", "README.md"):
+        shutil.copy2(ROOT / part, dest / part)
 
 
 def _tests_pass(tree: Path, tests: tuple[str, ...]) -> bool:
