@@ -21,7 +21,7 @@ from pathlib import Path
 from . import census as census_mod
 from .board import act_board, from_bitstring, image_bitstrings, to_bitstring
 from .checks import SUITE_NAMES, run_suite
-from .dihedral import dihedral_order, group_element, verify_dihedral
+from .dihedral import GroupElement, dihedral_order, verify_dihedral
 from .game import GameState, IllegalMoveError, Move, act_game, apply_move
 from .spiral import spiral_numbering
 
@@ -53,7 +53,7 @@ def _parse_element_arg(text: str, n: int):
         a, b = int(a_str), int(b_str)
     except ValueError:
         raise ValueError(f"element must look like 'a,b', got {text!r}") from None
-    return group_element(n, a, b)
+    return GroupElement(n, a, b)
 
 
 def _parse_moves_arg(text: str) -> tuple[Move, ...]:
@@ -99,7 +99,7 @@ def _perm_payload(perm) -> dict:
 
 def _cmd_group(args) -> int:
     n = args.n
-    sigma, rho = group_element(n, 1, 0).perm, group_element(n, 0, 1).perm
+    sigma, rho = GroupElement(n, 1, 0).perm, GroupElement(n, 0, 1).perm
     m = dihedral_order(n)
     trivial = n == 1
     report = verify_dihedral(n) if args.verify and not trivial else None

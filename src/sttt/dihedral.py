@@ -103,7 +103,10 @@ class GroupElement:
 
 
 def group_element(n: int, a: int, b: int) -> GroupElement:
-    """The element sigma^a rho^b; a is reduced mod m, b must be 0 or 1."""
+    """The element sigma^a rho^b; a is reduced mod m, b must be 0 or 1.
+
+    The same as ``GroupElement(n, a, b)``, which the library and its CLI
+    call; this name stays only because ``bench/setup_probe.py`` calls it."""
     return GroupElement(n, a, b)
 
 

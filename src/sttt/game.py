@@ -26,9 +26,9 @@ checking each is a pair of integers; :func:`apply_move` is one call to it.
 :func:`replay` is the one place a game is stepped from
 ``GameState.initial(n)``, one shared empty state per n: ``final_board``,
 ``is_valid_game``, ``act_game`` and ``game_orbit`` all call it.  It
-remembers the final states of the games it replayed, in a memo bounded by
-the moves it holds, so a game and its images, checked again and again, are
-each stepped once.
+remembers the final states of the last 16 short games it replayed, each a
+tuple of Moves of two ints, in a ``functools.lru_cache``, so a game and its
+images, checked again and again, are each stepped once.
 ``GameState.field_cells``, ``marks`` and ``board`` are views of the bits;
 ``board`` is the one decoder of the field bitmasks: it spells them in label
 order, and board.py, which alone knows the reading layout, reorders them.
@@ -41,10 +41,9 @@ comes from the memo.
 
 from __future__ import annotations
 
-from collections import OrderedDict
 from dataclasses import dataclass
 from functools import lru_cache
-from threading import RLock
+from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
 from .board import Board, _image, _relabel
@@ -203,10 +202,12 @@ class GameState:
         return tuple([*_labels(unmarked)])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=64)
 def _move_row(n: int, field: int) -> tuple[Move, ...]:
     """Move(field, p) for p = 1..n^2, cached per field and size, so a call
-    builds the rows of the fields it uses, not all n^4 Moves."""
+    builds the rows of the fields it uses, not all n^4 Moves.  The 64 rows
+    used last are kept: the playout benchmark uses 9 + 16 and the census 4,
+    while a free move at n = 56 builds 3,136 rows, about 10 M Moves."""
     return tuple([Move(field, p) for p in range(1, n * n + 1)])
 
 
@@ -235,7 +236,7 @@ def _advance(state: GameState, moves: Iterable[Move | tuple[int, int]]) -> GameS
     n, marks, dictated, loser = state.n, state.mark_bits, state.dictated, state.loser
     fields = [0, *state.field_bits]  # index 0 unused: fields[f] is field f
     before, played = len(state.moves), []  # played holds only the new moves
-    exact = type(moves) is tuple  # cleared by a move that is not a Move of two ints
+    exact = type(moves) is tuple  # cleared by a move that is not a Move
     n_sq = n * n
     bit, _, through = _label_tables(n)
     try:
@@ -245,7 +246,6 @@ def _advance(state: GameState, moves: Iterable[Move | tuple[int, int]]) -> GameS
             field, pos = move
             if type(field) is not int or type(pos) is not int:
                 _as_move(move)  # raises unless both are ints (bools pass)
-                exact = False
             if loser is not None:
                 raise IllegalMoveError("terminal game", "the game is already over")
             if not (1 <= field <= n_sq and 1 <= pos <= n_sq):
@@ -282,8 +282,8 @@ def _advance(state: GameState, moves: Iterable[Move | tuple[int, int]]) -> GameS
         err.index = before + len(played) + 1
         raise
     del fields[0]  # cheaper than slicing a copy
-    # a tuple of Moves of two ints is its own record of them: the state keeps
-    # that tuple, which tells replay that it may remember the state
+    # a tuple of Moves is its own record of them: the state keeps that tuple,
+    # so a replayed game and its final state share it
     new = moves if exact else tuple(played)
     made = state.moves + new if before else new
     return GameState(n, made, tuple(fields), marks, dictated, loser)
@@ -309,67 +309,20 @@ def apply_move(state: GameState, move: Move) -> GameState:
     return _advance(state, (move,))
 
 
-# The replay memo's budget: each stored game is charged its moves and its
-# n^2 fields, so many short games at a large n cannot fill memory either.  A
-# symmetry check replays one game and its images, at n = 4 two dozen games
-# of up to ~150 moves and 16 fields, which fit with room to spare; at ~100
-# bytes a unit the memo stays under half a MB, and a long game, as at
-# n = 56, is never stored.
-_MEMO_MOVES = 4096
+# The replay memo's bounds: it holds the _MEMO_GAMES games used last, each of
+# at most _MEMO_GAME moves plus n^2 fields, so neither a long game, as at
+# n = 56, nor a short game at a large n is stored, and the memo keeps 4,096
+# such units at most (1.1 MB traced when all are short games at n = 15).  The
+# playout benchmark's symmetry checks replay a game and its images, at n = 4
+# games of 85-150 moves; 16 games serve them as often as more would.
+_MEMO_GAME = 256
+_MEMO_GAMES = 16
 
 
-def _exact(moves: tuple) -> bool:
-    """Whether every move is a Move of two ints, which replay keeps as given."""
-    return all(
-        type(move) is Move and type(move.field) is int and type(move.pos) is int
-        for move in moves
-    )
-
-
-def _charge(state: GameState) -> int:
-    """What a stored state counts against the budget: its moves and fields."""
-    return len(state.moves) + len(state.field_bits)
-
-
-class _Memo:
-    """Final states of replayed games keyed by (n, moves), least recently
-    used first.  Each is charged its moves plus its n^2 fields, and the
-    charges add up to at most ``budget``."""
-
-    def __init__(self, budget: int):
-        self.budget, self.held = budget, 0
-        self.states: OrderedDict[tuple[int, tuple[Move, ...]], GameState] = OrderedDict()
-        # reentrant, since looking a key up may run a move's own __eq__
-        self.lock = RLock()
-
-    def get(self, key: tuple[int, tuple[Move, ...]]) -> GameState | None:
-        """The state stored for the game ``key[1]``, if any.  An equal tuple
-        may hold 1.0, True or an int subclass, which replay rejects or keeps
-        as given, so it is served only if its types are exact."""
-        moves = key[1]
-        with self.lock:
-            state = self.states.get(key)
-            if state is None or not (state.moves is moves or _exact(moves)):
-                return None
-            self.states.move_to_end(key)
-            return state
-
-    def put(self, key: tuple[int, tuple[Move, ...]], state: GameState) -> None:
-        """Store a state, unless its charge is over budget, then drop the
-        least recently used games until the charges fit the budget."""
-        size = _charge(state)
-        if size > self.budget:
-            return
-        with self.lock:
-            if key in self.states:  # another thread stored it meanwhile
-                return
-            self.states[key] = state
-            self.held += size
-            while self.held > self.budget:
-                self.held -= _charge(self.states.popitem(last=False)[1])
-
-
-_memo = _Memo(_MEMO_MOVES)
+@lru_cache(maxsize=_MEMO_GAMES)
+def _replayed(n: int, moves: tuple[Move, ...]) -> GameState:
+    """The final state of a game of Moves of two ints that fits the memo."""
+    return _advance(GameState.initial(n), moves)
 
 
 def replay(moves: Iterable[Move | tuple[int, int]], n: int) -> GameState:
@@ -380,24 +333,24 @@ def replay(moves: Iterable[Move | tuple[int, int]], n: int) -> GameState:
     :func:`apply_move` reports it; and ValueError for a move that is not a
     pair of integers, once every move before it has been checked.
 
-    A game given as a tuple of Moves of two ints, with an int n, is replayed
-    once: its final state is remembered in a bounded memo, and a later call
-    with that tuple, or an equal one of the same exact types, returns it.
-    Every other input, and every game that breaks a rule, is replayed on
-    each call.
+    A game given as a tuple of Moves of two ints, with an int n, whose moves
+    plus n^2 fields come to at most 256, is replayed once: the final states
+    of the 16 such games used last are remembered, and a later call with an
+    equal game returns its state.  Every other input, and every game that
+    breaks a rule, is replayed on each call.
     """
-    if type(moves) is not tuple or type(n) is not int:
-        return _advance(GameState.initial(n), moves)
-    key = (n, moves)
-    try:
-        state = _memo.get(key)
-    except Exception:  # hashing or comparing a move ran its own code and failed
-        return _advance(GameState.initial(n), moves)
-    if state is None:
-        state = _advance(GameState.initial(n), moves)
-        if state.moves is moves:  # every move was a Move of two ints
-            _memo.put(key, state)
-    return state
+    # the exact types are checked in C before the game is hashed, so an
+    # equal tuple holding 1.0, True or an int subclass, which _advance
+    # rejects or keeps as given, never meets a stored game
+    if (
+        type(moves) is tuple
+        and type(n) is int
+        and len(moves) + n * n <= _MEMO_GAME
+        and {*map(type, moves)} <= {Move}
+        and {*map(type, chain.from_iterable(moves))} <= {int}
+    ):
+        return _replayed(n, moves)
+    return _advance(GameState.initial(n), moves)
 
 
 def is_valid_game(moves: Iterable[Move | tuple[int, int]], n: int) -> GameValidation:
@@ -439,7 +392,8 @@ def _game_image(moves: tuple[Move, ...], elem: GroupElement) -> tuple[Move, ...]
     ``elem`` and the input game.
     """
     n, img = elem.n, elem.perm.image  # moves that replayed legally have labels in range
-    mapped = tuple([_move_row(n, img[i - 1])[img[j - 1] - 1] for i, j in moves])
+    rows = [_move_row(n, y) for y in img]  # the row of g(i) for each field i
+    mapped = tuple([rows[i - 1][img[j - 1] - 1] for i, j in moves])
     try:
         return replay(mapped, n).moves
     except IllegalMoveError as err:

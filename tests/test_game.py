@@ -660,8 +660,16 @@ def test_a_replayed_game_is_not_stepped_again(n, advance_calls):
     assert advance_calls == []
 
 
-def test_an_equal_game_of_other_types_is_replayed_as_given(monkeypatch):
-    monkeypatch.setattr(game_module, "_memo", game_module._Memo(game_module._MEMO_MOVES))
+@pytest.fixture
+def memo():
+    """replay's memo of final states, emptied before and after the test."""
+    cached = game_module._replayed
+    cached.cache_clear()
+    yield cached
+    cached.cache_clear()
+
+
+def test_an_equal_game_of_other_types_is_replayed_as_given(memo):
     # True == 1 and (3, 1) == Move(3, 1), but replay keeps a bool field as
     # given and makes Moves of plain pairs; each is replayed before and
     # after the game itself is stored, and neither takes its place
@@ -673,6 +681,7 @@ def test_an_equal_game_of_other_types_is_replayed_as_given(monkeypatch):
         assert repr(replay(flagged, 2).moves) == want
         assert all(type(move) is Move for move in replay(pairs, 2).moves)
         assert repr(replay(EXAMPLE_GAME, 2).moves) == repr(EXAMPLE_GAME)
+    assert memo.cache_info()[:2] == (1, 1)  # one hit, one miss: the game itself
     # 1.0 == 1 and hashes alike, but a float field is malformed
     floated = (Move(3, 1.0),) + EXAMPLE_GAME[1:]
     assert floated == EXAMPLE_GAME
@@ -685,6 +694,7 @@ def test_an_equal_game_of_other_types_is_replayed_as_given(monkeypatch):
     assert replay(lists, 2) == replay(EXAMPLE_GAME, 2)
     lists[3][1] = 2
     assert replay(lists, 2) == _uncached(lists, 2) != replay(EXAMPLE_GAME, 2)
+    assert memo.cache_info().currsize == 1
 
 
 def test_the_memo_tells_sizes_apart():
@@ -702,39 +712,55 @@ def test_the_memo_tells_sizes_apart():
         final_board(EXAMPLE_GAME, 2.0)
 
 
-def test_the_memo_holds_at_most_its_budget_of_moves(monkeypatch):
-    # each game is charged its moves and its n^2 fields
-    memo = game_module._Memo(40)
-    monkeypatch.setattr(game_module, "_memo", memo)
-    games = [_played(2, seed) for seed in range(40)]
-    for game in games:
-        replay(game, 2)
-        held = sum(len(state.moves) + 4 for state in memo.states.values())
-        assert held == memo.held <= 40
-        assert memo.states[2, game].moves is game  # the newest game stays
-    assert len(memo.states) < len(games)  # the oldest were dropped
-    # a hit makes a game the newest, so the next eviction spares it
-    oldest = next(iter(memo.states))
-    replay(oldest[1], 2)
-    replay(_played(2, 99), 2)
-    assert oldest in memo.states
-    # a game over budget is replayed but not stored, and so is a short game
-    # at a large n, whose fields alone are over it
-    before = list(memo.states.items())
+def _distinct_games(n, count):
+    """``count`` distinct seeded random games played to the end."""
+    games = list(dict.fromkeys(_played(n, seed) for seed in range(2 * count)))
+    assert len(games) >= count
+    return games[:count]
+
+
+def test_the_memo_holds_at_most_its_budget_of_moves(memo):
+    # the memo keeps the 16 games used last, each of at most 256 moves plus
+    # its n^2 fields: 4,096 such units in all
+    size = game_module._MEMO_GAMES
+    assert (size, game_module._MEMO_GAME) == (16, 256)
+    games = _distinct_games(2, 40)
+    for k, game in enumerate(games, 1):
+        assert replay(game, 2).moves is game
+        assert memo.cache_info().currsize == min(k, size)
+        hits = memo.cache_info().hits
+        assert replay(game, 2).moves is game  # the newest game stays
+        assert memo.cache_info().hits == hits + 1
+    # a hit makes the oldest game the newest, so the next game stored
+    # drops the second oldest instead
+    oldest, second = games[-size], games[-size + 1]
+    replay(oldest, 2)
+    replay(_played(3, 99), 3)
+    info = memo.cache_info()
+    replay(oldest, 2)
+    assert memo.cache_info()[:2] == (info.hits + 1, info.misses)
+    replay(second, 2)
+    assert memo.cache_info()[:2] == (info.hits + 1, info.misses + 1)
+    # a game over 256 units is replayed but not stored, and so is a short
+    # game at a large n, whose fields alone are over it
+    info = memo.cache_info()
     wide = (Move(1, 1),)
-    assert replay(wide, 7) == _uncached(wide, 7)
-    long_game = _played(4, 7)
-    assert len(long_game) > 40
-    assert replay(long_game, 4) == _uncached(long_game, 4)
-    assert list(memo.states.items()) == before
+    assert replay(wide, 16) == _uncached(wide, 16)
+    long_game = _played(5, 7)
+    assert len(long_game) + 25 > 256
+    assert replay(long_game, 5) == _uncached(long_game, 5)
+    assert replay(long_game[:232], 5) == _uncached(long_game[:232], 5)
+    assert memo.cache_info() == info
+    # while a game of exactly 256 units is
+    replay(long_game[:231], 5)
+    assert memo.cache_info().misses == info.misses + 1
+    assert memo.cache_info().currsize == size
 
 
-def test_the_memo_stays_within_budget_under_threads(monkeypatch):
+def test_the_memo_stays_within_budget_under_threads(memo):
     # threads share the memo: replays, hits and evictions interleave, and
     # every result must still be the uncached state
-    memo = game_module._Memo(40)
-    monkeypatch.setattr(game_module, "_memo", memo)
-    games = [_played(2, seed) for seed in range(12)]
+    games = _distinct_games(2, 24)  # more than the memo holds
     wrong = []
 
     def work(offset):
@@ -755,4 +781,15 @@ def test_the_memo_stays_within_budget_under_threads(monkeypatch):
         sys.setswitchinterval(switch)
     assert not any(thread.is_alive() for thread in threads)
     assert wrong == []
-    assert memo.held == sum(len(state.moves) + 4 for state in memo.states.values()) <= 40
+    assert memo.cache_info().currsize <= game_module._MEMO_GAMES
+
+
+def test_legal_moves_keeps_at_most_64_move_rows():
+    # a free move at n = 9 builds the rows of all 81 fields; the cache keeps
+    # the 64 used last, and the moves do not change
+    rows = game_module._move_row
+    rows.cache_clear()
+    moves = legal_moves(GameState.initial(9))
+    assert moves == tuple(Move(f, p) for f in range(1, 82) for p in range(1, 82))
+    assert rows.cache_info().misses == 81
+    assert rows.cache_info().currsize <= 64

@@ -267,38 +267,46 @@ MUTANTS = (
         ("tests/test_game.py",),
     ),
     Mutant(
-        "memo-content-hit-unscanned",
+        "memo-exactness-unscanned",
         "src/sttt/game.py",
-        "not (state.moves is moves or _exact(moves))",
-        "not True",
-        ("tests/test_game.py",),
-    ),
-    Mutant(
-        "memo-key-without-size",
-        "src/sttt/game.py",
-        "key = (n, moves)",
-        "key = moves",
-        ("tests/test_game.py",),
-    ),
-    Mutant(
-        "memo-budget-unenforced",
-        "src/sttt/game.py",
-        "while self.held > self.budget:",
-        "while False:",
-        ("tests/test_game.py",),
-    ),
-    Mutant(
-        "memo-stores-games-over-budget",
-        "src/sttt/game.py",
-        "        if size > self.budget:\n            return\n",
+        "        and {*map(type, moves)} <= {Move}\n"
+        "        and {*map(type, chain.from_iterable(moves))} <= {int}\n",
         "",
         ("tests/test_game.py",),
     ),
     Mutant(
-        "memo-charges-moves-only",
+        "memo-field-types-unscanned",
         "src/sttt/game.py",
-        "return len(state.moves) + len(state.field_bits)",
-        "return len(state.moves)",
+        "        and {*map(type, chain.from_iterable(moves))} <= {int}\n",
+        "",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "memo-game-size-uncapped",
+        "src/sttt/game.py",
+        "        and len(moves) + n * n <= _MEMO_GAME\n",
+        "",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "memo-game-cap-one-low",
+        "src/sttt/game.py",
+        "len(moves) + n * n <= _MEMO_GAME",
+        "len(moves) + n * n < _MEMO_GAME",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "memo-unbounded",
+        "src/sttt/game.py",
+        "@lru_cache(maxsize=_MEMO_GAMES)",
+        "@lru_cache(maxsize=None)",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "move-rows-unbounded",
+        "src/sttt/game.py",
+        "@lru_cache(maxsize=64)",
+        "@lru_cache(maxsize=None)",
         ("tests/test_game.py",),
     ),
     Mutant(
@@ -306,13 +314,6 @@ MUTANTS = (
         "src/sttt/game.py",
         "move, exact = _as_move(move), False",
         "move = _as_move(move)",
-        ("tests/test_game.py",),
-    ),
-    Mutant(
-        "advance-keeps-bool-fields-as-exact",
-        "src/sttt/game.py",
-        "                _as_move(move)  # raises unless both are ints (bools pass)\n                exact = False\n",
-        "                _as_move(move)  # raises unless both are ints (bools pass)\n",
         ("tests/test_game.py",),
     ),
     Mutant(
