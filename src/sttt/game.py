@@ -26,9 +26,9 @@ checking each is a pair of integers; :func:`apply_move` is one call to it.
 :func:`replay` is the one place a game is stepped from
 ``GameState.initial(n)``, one shared empty state per n: ``final_board``,
 ``is_valid_game``, ``act_game`` and ``game_orbit`` all call it.  It
-remembers the final states of the last 16 short games it replayed, each a
-tuple of Moves of two ints, in a ``functools.lru_cache``, so a game and its
-images, checked again and again, are each stepped once.
+remembers the final states of the games of Moves of two ints it replayed
+last, in a bounded ``functools.lru_cache``, so a game and its images,
+checked again and again, are each stepped once.
 ``GameState.field_cells``, ``marks`` and ``board`` are views of the bits;
 ``board`` is the one decoder of the field bitmasks: it spells them in label
 order, and board.py, which alone knows the reading layout, reorders them.
@@ -202,13 +202,17 @@ class GameState:
         return tuple([*_labels(unmarked)])
 
 
-@lru_cache(maxsize=64)
+# The move rows kept: the playout benchmark uses 9 + 16 and the census 4,
+# while a free move at n = 56 builds 3,136 rows, about 10 M Moves.
+_MOVE_ROWS = 64
+
+
+@lru_cache(maxsize=_MOVE_ROWS)
 def _move_row(n: int, field: int) -> tuple[Move, ...]:
     """Move(field, p) for p = 1..n^2, cached per field and size, so a call
-    builds the rows of the fields it uses, not all n^4 Moves.  The 64 rows
-    used last are kept: the playout benchmark uses 9 + 16 and the census 4,
-    while a free move at n = 56 builds 3,136 rows, about 10 M Moves."""
-    return tuple([Move(field, p) for p in range(1, n * n + 1)])
+    builds the rows of the fields it uses, not all n^4 Moves.  The rows
+    share their position ints, the numbering's labels."""
+    return tuple([Move(field, p) for p in sorted(spiral_numbering(n).labels)])
 
 
 def legal_moves(state: GameState) -> tuple[Move, ...]:
@@ -310,12 +314,11 @@ def apply_move(state: GameState, move: Move) -> GameState:
 
 
 # The replay memo's bounds: it holds the _MEMO_GAMES games used last, each of
-# at most _MEMO_GAME moves plus n^2 fields, so neither a long game, as at
-# n = 56, nor a short game at a large n is stored, and the memo keeps 4,096
-# such units at most (1.1 MB traced when all are short games at n = 15).  The
-# playout benchmark's symmetry checks replay a game and its images, at n = 4
-# games of 85-150 moves; 16 games serve them as often as more would.
-_MEMO_GAME = 256
+# at most _MEMO_GAME_UNITS moves plus n^2 fields, which every full game at
+# n <= 8 fits.  The playout benchmark's symmetry checks replay a game and its
+# images, at n = 4 games of 85-150 moves; 16 games serve them as often as
+# more would.
+_MEMO_GAME_UNITS = 4096
 _MEMO_GAMES = 16
 
 
@@ -334,10 +337,11 @@ def replay(moves: Iterable[Move | tuple[int, int]], n: int) -> GameState:
     pair of integers, once every move before it has been checked.
 
     A game given as a tuple of Moves of two ints, with an int n, whose moves
-    plus n^2 fields come to at most 256, is replayed once: the final states
-    of the 16 such games used last are remembered, and a later call with an
-    equal game returns its state.  Every other input, and every game that
-    breaks a rule, is replayed on each call.
+    plus n^2 fields come to at most ``_MEMO_GAME_UNITS``, is replayed once:
+    the final states of the ``_MEMO_GAMES`` such games used last are
+    remembered, and a later call with an equal game returns its state.
+    Every other input, and every game that breaks a rule, is replayed on
+    each call.
     """
     # the exact types are checked in C before the game is hashed, so an
     # equal tuple holding 1.0, True or an int subclass, which _advance
@@ -345,7 +349,7 @@ def replay(moves: Iterable[Move | tuple[int, int]], n: int) -> GameState:
     if (
         type(moves) is tuple
         and type(n) is int
-        and len(moves) + n * n <= _MEMO_GAME
+        and len(moves) + n * n <= _MEMO_GAME_UNITS
         and {*map(type, moves)} <= {Move}
         and {*map(type, chain.from_iterable(moves))} <= {int}
     ):
@@ -392,8 +396,12 @@ def _game_image(moves: tuple[Move, ...], elem: GroupElement) -> tuple[Move, ...]
     ``elem`` and the input game.
     """
     n, img = elem.n, elem.perm.image  # moves that replayed legally have labels in range
-    rows = [_move_row(n, y) for y in img]  # the row of g(i) for each field i
-    mapped = tuple([rows[i - 1][img[j - 1] - 1] for i, j in moves])
+    if n * n <= _MOVE_ROWS:  # all n^2 rows fit the cache: share their Moves
+        rows = [_move_row(n, y) for y in img]  # the row of g(i) for each field i
+        mapped = tuple([rows[i - 1][img[j - 1] - 1] for i, j in moves])
+    else:  # tuple.__new__ skips Move's own __new__, two thirds of the cost
+        new = tuple.__new__
+        mapped = tuple([new(Move, (img[i - 1], img[j - 1])) for i, j in moves])
     try:
         return replay(mapped, n).moves
     except IllegalMoveError as err:

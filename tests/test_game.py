@@ -11,7 +11,7 @@ import pytest
 
 from sttt import game as game_module
 from sttt.board import Board, act_board, to_bitstring
-from sttt.dihedral import dihedral_order, group_element, group_elements
+from sttt.dihedral import GroupElement, dihedral_order, group_element, group_elements
 from sttt.game import (
     GameState,
     IllegalMoveError,
@@ -719,12 +719,10 @@ def _distinct_games(n, count):
     return games[:count]
 
 
-def test_the_memo_holds_at_most_its_budget_of_moves(memo):
-    # the memo keeps the 16 games used last, each of at most 256 moves plus
-    # its n^2 fields: 4,096 such units in all
+def test_the_memo_holds_at_most_its_budget_of_moves(memo, monkeypatch):
+    # the memo keeps the _MEMO_GAMES games used last
     size = game_module._MEMO_GAMES
-    assert (size, game_module._MEMO_GAME) == (16, 256)
-    games = _distinct_games(2, 40)
+    games = _distinct_games(2, size + 24)
     for k, game in enumerate(games, 1):
         assert replay(game, 2).moves is game
         assert memo.cache_info().currsize == min(k, size)
@@ -741,18 +739,24 @@ def test_the_memo_holds_at_most_its_budget_of_moves(memo):
     assert memo.cache_info()[:2] == (info.hits + 1, info.misses)
     replay(second, 2)
     assert memo.cache_info()[:2] == (info.hits + 1, info.misses + 1)
-    # a game over 256 units is replayed but not stored, and so is a short
-    # game at a large n, whose fields alone are over it
+    # a full game at n = 5 is stored
+    long_game = _played(5, 7)
+    info = memo.cache_info()
+    assert replay(long_game, 5) == _uncached(long_game, 5)
+    assert replay(long_game, 5).moves is long_game
+    assert memo.cache_info()[:2] == (info.hits + 1, info.misses + 1)
+    # under a bound of 65 moves plus n^2 fields, a longer game is replayed
+    # but not stored, and so is a short game at n = 9, whose fields alone
+    # are over it, and the full game is no longer looked up
+    monkeypatch.setattr(game_module, "_MEMO_GAME_UNITS", 65)
     info = memo.cache_info()
     wide = (Move(1, 1),)
-    assert replay(wide, 16) == _uncached(wide, 16)
-    long_game = _played(5, 7)
-    assert len(long_game) + 25 > 256
+    assert replay(wide, 9) == _uncached(wide, 9)
+    assert replay(long_game[:41], 5) == _uncached(long_game[:41], 5)
     assert replay(long_game, 5) == _uncached(long_game, 5)
-    assert replay(long_game[:232], 5) == _uncached(long_game[:232], 5)
     assert memo.cache_info() == info
-    # while a game of exactly 256 units is
-    replay(long_game[:231], 5)
+    # while a game of exactly 65 units is
+    replay(long_game[:40], 5)
     assert memo.cache_info().misses == info.misses + 1
     assert memo.cache_info().currsize == size
 
@@ -784,12 +788,29 @@ def test_the_memo_stays_within_budget_under_threads(memo):
     assert memo.cache_info().currsize <= game_module._MEMO_GAMES
 
 
-def test_legal_moves_keeps_at_most_64_move_rows():
+def test_legal_moves_keeps_a_bounded_number_of_move_rows():
     # a free move at n = 9 builds the rows of all 81 fields; the cache keeps
-    # the 64 used last, and the moves do not change
+    # the _MOVE_ROWS used last, and the moves do not change
     rows = game_module._move_row
     rows.cache_clear()
     moves = legal_moves(GameState.initial(9))
     assert moves == tuple(Move(f, p) for f in range(1, 82) for p in range(1, 82))
     assert rows.cache_info().misses == 81
-    assert rows.cache_info().currsize <= 64
+    assert rows.cache_info().currsize <= game_module._MOVE_ROWS < 81
+    # rows share their position ints, also those above 256, which Python
+    # does not share by itself
+    first, last = rows(17, 1), rows(17, 289)
+    assert [move.pos for move in first] == list(range(1, 290))
+    assert all(a.pos is b.pos for a, b in zip(first, last))
+
+
+def test_act_game_at_n14_fetches_no_move_rows():
+    # the 196 rows of n = 14 do not fit the row cache, so the image of a
+    # short game is built move by move, without filling it
+    rows = game_module._move_row
+    rows.cache_clear()
+    rho = GroupElement(14, 0, 1)
+    game = (Move(5, 1), Move(1, 5), Move(5, 2))
+    assert act_game(game, rho) == tuple(Move(rho(i), rho(j)) for i, j in game)
+    assert all(type(move) is Move for move in act_game(game, rho))
+    assert rows.cache_info().misses == 0

@@ -284,15 +284,15 @@ MUTANTS = (
     Mutant(
         "memo-game-size-uncapped",
         "src/sttt/game.py",
-        "        and len(moves) + n * n <= _MEMO_GAME\n",
+        "        and len(moves) + n * n <= _MEMO_GAME_UNITS\n",
         "",
         ("tests/test_game.py",),
     ),
     Mutant(
         "memo-game-cap-one-low",
         "src/sttt/game.py",
-        "len(moves) + n * n <= _MEMO_GAME",
-        "len(moves) + n * n < _MEMO_GAME",
+        "len(moves) + n * n <= _MEMO_GAME_UNITS",
+        "len(moves) + n * n < _MEMO_GAME_UNITS",
         ("tests/test_game.py",),
     ),
     Mutant(
@@ -305,8 +305,22 @@ MUTANTS = (
     Mutant(
         "move-rows-unbounded",
         "src/sttt/game.py",
-        "@lru_cache(maxsize=64)",
+        "@lru_cache(maxsize=_MOVE_ROWS)",
         "@lru_cache(maxsize=None)",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "move-rows-unshared-positions",
+        "src/sttt/game.py",
+        "for p in sorted(spiral_numbering(n).labels)]",
+        "for p in range(1, n * n + 1)]",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "image-rows-at-every-size",
+        "src/sttt/game.py",
+        "    if n * n <= _MOVE_ROWS:",
+        "    if True:",
         ("tests/test_game.py",),
     ),
     Mutant(
