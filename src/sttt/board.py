@@ -55,7 +55,7 @@ from operator import itemgetter
 from struct import Struct
 from typing import Callable, Iterable, Iterator, Sequence
 
-from .dihedral import GroupElement, group_elements
+from .dihedral import _GROUP_SIZES, GroupElement, group_elements
 from .spiral import spiral_numbering
 
 __all__ = (
@@ -211,7 +211,7 @@ def _relabel(n: int) -> Callable[[str], Sequence[str]]:
     return itemgetter(*[slices[x - 1] for x in spiral_numbering(n).labels])
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_GROUP_SIZES)
 def _gathers(n: int) -> tuple[_Element, ...]:
     """The gather, block order and kernel of each of group_elements(n), in
     that order.  The gather picks, for reading index K, the item at src[K];
@@ -224,7 +224,7 @@ def _gathers(n: int) -> tuple[_Element, ...]:
     return tuple(table)
 
 
-@lru_cache(maxsize=None)
+@lru_cache(maxsize=_GROUP_SIZES)
 def _screen(n: int) -> tuple[Callable[[str], tuple[str, ...]], Callable[[bytes], tuple]]:
     """One gather of the first n characters of every image, in the order of
     group_elements(n), and the split of their joined bytes into the 2m

@@ -110,7 +110,12 @@ def group_element(n: int, a: int, b: int) -> GroupElement:
     return GroupElement(n, a, b)
 
 
-@lru_cache(maxsize=None)
+# The side lengths whose group, and board.py's tables of it, stay cached,
+# the ones used last: the benchmark and the fuzz suites use n = 2..5.
+_GROUP_SIZES = 4
+
+
+@lru_cache(maxsize=_GROUP_SIZES)
 def group_elements(n: int) -> tuple[GroupElement, ...]:
     """All 2m elements, ordered by rotation exponent then reflection flag.
 

@@ -26,9 +26,11 @@ checking each is a pair of integers; :func:`apply_move` is one call to it.
 :func:`replay` is the one place a game is stepped from
 ``GameState.initial(n)``, one shared empty state per n: ``final_board``,
 ``is_valid_game``, ``act_game`` and ``game_orbit`` all call it.  It
-remembers the final states of the games of Moves of two ints it replayed
-last, in a bounded ``functools.lru_cache``, so a game and its images,
-checked again and again, are each stepped once.
+looks a game up in a bounded ``functools.lru_cache`` of the final states of
+the games it replayed last, before it checks any type, and returns a stored
+state for the very tuple the state keeps as its moves, or for an equal tuple
+when both hold only Moves of two ints; so a game and its images, checked
+again and again, are each stepped once.
 ``GameState.field_cells``, ``marks`` and ``board`` are views of the bits;
 ``board`` is the one decoder of the field bitmasks: it spells them in label
 order, and board.py, which alone knows the reading layout, reorders them.
@@ -185,13 +187,23 @@ class GameState:
 
     @property
     def board(self) -> Board:
-        """The board of the X cells.  Each bitmask ``field_bits[f-1]`` is
-        spelt lowest bit first, so the joined spellings hold cell (f, p) at
-        character (f-1) n^2 + (p-1): label order, which board.py's _relabel
-        kernel puts in reading order."""
-        spell = f"0{self.n ** 2}b"
-        labelled = "".join([format(bits, spell)[::-1] for bits in self.field_bits])
-        return Board._of(self.n, _image(_relabel(self.n), labelled))
+        """The board of the X cells.  The bitmasks are joined into ints,
+        ``field_bits[f-1]`` above those before it, and spelt lowest bit first,
+        so cell (f, p) is character (f-1) n^2 + (p-1): label order, which
+        board.py's _relabel kernel puts in reading order."""
+        n, fields = self.n, self.field_bits
+        n_sq = n * n
+        # all n^2 fields in one int up to n = 8, n fields per int above: an
+        # int of all n^4 bits grows at every shift, O(n^6) bit copies in all
+        step = n_sq if n <= 8 else n
+        spell = f"0{step * n_sq}b"
+        spelt = []
+        for start in range(0, n_sq, step):
+            joined = 0
+            for bits in reversed(fields[start : start + step]):
+                joined = joined << n_sq | bits
+            spelt.append(format(joined, spell)[::-1])
+        return Board._of(n, _image(_relabel(n), "".join(spelt)))
 
     def open_fields(self) -> tuple[int, ...]:
         unmarked = ~self.mark_bits & ((1 << self.n * self.n) - 1)
@@ -240,7 +252,7 @@ def _advance(state: GameState, moves: Iterable[Move | tuple[int, int]]) -> GameS
     n, marks, dictated, loser = state.n, state.mark_bits, state.dictated, state.loser
     fields = [0, *state.field_bits]  # index 0 unused: fields[f] is field f
     before, played = len(state.moves), []  # played holds only the new moves
-    exact = type(moves) is tuple  # cleared by a move that is not a Move
+    exact = type(moves) is tuple  # cleared by a move that is not a Move of two ints
     n_sq = n * n
     bit, _, through = _label_tables(n)
     try:
@@ -250,6 +262,7 @@ def _advance(state: GameState, moves: Iterable[Move | tuple[int, int]]) -> GameS
             field, pos = move
             if type(field) is not int or type(pos) is not int:
                 _as_move(move)  # raises unless both are ints (bools pass)
+                exact = False
             if loser is not None:
                 raise IllegalMoveError("terminal game", "the game is already over")
             if not (1 <= field <= n_sq and 1 <= pos <= n_sq):
@@ -323,9 +336,17 @@ _MEMO_GAMES = 16
 
 
 @lru_cache(maxsize=_MEMO_GAMES)
-def _replayed(n: int, moves: tuple[Move, ...]) -> GameState:
-    """The final state of a game of Moves of two ints that fits the memo."""
-    return _advance(GameState.initial(n), moves)
+def _replayed(n: int, moves: tuple) -> tuple[GameState, bool]:
+    """The final state of a game that fits the memo, and whether the game is
+    exact: Moves of two ints, which _advance keeps as the state's moves."""
+    state = _advance(GameState.initial(n), moves)
+    return state, state.moves is moves
+
+
+def _exact(moves: tuple) -> bool:
+    """Whether a tuple holds only Moves of two ints, by type, scanned in C."""
+    fields = chain.from_iterable(moves)
+    return {*map(type, moves)} <= {Move} and {*map(type, fields)} <= {int}
 
 
 def replay(moves: Iterable[Move | tuple[int, int]], n: int) -> GameState:
@@ -336,24 +357,29 @@ def replay(moves: Iterable[Move | tuple[int, int]], n: int) -> GameState:
     :func:`apply_move` reports it; and ValueError for a move that is not a
     pair of integers, once every move before it has been checked.
 
-    A game given as a tuple of Moves of two ints, with an int n, whose moves
-    plus n^2 fields come to at most ``_MEMO_GAME_UNITS``, is replayed once:
-    the final states of the ``_MEMO_GAMES`` such games used last are
-    remembered, and a later call with an equal game returns its state.
-    Every other input, and every game that breaks a rule, is replayed on
-    each call.
+    The final states of the ``_MEMO_GAMES`` games used last are remembered.
+    A tuple with an int n, whose moves plus n^2 fields come to at most
+    ``_MEMO_GAME_UNITS``, is looked up by its hash.  A stored state is
+    returned, with no type check, for the very tuple it keeps as its moves,
+    which _advance keeps only for a game of Moves of two ints; and for an
+    equal tuple only when both games hold Moves of two ints, which a scan of
+    the input's types shows.  Every other input, and every game that breaks
+    a rule, is replayed.
     """
-    # the exact types are checked in C before the game is hashed, so an
-    # equal tuple holding 1.0, True or an int subclass, which _advance
-    # rejects or keeps as given, never meets a stored game
     if (
         type(moves) is tuple
         and type(n) is int
         and len(moves) + n * n <= _MEMO_GAME_UNITS
-        and {*map(type, moves)} <= {Move}
-        and {*map(type, chain.from_iterable(moves))} <= {int}
     ):
-        return _replayed(n, moves)
+        try:
+            state, exact = _replayed(n, moves)
+        except TypeError:  # an unhashable field, which _advance rejects below
+            pass
+        else:
+            # an equal tuple may hold 1.0, True or an int subclass, which
+            # _advance rejects or keeps as given, so it needs both games exact
+            if state.moves is moves or exact and _exact(moves):
+                return state
     return _advance(GameState.initial(n), moves)
 
 

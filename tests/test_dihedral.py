@@ -3,6 +3,7 @@ from functools import reduce
 
 import pytest
 
+from sttt import board, dihedral
 from sttt.dihedral import (
     GroupElement,
     dihedral_order,
@@ -249,6 +250,24 @@ def test_group_elements_refuses_large_groups(n):
 def test_group_elements_builds_below_the_bound():
     # n = 13 is the largest size below the first refused one
     assert len(group_elements(13)) == 2 * dihedral_order(13) == 960
+
+
+def test_group_caches_keep_a_few_side_lengths():
+    # the group and board.py's two tables of it keep the sizes used last;
+    # built at one more small size than they hold, they drop the oldest
+    bound = dihedral._GROUP_SIZES
+    assert isinstance(bound, int) and bound >= 4  # a benchmark run uses n = 2..5
+    caches = (group_elements, board._gathers, board._screen)
+    for cache in caches:
+        cache.cache_clear()
+    for n in range(1, bound + 2):
+        board._screen(n)  # builds _gathers(n), which builds group_elements(n)
+    for cache in caches:
+        assert cache.cache_info()[1:] == (bound + 1, bound, bound)  # misses, maxsize, size
+        cache(bound + 1)
+        assert cache.cache_info().hits == 1
+        cache(1)  # the oldest, built again
+        assert cache.cache_info().misses == bound + 2
 
 
 def test_element_size_mismatch():

@@ -681,7 +681,9 @@ def test_an_equal_game_of_other_types_is_replayed_as_given(memo):
         assert repr(replay(flagged, 2).moves) == want
         assert all(type(move) is Move for move in replay(pairs, 2).moves)
         assert repr(replay(EXAMPLE_GAME, 2).moves) == repr(EXAMPLE_GAME)
-    assert memo.cache_info()[:2] == (1, 1)  # one hit, one miss: the game itself
+    # the flagged game, looked up first, is stored as not exact, so every
+    # later call hits it and is replayed as given
+    assert memo.cache_info()[:2] == (5, 1)
     # 1.0 == 1 and hashes alike, but a float field is malformed
     floated = (Move(3, 1.0),) + EXAMPLE_GAME[1:]
     assert floated == EXAMPLE_GAME
@@ -695,6 +697,64 @@ def test_an_equal_game_of_other_types_is_replayed_as_given(memo):
     lists[3][1] = 2
     assert replay(lists, 2) == _uncached(lists, 2) != replay(EXAMPLE_GAME, 2)
     assert memo.cache_info().currsize == 1
+
+
+@pytest.mark.parametrize("exact_first", (True, False))
+def test_a_stored_game_serves_an_equal_one_only_if_both_are_exact(memo, exact_first):
+    # a bool field stored first is not returned for the equal exact game,
+    # nor the exact game for the bool field; each keeps its own moves
+    flagged = (Move(3, True),) + EXAMPLE_GAME[1:]
+    copy = tuple(Move(f, p) for f, p in EXAMPLE_GAME)  # equal, not the same tuple
+    order = (copy, flagged) if exact_first else (flagged, copy)
+    for game in order:
+        state = replay(game, 2)
+        assert state == _uncached(game, 2)
+        assert repr(state.moves) == repr(game)
+    assert memo.cache_info()[:2] == (1, 1)
+    assert replay(EXAMPLE_GAME, 2).moves is (copy if exact_first else EXAMPLE_GAME)
+
+
+def test_an_unhashable_field_raises_as_the_uncached_replay(memo):
+    # Move(1, [2]) cannot be hashed, so it is not looked up, and _advance
+    # reports it as for any input it replays
+    for game in ((Move(1, [2]),), EXAMPLE_GAME[:2] + (Move(1, [2]),)):
+        with pytest.raises(ValueError) as uncached:
+            _uncached(game, 2)
+        with pytest.raises(ValueError) as cached:
+            replay(game, 2)
+        assert type(cached.value) is type(uncached.value) is ValueError
+        assert str(cached.value) == str(uncached.value)
+        assert str(cached.value) == f"move {game[-1]!r} is not a pair of integers"
+    assert memo.cache_info().currsize == 0
+
+
+@pytest.fixture
+def exact_scans(monkeypatch):
+    """Counts the calls to game._exact, the memo's scan of a game's types."""
+    calls = []
+    exact = game_module._exact
+
+    def counted(moves):
+        calls.append(len(moves))
+        return exact(moves)
+
+    monkeypatch.setattr(game_module, "_exact", counted)
+    return calls
+
+
+def test_a_memo_hit_on_the_same_tuple_or_a_miss_scans_no_types(memo, exact_scans):
+    game = _played(3, 903)
+    state = replay(game, 3)  # a miss
+    assert final_board(game, 3) == state.board  # a hit on the same tuple
+    assert is_valid_game(game, 3).valid
+    image = act_game(game, GroupElement(3, 0, 1))  # a hit, and a miss for the image
+    assert replay(image, 3).moves is image
+    assert memo.cache_info()[:2] == (4, 2)
+    assert exact_scans == []
+    # an equal tuple is scanned once, then served the stored state
+    copy = tuple(Move(f, p) for f, p in game)
+    assert replay(copy, 3) is state
+    assert exact_scans == [len(game)]
 
 
 def test_the_memo_tells_sizes_apart():

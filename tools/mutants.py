@@ -57,10 +57,17 @@ MUTANTS = (
         ("tests/test_checks.py",),
     ),
     Mutant(
-        "fields-one-position-late",
+        "board-spelling-highest-bit-first",
         "src/sttt/game.py",
-        "format(bits, spell)[::-1]",
-        "format(bits, spell)",
+        "spelt.append(format(joined, spell)[::-1])",
+        "spelt.append(format(joined, spell))",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "board-spelling-unreversed",
+        "src/sttt/game.py",
+        "for bits in reversed(fields[start : start + step]):",
+        "for bits in fields[start : start + step]:",
         ("tests/test_game.py",),
     ),
     Mutant(
@@ -267,18 +274,32 @@ MUTANTS = (
         ("tests/test_game.py",),
     ),
     Mutant(
-        "memo-exactness-unscanned",
+        "memo-distinct-hit-unscanned",
         "src/sttt/game.py",
-        "        and {*map(type, moves)} <= {Move}\n"
-        "        and {*map(type, chain.from_iterable(moves))} <= {int}\n",
-        "",
+        "if state.moves is moves or exact and _exact(moves):",
+        "if state.moves is moves or exact:",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "memo-trusts-stored-game",
+        "src/sttt/game.py",
+        "if state.moves is moves or exact and _exact(moves):",
+        "if state.moves is moves or _exact(moves):",
         ("tests/test_game.py",),
     ),
     Mutant(
         "memo-field-types-unscanned",
         "src/sttt/game.py",
-        "        and {*map(type, chain.from_iterable(moves))} <= {int}\n",
+        "and {*map(type, fields)} <= {int}",
         "",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "advance-keeps-bool-fields-as-exact",
+        "src/sttt/game.py",
+        "                _as_move(move)  # raises unless both are ints (bools pass)\n"
+        "                exact = False\n",
+        "                _as_move(move)  # raises unless both are ints (bools pass)\n",
         ("tests/test_game.py",),
     ),
     Mutant(
@@ -329,6 +350,13 @@ MUTANTS = (
         "move, exact = _as_move(move), False",
         "move = _as_move(move)",
         ("tests/test_game.py",),
+    ),
+    Mutant(
+        "group-caches-unbounded",
+        "src/sttt/dihedral.py",
+        "_GROUP_SIZES = 4",
+        "_GROUP_SIZES = None",
+        ("tests/test_dihedral.py",),
     ),
     Mutant(
         "verify-size-after-trivial-test",
