@@ -61,8 +61,9 @@ def layer_reflection(sq: NumberedSquare, k: int) -> Permutation:
 
 @dataclass(frozen=True)
 class GroupElement:
-    """Element sigma^a rho^b of the dihedral action for side length n; a is
-    reduced mod m, b must be 0 or 1, and the permutation is built from them."""
+    """Element sigma^a rho^b of the dihedral action for side length n; a and
+    b are ints (not bools), a is reduced mod m, b must be 0 or 1, and the
+    permutation is built from them."""
 
     n: int
     a: int
@@ -71,6 +72,9 @@ class GroupElement:
 
     def __post_init__(self) -> None:
         n, b = self.n, self.b
+        for name, value in (("rotation exponent", self.a), ("reflection flag", b)):
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an int, not {type(value).__name__}")
         if b not in (0, 1):
             raise ValueError(f"reflection flag must be 0 or 1, got {b}")
         sq = spiral_numbering(n)

@@ -22,15 +22,17 @@ and the bitmasks of the grid lines through x; at n = 56 that is 3,136 ints
 and 3,136 small tuples, about 0.9 MB.  A move tests only the lines through
 the cell it fills, and only once its field holds n X's, since a line has n
 cells.  One function, :func:`_advance`, steps a ``GameState`` by moves,
-checking each is a pair of integers; :func:`apply_move` is one call to it.
-:func:`replay` is the one place a game is stepped from
-``GameState.initial(n)``, one shared empty state per n: ``final_board``,
-``is_valid_game``, ``act_game`` and ``game_orbit`` all call it.  It
-looks a game up in a bounded ``functools.lru_cache`` of the final states of
-the games it replayed last, before it checks any type, and returns a stored
-state for the very tuple the state keeps as its moves, or for an equal tuple
-when both hold only Moves of two ints; so a game and its images, checked
-again and again, are each stepped once.
+checking each is a pair of integers and keeping it as a Move of two ints, so
+a state holds no other move value; :func:`apply_move` is one call to it.
+:func:`replay` steps a whole game from ``GameState.initial(n)``, one shared
+empty state per n: ``final_board``, ``is_valid_game``, ``act_game`` and
+``game_orbit`` all call it, while ``sttt game replay`` steps its moves from
+there one by one with ``apply_move``, to report each.  replay looks a game
+up in a bounded ``functools.lru_cache`` of the final states of the games it
+replayed last, before it checks any type, and returns a stored state for
+the very tuple the state keeps as its moves, or for an equal tuple of Moves
+or tuples with int or bool fields; so a game and its images, checked again
+and again, are each stepped once.
 ``GameState.field_cells``, ``marks`` and ``board`` are views of the bits;
 ``board`` is the one decoder of the field bitmasks: it spells them in label
 order, and board.py, which alone knows the reading layout, reorders them.
@@ -246,23 +248,25 @@ def _advance(state: GameState, moves: Iterable[Move | tuple[int, int]]) -> GameS
 
     The checks run in this order: a pair of integers (else ValueError),
     terminal game, out of range, closed field, wrong field, occupied cell.
+    Each move is kept as a Move of two ints, and a tuple of such Moves as
+    it is.
     An IllegalMoveError carries the offending move's 1-based number in the
     whole game, counting the moves ``state`` already holds, as ``index``.
     """
     n, marks, dictated, loser = state.n, state.mark_bits, state.dictated, state.loser
     fields = [0, *state.field_bits]  # index 0 unused: fields[f] is field f
     before, played = len(state.moves), []  # played holds only the new moves
-    exact = type(moves) is tuple  # cleared by a move that is not a Move of two ints
+    keep = type(moves) is tuple  # cleared by a move that is not a Move of two ints
     n_sq = n * n
     bit, _, through = _label_tables(n)
     try:
         for move in moves:
             if type(move) is not Move:
-                move, exact = _as_move(move), False
+                move, keep = _as_move(move), False
             field, pos = move
             if type(field) is not int or type(pos) is not int:
-                _as_move(move)  # raises unless both are ints (bools pass)
-                exact = False
+                field, pos = move = _as_move(move)
+                keep = False
             if loser is not None:
                 raise IllegalMoveError("terminal game", "the game is already over")
             if not (1 <= field <= n_sq and 1 <= pos <= n_sq):
@@ -301,19 +305,20 @@ def _advance(state: GameState, moves: Iterable[Move | tuple[int, int]]) -> GameS
     del fields[0]  # cheaper than slicing a copy
     # a tuple of Moves is its own record of them: the state keeps that tuple,
     # so a replayed game and its final state share it
-    new = moves if exact else tuple(played)
+    new = moves if keep else tuple(played)
     made = state.moves + new if before else new
     return GameState(n, made, tuple(fields), marks, dictated, loser)
 
 
 def _as_move(move) -> Move:
+    """``move`` as a Move of two ints, else ValueError."""
     try:
         field, pos = move
     except (TypeError, ValueError):
         raise ValueError(f"move {move!r} is not a (field, pos) pair") from None
     if not (isinstance(field, int) and isinstance(pos, int)):
         raise ValueError(f"move {move!r} is not a pair of integers")
-    return Move(field, pos)
+    return Move(int(field), int(pos))
 
 
 def apply_move(state: GameState, move: Move) -> GameState:
@@ -336,17 +341,16 @@ _MEMO_GAMES = 16
 
 
 @lru_cache(maxsize=_MEMO_GAMES)
-def _replayed(n: int, moves: tuple) -> tuple[GameState, bool]:
-    """The final state of a game that fits the memo, and whether the game is
-    exact: Moves of two ints, which _advance keeps as the state's moves."""
-    state = _advance(GameState.initial(n), moves)
-    return state, state.moves is moves
+def _replayed(n: int, moves: tuple) -> GameState:
+    """The final state of a game that fits the memo."""
+    return _advance(GameState.initial(n), moves)
 
 
-def _exact(moves: tuple) -> bool:
-    """Whether a tuple holds only Moves of two ints, by type, scanned in C."""
+def _int_pairs(moves: tuple) -> bool:
+    """Whether a tuple holds only Moves or tuples of int or bool fields, which
+    _advance turns into the Moves of an equal game, by type, scanned in C."""
     fields = chain.from_iterable(moves)
-    return {*map(type, moves)} <= {Move} and {*map(type, fields)} <= {int}
+    return {*map(type, moves)} <= {Move, tuple} and {*map(type, fields)} <= {int, bool}
 
 
 def replay(moves: Iterable[Move | tuple[int, int]], n: int) -> GameState:
@@ -355,16 +359,16 @@ def replay(moves: Iterable[Move | tuple[int, int]], n: int) -> GameState:
     Raises IllegalMoveError on the first violation, including a move made
     after the game ended, with ``index`` the move's 1-based number, as
     :func:`apply_move` reports it; and ValueError for a move that is not a
-    pair of integers, once every move before it has been checked.
+    pair of integers, once every move before it has been checked.  The
+    state's moves are Moves of two ints, whatever pairs of integers came in.
 
     The final states of the ``_MEMO_GAMES`` games used last are remembered.
     A tuple with an int n, whose moves plus n^2 fields come to at most
     ``_MEMO_GAME_UNITS``, is looked up by its hash.  A stored state is
-    returned, with no type check, for the very tuple it keeps as its moves,
-    which _advance keeps only for a game of Moves of two ints; and for an
-    equal tuple only when both games hold Moves of two ints, which a scan of
-    the input's types shows.  Every other input, and every game that breaks
-    a rule, is replayed.
+    returned, with no type check, for the very tuple it keeps as its moves;
+    and for an equal tuple when a scan of its types finds only Moves or
+    tuples of int or bool fields, which replay to that same state.  Every
+    other input, and every game that breaks a rule, is replayed.
     """
     if (
         type(moves) is tuple
@@ -372,13 +376,13 @@ def replay(moves: Iterable[Move | tuple[int, int]], n: int) -> GameState:
         and len(moves) + n * n <= _MEMO_GAME_UNITS
     ):
         try:
-            state, exact = _replayed(n, moves)
+            state = _replayed(n, moves)
         except TypeError:  # an unhashable field, which _advance rejects below
             pass
         else:
-            # an equal tuple may hold 1.0, True or an int subclass, which
-            # _advance rejects or keeps as given, so it needs both games exact
-            if state.moves is moves or exact and _exact(moves):
+            # an equal tuple may hold 1.0 or an int subclass, which _advance
+            # rejects or converts by its own rules
+            if state.moves is moves or _int_pairs(moves):
                 return state
     return _advance(GameState.initial(n), moves)
 

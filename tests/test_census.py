@@ -251,6 +251,18 @@ def test_diff_reports_missing_and_mismatched_classes(classes):
     assert "members disagree" in tampered.summary()
 
 
+def test_diff_summary_lists_classes_only_in_computed(classes):
+    ref = parse_census_text(bundled_census_text())
+    extra = diff_census(classes, ref[:-1])
+    assert extra.only_in_computed == (ref[-1].canonical,)
+    assert extra.only_in_reference == ()
+    assert extra.summary().splitlines() == [
+        "censuses differ",
+        "  1 classes only in computed:",
+        f"    {ref[-1].canonical}",
+    ]
+
+
 def test_jsonl_round_trip(classes):
     text = classes_to_jsonl(classes)
     lines = text.strip().splitlines()

@@ -1,4 +1,8 @@
-from sttt.checks import run_suite
+import re
+
+import pytest
+
+from sttt.checks import SUITE_NAMES, run_suite
 
 
 def test_game_suite_counts_are_pinned():
@@ -19,3 +23,9 @@ def test_round_trip_suite_passes():
     # a cell writer that disagrees with xs fails it
     result = run_suite("bitstring-round-trip", cases=2000, seed=2024)
     assert result.failures == 0 and result.skipped == 0
+
+
+def test_an_unknown_suite_names_the_suites():
+    message = f"unknown suite 'nope'; choose from {SUITE_NAMES}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        run_suite("nope")

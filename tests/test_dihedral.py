@@ -5,7 +5,9 @@ import pytest
 
 from sttt import board, dihedral
 from sttt.dihedral import (
+    DihedralReport,
     GroupElement,
+    RelationCheck,
     dihedral_order,
     group_element,
     group_elements,
@@ -277,6 +279,23 @@ def test_element_size_mismatch():
         group_element(2, 0, 2)
 
 
+def test_element_exponents_must_be_ints():
+    # a float or bool exponent used to be kept as given, or to fail while
+    # the permutation was built; a bool is refused as for a side length
+    cases = (
+        (1, 1.0, "reflection flag", "float"),
+        (0, True, "reflection flag", "bool"),
+        (1.0, 0, "rotation exponent", "float"),
+        ("1", 0, "rotation exponent", "str"),
+        (True, 0, "rotation exponent", "bool"),
+    )
+    for a, b, name, kind in cases:
+        with pytest.raises(TypeError, match=f"^{name} must be an int, not {kind}$"):
+            GroupElement(2, a, b)
+    with pytest.raises(ValueError, match="^reflection flag must be 0 or 1, got 2$"):
+        GroupElement(2, 0, 2)
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_element_is_built_from_its_exponents(n):
     # the permutation follows from (n, a, b), so no element can carry
@@ -309,6 +328,17 @@ def test_verify_dihedral_report_contents():
     assert "pass" in str(report)
     d = report.as_dict()
     assert d["ok"] is True and d["m"] == 4
+
+
+def test_report_names_its_failed_relations():
+    relations = (
+        RelationCheck("sigma^m = 1", True),
+        RelationCheck("rho^2 = 1", False, "rho^2 moves 2"),
+    )
+    report = DihedralReport(n=2, m=4, group_order=8, relations=relations)
+    assert not report.ok
+    assert report.failed() == ("rho^2 = 1",)
+    assert "  FAIL  rho^2 = 1  [rho^2 moves 2]" in str(report).splitlines()
 
 
 def test_verify_dihedral_rejects_trivial_size():

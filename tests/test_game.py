@@ -542,9 +542,12 @@ def test_an_illegal_move_is_reported_before_a_later_malformed_one():
 
 
 def test_moves_must_be_pairs_of_ints():
-    # int subclasses are integers; a Move holding other values is not
+    # int subclasses are integers, kept as Moves of two ints; a Move holding
+    # other values is not
     state = replay([(True, 1)], 2)
     assert state.moves == (Move(1, 1),)
+    assert type(state.moves[0]) is Move
+    assert type(state.moves[0].field) is type(state.moves[0].pos) is int
     for move in (Move("1", 2), Move(1.0, 2)):
         check = is_valid_game([move], 2)
         assert check.rule == "malformed"
@@ -669,28 +672,37 @@ def memo():
     cached.cache_clear()
 
 
-def test_an_equal_game_of_other_types_is_replayed_as_given(memo):
-    # True == 1 and (3, 1) == Move(3, 1), but replay keeps a bool field as
-    # given and makes Moves of plain pairs; each is replayed before and
-    # after the game itself is stored, and neither takes its place
+def _int_moves(moves):
+    """Whether ``moves`` are Moves of two ints, with no bool among them."""
+    return all(
+        type(move) is Move and type(move.field) is type(move.pos) is int for move in moves
+    )
+
+
+def test_an_equal_game_of_other_types_gets_the_stored_state(memo):
+    # True == 1 and (3, 1) == Move(3, 1), and replay makes Moves of two ints
+    # of both, so an equal game of either gets the stored state
     flagged = (Move(3, True),) + EXAMPLE_GAME[1:]
     pairs = tuple((f, p) for f, p in EXAMPLE_GAME)
-    want = repr(_uncached(flagged, 2).moves)
-    assert "pos=True" in want
+    want = _uncached(flagged, 2)
+    assert want == _uncached(EXAMPLE_GAME, 2) and _int_moves(want.moves)
     for _ in range(2):
-        assert repr(replay(flagged, 2).moves) == want
-        assert all(type(move) is Move for move in replay(pairs, 2).moves)
-        assert repr(replay(EXAMPLE_GAME, 2).moves) == repr(EXAMPLE_GAME)
-    # the flagged game, looked up first, is stored as not exact, so every
-    # later call hits it and is replayed as given
+        for game in (flagged, pairs, EXAMPLE_GAME):
+            state = replay(game, 2)
+            assert state == want and _int_moves(state.moves)
     assert memo.cache_info()[:2] == (5, 1)
-    # 1.0 == 1 and hashes alike, but a float field is malformed
+    # 1.0 == 1 and hashes alike, but a float field is malformed, whether or
+    # not the memo holds the equal game
     floated = (Move(3, 1.0),) + EXAMPLE_GAME[1:]
     assert floated == EXAMPLE_GAME
     message = f"move {floated[0]!r} is not a pair of integers"
-    with pytest.raises(ValueError, match=re.escape(message)):
-        replay(floated, 2)
-    assert is_valid_game(floated, 2) == (False, None, "malformed", message)
+    for clear in (False, True):
+        if clear:
+            memo.cache_clear()
+        with pytest.raises(ValueError, match=re.escape(message)):
+            replay(floated, 2)
+        assert is_valid_game(floated, 2) == (False, None, "malformed", message)
+    assert memo.cache_info().currsize == 0
     # a tuple of lists cannot be stored; changed in place, it replays anew
     lists = tuple([f, p] for f, p in EXAMPLE_GAME)
     assert replay(lists, 2) == replay(EXAMPLE_GAME, 2)
@@ -699,19 +711,26 @@ def test_an_equal_game_of_other_types_is_replayed_as_given(memo):
     assert memo.cache_info().currsize == 1
 
 
-@pytest.mark.parametrize("exact_first", (True, False))
-def test_a_stored_game_serves_an_equal_one_only_if_both_are_exact(memo, exact_first):
-    # a bool field stored first is not returned for the equal exact game,
-    # nor the exact game for the bool field; each keeps its own moves
-    flagged = (Move(3, True),) + EXAMPLE_GAME[1:]
-    copy = tuple(Move(f, p) for f, p in EXAMPLE_GAME)  # equal, not the same tuple
-    order = (copy, flagged) if exact_first else (flagged, copy)
-    for game in order:
-        state = replay(game, 2)
-        assert state == _uncached(game, 2)
-        assert repr(state.moves) == repr(game)
-    assert memo.cache_info()[:2] == (1, 1)
-    assert replay(EXAMPLE_GAME, 2).moves is (copy if exact_first else EXAMPLE_GAME)
+@pytest.mark.parametrize("first", ("bool", "pairs", "exact"))
+def test_equal_games_of_int_or_bool_fields_are_stepped_once(memo, advance_calls, first):
+    # a bool field, plain pairs and Moves of two ints: whichever comes first
+    # is stepped once and stored, and the others get its state
+    games = {
+        "bool": (Move(3, True),) + EXAMPLE_GAME[1:],
+        "pairs": tuple((f, p) for f, p in EXAMPLE_GAME),
+        "exact": tuple(Move(f, p) for f, p in EXAMPLE_GAME),  # not EXAMPLE_GAME itself
+    }
+    want = _uncached(EXAMPLE_GAME, 2)
+    del advance_calls[:]
+    order = [games.pop(first), *games.values()]
+    stored = replay(order[0], 2)
+    assert stored == want and _int_moves(stored.moves)
+    assert (stored.moves is order[0]) == (first == "exact")
+    for game in order * 2:
+        assert replay(game, 2) is stored
+    assert replay(EXAMPLE_GAME, 2) is stored
+    assert advance_calls == [0]
+    assert memo.cache_info()[:2] == (7, 1)
 
 
 def test_an_unhashable_field_raises_as_the_uncached_replay(memo):
@@ -729,32 +748,32 @@ def test_an_unhashable_field_raises_as_the_uncached_replay(memo):
 
 
 @pytest.fixture
-def exact_scans(monkeypatch):
-    """Counts the calls to game._exact, the memo's scan of a game's types."""
+def type_scans(monkeypatch):
+    """Counts the calls to game._int_pairs, the memo's scan of a game's types."""
     calls = []
-    exact = game_module._exact
+    scan = game_module._int_pairs
 
     def counted(moves):
         calls.append(len(moves))
-        return exact(moves)
+        return scan(moves)
 
-    monkeypatch.setattr(game_module, "_exact", counted)
+    monkeypatch.setattr(game_module, "_int_pairs", counted)
     return calls
 
 
-def test_a_memo_hit_on_the_same_tuple_or_a_miss_scans_no_types(memo, exact_scans):
-    game = _played(3, 903)
+def test_a_memo_hit_on_the_same_tuple_or_a_miss_scans_no_types(memo, type_scans):
+    game = _played(3, 903)  # Moves of two ints, which the state keeps
     state = replay(game, 3)  # a miss
     assert final_board(game, 3) == state.board  # a hit on the same tuple
     assert is_valid_game(game, 3).valid
     image = act_game(game, GroupElement(3, 0, 1))  # a hit, and a miss for the image
     assert replay(image, 3).moves is image
     assert memo.cache_info()[:2] == (4, 2)
-    assert exact_scans == []
+    assert type_scans == []
     # an equal tuple is scanned once, then served the stored state
     copy = tuple(Move(f, p) for f, p in game)
     assert replay(copy, 3) is state
-    assert exact_scans == [len(game)]
+    assert type_scans == [len(game)]
 
 
 def test_the_memo_tells_sizes_apart():

@@ -145,16 +145,46 @@ def test_records_serialize_from_their_fields():
     assert not found, found
 
 
+def _load_tool(name):
+    spec = importlib.util.spec_from_file_location(name, ROOT / "tools" / f"{name}.py")
+    tool = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(tool)
+    return tool
+
+
 def test_mutant_snippets_occur_once():
     # the full mutant run is slow and stays out of this suite; this keeps its
     # table from rotting when the code it mutates moves
-    spec = importlib.util.spec_from_file_location("mutants", ROOT / "tools" / "mutants.py")
-    mutants = importlib.util.module_from_spec(spec)
-    spec.loader.exec_module(mutants)
+    mutants = _load_tool("mutants")
     assert mutants.MUTANTS
     assert mutants.misplaced() == []
     named = {test.partition("::")[0] for m in mutants.MUTANTS for test in m.tests}
     assert all((ROOT / test).is_file() for test in named)
+
+
+def test_code_lines_skips_blanks_comments_and_docstrings(capsys):
+    code_lines = _load_tool("code_lines")
+    source = (
+        '"""A module docstring,\nover two lines."""\n'
+        "\n"
+        "# a comment\n"
+        "TOTAL = sum(  # a statement over three lines\n"
+        "    (1, 2),\n"
+        ")\n"
+        "\n"
+        "def f():\n"
+        '    """A function docstring."""\n'
+        '    return """a string\nthat is code"""\n'
+    )
+    assert code_lines.code_lines(source) == 6
+    # the whole package, one line per module and a total
+    assert code_lines.main() == 0
+    rows = [line.split() for line in capsys.readouterr().out.splitlines()]
+    modules = sorted(path.stem for path in SRC.glob("*.py"))
+    assert [name for name, _ in rows] == [*modules, "total"]
+    counts = [int(count) for _, count in rows]
+    assert all(count > 0 for count in counts)
+    assert sum(counts[:-1]) == counts[-1]
 
 
 # the package's public names, in the order of sttt.__all__

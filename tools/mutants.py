@@ -276,30 +276,36 @@ MUTANTS = (
     Mutant(
         "memo-distinct-hit-unscanned",
         "src/sttt/game.py",
-        "if state.moves is moves or exact and _exact(moves):",
-        "if state.moves is moves or exact:",
-        ("tests/test_game.py",),
-    ),
-    Mutant(
-        "memo-trusts-stored-game",
-        "src/sttt/game.py",
-        "if state.moves is moves or exact and _exact(moves):",
-        "if state.moves is moves or _exact(moves):",
+        "if state.moves is moves or _int_pairs(moves):",
+        "if True:",
         ("tests/test_game.py",),
     ),
     Mutant(
         "memo-field-types-unscanned",
         "src/sttt/game.py",
-        "and {*map(type, fields)} <= {int}",
+        " and {*map(type, fields)} <= {int, bool}",
         "",
         ("tests/test_game.py",),
     ),
     Mutant(
-        "advance-keeps-bool-fields-as-exact",
+        "memo-scan-accepts-float",
         "src/sttt/game.py",
-        "                _as_move(move)  # raises unless both are ints (bools pass)\n"
-        "                exact = False\n",
-        "                _as_move(move)  # raises unless both are ints (bools pass)\n",
+        "<= {int, bool}",
+        "<= {int, bool, float}",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "as-move-unconverted",
+        "src/sttt/game.py",
+        "return Move(int(field), int(pos))",
+        "return Move(field, pos)",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "advance-keeps-bool-fields-as-given",
+        "src/sttt/game.py",
+        "                field, pos = move = _as_move(move)\n                keep = False\n",
+        "                field, pos = move = _as_move(move)\n",
         ("tests/test_game.py",),
     ),
     Mutant(
@@ -347,7 +353,7 @@ MUTANTS = (
     Mutant(
         "advance-keeps-converted-moves",
         "src/sttt/game.py",
-        "move, exact = _as_move(move), False",
+        "move, keep = _as_move(move), False",
         "move = _as_move(move)",
         ("tests/test_game.py",),
     ),
@@ -370,6 +376,13 @@ MUTANTS = (
         "src/sttt/dihedral.py",
         "map(len, spiral_numbering(n)._level_sets)",
         "map(len, reversed(spiral_numbering(n)._level_sets))",
+        ("tests/test_dihedral.py",),
+    ),
+    Mutant(
+        "element-exponent-admits-bool",
+        "src/sttt/dihedral.py",
+        "if type(value) is not int:",
+        "if not isinstance(value, int):",
         ("tests/test_dihedral.py",),
     ),
     Mutant(
