@@ -24,7 +24,10 @@ slice copies in C.  Per n, the first use caches the n^2 slices, shared by
 every element.  Each element's kernel lives in one bounded cache keyed by
 n and the element's image.  The group's table and act_board both draw on
 it, so act_board never needs the group.  Only the table holds the gather
-of the n^2 indices src that canonical_form applies to single field blocks.
+of the n^2 indices src that canonical_form applies to single field blocks,
+and the slice that cuts each source block.  The table is part of one record per
+n, _gathers(n), with the screen below and the two uniform blocks, so
+canonical_form makes one cache lookup.
 
 The same two passes put a label-order bitstring, whose character
 (f-1) n^2 + (p-1) is cell (f, p), into reading order: that is the
@@ -33,12 +36,14 @@ per n.  The rules engine spells its field bitmasks in label order and
 hands them over, so this module alone writes the reading layout.
 
 canonical_form does not build every image.  One gather first takes the
-first n characters of every image, and only the elements whose n are the
+first n characters of every image.  If one element alone has the smallest,
+its image is built at once; else only the elements whose n are the
 smallest stay.  While several do, it compares their images one field block
-at a time in reading order and drops each element whose block is larger
-than the smallest, as a canonical labelling search prunes its candidates.
-A block of all 0s or all 1s is its own image under every element, so it is
-never gathered.  If at least half the elements tie on the first block, as
+at a time in reading order, each block cut from the bitstring by the
+slice of its source block, and drops each element whose block is larger than the
+smallest, as a canonical labelling search prunes its candidates.  A block
+of all 0s or all 1s is its own image under every element, so it is never
+gathered.  If at least half the elements tie on the first block, as
 they do on every board sigma fixes, the search compares the board with its
 images under sigma and rho.  A board sigma fixes has
 only two distinct images, itself and its image under rho, so the smaller
@@ -91,9 +96,12 @@ class Board:
     @classmethod
     def _of(cls, n: int, bits: str) -> Board:
         """The board of a bitstring already checked for side length n."""
+        # the instance dict written directly, as GameState.__init__ does,
+        # about a third cheaper than two object.__setattr__ calls
         board = object.__new__(cls)
-        object.__setattr__(board, "n", n)
-        object.__setattr__(board, "bits", bits)
+        attrs = board.__dict__
+        attrs["n"] = n
+        attrs["bits"] = bits
         return board
 
     @classmethod
@@ -145,11 +153,11 @@ def from_bitstring(bits: str, n: int) -> Board:
     return Board._of(n, bits)
 
 
-# a label permutation's gather, block order and kernel, as the group's table
-# holds them; a plain tuple, which unpacks faster than a NamedTuple
+# a label permutation's gather, block slices and kernel, as the group's
+# table holds them; a plain tuple, which unpacks faster than a NamedTuple
 _Element = tuple[
     Callable[[str], Sequence[str]],
-    tuple[int, ...],
+    tuple[slice, ...],
     Callable[[str], Sequence[str]],
 ]
 
@@ -211,28 +219,40 @@ def _relabel(n: int) -> Callable[[str], Sequence[str]]:
     return itemgetter(*[slices[x - 1] for x in spiral_numbering(n).labels])
 
 
+# per n: the rows of group_elements(n), the screen's gather and splitter, and
+# the two uniform field blocks; a plain tuple, as _Element is
+_Gathers = tuple[
+    tuple[_Element, ...],
+    Callable[[str], tuple[str, ...]],
+    Callable[[bytes], tuple[bytes, ...]],
+    tuple[str, str],
+]
+
+
 @lru_cache(maxsize=_GROUP_SIZES)
-def _gathers(n: int) -> tuple[_Element, ...]:
-    """The gather, block order and kernel of each of group_elements(n), in
-    that order.  The gather picks, for reading index K, the item at src[K];
-    the block order is src, so image block K is the gathered source block
-    ``order[K]``.  The kernel is _element's."""
-    table = []
+def _gathers(n: int) -> _Gathers:
+    """What canonical_form and image_bitstrings need of group_elements(n).
+
+    The rows hold each element's gather, block slices and kernel, in the
+    group's order.  The gather picks, for reading index K, the item at
+    src[K]; block slice K cuts source block src[K] from a bitstring, and
+    block K of the image is that block gathered.  The kernel is
+    _element's.  The screen gathers the first n characters of every image,
+    the first row of its first block, and the splitter cuts their joined
+    bytes into the 2m rows.  The uniform blocks, all 0s and all 1s, are
+    their own images.
+    """
+    n_sq = n * n
+    # one slice per field block, shared by every row
+    cuts = tuple(slice(start, start + n_sq) for start in range(0, n_sq * n_sq, n_sq))
+    rows, firsts = [], []
     for elem in group_elements(n):
         src = _source(n, elem.perm.image)
-        table.append((itemgetter(*src), tuple(src), _element(n, elem.perm.image)))
-    return tuple(table)
-
-
-@lru_cache(maxsize=_GROUP_SIZES)
-def _screen(n: int) -> tuple[Callable[[str], tuple[str, ...]], Callable[[bytes], tuple]]:
-    """One gather of the first n characters of every image, in the order of
-    group_elements(n), and the split of their joined bytes into the 2m
-    prefixes.  The n are the first row of the image's first block."""
-    n_sq = n * n
-    table = _gathers(n)
-    gather = itemgetter(*[order[0] * n_sq + order[k] for _, order, _ in table for k in range(n)])
-    return gather, Struct(f"{n}s" * len(table)).unpack
+        blocks = tuple(map(cuts.__getitem__, src))
+        rows.append((itemgetter(*src), blocks, _element(n, elem.perm.image)))
+        firsts += [src[0] * n_sq + s for s in src[:n]]
+    split = Struct(f"{n}s" * len(rows)).unpack
+    return tuple(rows), itemgetter(*firsts), split, ("0" * n_sq, "1" * n_sq)
 
 
 def act_board(board: Board, elem: GroupElement) -> Board:
@@ -251,50 +271,48 @@ def image_bitstrings(bits: str, n: int) -> Iterator[str]:
     BitstringError) before it returns.
     """
     _check_bitstring(bits, n)
-    return (_image(kernel, bits) for _, _, kernel in _gathers(n))
+    return (_image(kernel, bits) for _, _, kernel in _gathers(n)[0])
 
 
 def canonical_form(board: Board) -> str:
     """Lexicographically smallest bitstring over the orbit; orbit-constant.
 
     A pruned search.  One gather screens every element by the first n
-    characters of its image, and only those with the smallest stay live.
-    While several do, block K of every live element's image is built, for K
-    in reading order, and again only the smallest stay live.  All-0 and
-    all-1 blocks are their own images and are not gathered.  If at least
-    half the elements tie on the first block, whole images test whether
-    sigma fixes the board, which leaves it two images, or rho does, which
-    leaves one live element per rotation.  The first element left has its
-    image built whole by its kernel: survivors that tie on every block
-    have equal images.
+    characters of its image; if one element alone has the smallest, its
+    image is the answer.  Else those with the smallest stay live, and while
+    several do, block K of every live element's image is built, for K in
+    reading order, from the one source block it needs, and again only the
+    smallest stay live.  All-0 and all-1 blocks are their own images and are
+    not gathered.  If at least half the elements tie on the first block,
+    whole images test whether sigma fixes the board, which leaves it two
+    images, or rho does, which leaves one live element per rotation.  The
+    first element left has its image built whole by its kernel: survivors
+    that tie on every block have equal images.
     """
     n, bits = board.n, board.bits
+    rows, screen, split, uniform = _gathers(n)
     join = "".join
-    table = _gathers(n)
-    screen, split = _screen(n)
     prefixes = split(join(screen(bits)).encode())
     least = min(prefixes)
-    live = [el for el, prefix in zip(table, prefixes) if prefix == least]
-    if len(live) > 1:
-        n_sq = n * n
-        blocks = [bits[i : i + n_sq] for i in range(0, len(bits), n_sq)]
-        uniform = ("0" * n_sq, "1" * n_sq)
-        for k in range(n_sq):
-            images = [
-                block if (block := blocks[order[k]]) in uniform else join(gather(block))
-                for gather, order, _ in live
-            ]
-            best = min(images)
-            live = [el for el, image in zip(live, images) if image == best]
-            if len(live) == 1:
-                break
-            if k == 0 and 2 * len(live) >= len(table) > 2:
-                # table runs e, rho, sigma, sigma rho, ...: a board sigma
-                # fixes has the images of e and rho, and one rho fixes has
-                # those of the rotations, each twice in a row
-                flipped = _image(table[1][2], bits)
-                if _image(table[2][2], bits) == bits:
-                    return min(bits, flipped)
-                if flipped == bits:
-                    live = live[::2]
+    if prefixes.count(least) == 1:
+        return _image(rows[prefixes.index(least)][2], bits)
+    live = [row for row, prefix in zip(rows, prefixes) if prefix == least]
+    for k in range(n * n):
+        images = [
+            block if (block := bits[blocks[k]]) in uniform else join(gather(block))
+            for gather, blocks, _ in live
+        ]
+        best = min(images)
+        live = [row for row, image in zip(live, images) if image == best]
+        if len(live) == 1:
+            break
+        if k == 0 and 2 * len(live) >= len(rows) > 2:
+            # rows run e, rho, sigma, sigma rho, ...: a board sigma fixes
+            # has the images of e and rho, and one rho fixes has those of
+            # the rotations, each twice in a row
+            flipped = _image(rows[1][2], bits)
+            if _image(rows[2][2], bits) == bits:
+                return min(bits, flipped)
+            if flipped == bits:
+                live = live[::2]
     return _image(live[0][2], bits)

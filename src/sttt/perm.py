@@ -11,7 +11,8 @@ __all__ = ("Permutation",)
 
 @dataclass(frozen=True, init=False, repr=False)
 class Permutation:
-    """A bijection on {1..N}: ``image[x - 1]`` is the image of label x.
+    """A bijection on {1..N}: ``image[x - 1]`` is the image of label x, an
+    int; any other entry, a bool or a float included, raises TypeError.
 
     Composition follows function application: ``(p * q)(x) == p(q(x))``.
     A frozen dataclass: assigning or deleting an attribute raises
@@ -22,9 +23,21 @@ class Permutation:
 
     def __init__(self, image: Iterable[int]):
         img = tuple(image)
+        if not {int}.issuperset(map(type, img)):
+            bad = next(x for x in img if type(x) is not int)
+            kind = type(bad).__name__
+            raise TypeError(f"permutation entry {bad!r} must be an int, not {kind}")
         if sorted(img) != list(range(1, len(img) + 1)):
             raise ValueError(f"not a bijection on 1..{len(img)}: {img}")
         object.__setattr__(self, "image", img)
+
+    @classmethod
+    def _of(cls, img: tuple[int, ...]) -> Permutation:
+        """The permutation of an image already known to be a bijection of
+        ints: a product, power or inverse of checked permutations."""
+        perm = object.__new__(cls)
+        perm.__dict__["image"] = img
+        return perm
 
     @classmethod
     def identity(cls, n_sq: int) -> Permutation:
@@ -34,13 +47,16 @@ class Permutation:
     def from_cycles(cls, n_sq: int, cycles: Iterable[Sequence[int]]) -> Permutation:
         """Build from disjoint cycles; labels not mentioned are fixed.
 
-        Raises ValueError naming the first label outside 1..n_sq, or the
+        Raises TypeError naming the first label that is not an int (a bool
+        included), and ValueError naming the first outside 1..n_sq, or the
         first that appears twice, in one cycle or across cycles.
         """
         img, seen = list(range(1, n_sq + 1)), set()
         for cyc in cycles:
             cyc = tuple(cyc)
             for i, x in enumerate(cyc):
+                if type(x) is not int:
+                    raise TypeError(f"label {x!r} must be an int, not {type(x).__name__}")
                 if not 1 <= x <= n_sq:
                     raise ValueError(f"label {x} outside 1..{n_sq}")
                 if x in seen:
@@ -60,13 +76,13 @@ class Permutation:
     def __mul__(self, other: Permutation) -> Permutation:
         if len(self.image) != len(other.image):
             raise ValueError("cannot compose permutations of different domains")
-        return Permutation(self.image[y - 1] for y in other.image)
+        return Permutation._of(tuple(self.image[y - 1] for y in other.image))
 
     def inverse(self) -> Permutation:
         inv = [0] * len(self.image)
         for i, y in enumerate(self.image):
             inv[y - 1] = i + 1
-        return Permutation(inv)
+        return Permutation._of(tuple(inv))
 
     def __pow__(self, k: int) -> Permutation:
         img = [0] * len(self.image)
@@ -74,7 +90,7 @@ class Permutation:
             s = len(cyc)
             for i, x in enumerate(cyc):
                 img[x - 1] = cyc[(i + k) % s]
-        return Permutation(img)
+        return Permutation._of(tuple(img))
 
     def cycles(self, include_fixed: bool = False) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles, each starting at its smallest label, sorted by it."""

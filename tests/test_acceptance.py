@@ -21,8 +21,8 @@ from sttt.census import (
 )
 from sttt.checks import SUITE_NAMES, run_suite
 from sttt.dihedral import (
+    GroupElement,
     dihedral_order,
-    group_element,
     group_elements,
     verify_dihedral,
 )
@@ -76,7 +76,7 @@ def test_criterion_1_dihedral_verification():
         if not report.ok:
             problems.append(f"n={n} relations failed: {report.failed()}")
         expected = EXPECTED_ORDERS[n]
-        realized = group_element(n, 1, 0).perm.order()
+        realized = GroupElement(n, 1, 0).perm.order()
         if not (dihedral_order(n) == expected == realized):
             problems.append(
                 f"n={n}: formula {dihedral_order(n)}, expected {expected}, "
@@ -95,8 +95,8 @@ def test_criterion_1_dihedral_verification():
 def test_criterion_2_layout_goldens():
     sq = spiral_numbering(5)
     ok = sq.rows == GRID_5
-    sigma_inv = group_element(5, 1, 0).perm.inverse()
-    rho_inv = group_element(5, 0, 1).perm.inverse()
+    sigma_inv = GroupElement(5, 1, 0).perm.inverse()
+    rho_inv = GroupElement(5, 0, 1).perm.inverse()
     rotated = tuple(
         tuple(sigma_inv(sq.label_at(r, c)) for c in range(5)) for r in range(5)
     )

@@ -15,7 +15,7 @@ from sttt.board import (
     _image,
     _slices,
 )
-from sttt.dihedral import dihedral_order, group_element, group_elements
+from sttt.dihedral import GroupElement, dihedral_order, group_elements
 from sttt.spiral import InvalidSizeError, spiral_numbering
 
 # the two boards of the unique orbit of size 2 for n=2
@@ -51,7 +51,7 @@ def test_board_bitstring_matches_a_cell_loop(n):
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4))
 def test_board_value_semantics(n):
-    identity = group_element(n, 0, 0)
+    identity = GroupElement(n, 0, 0)
     for board in _boards(n, count=5):
         same = (
             Board(n, board.xs),
@@ -66,11 +66,14 @@ def test_board_value_semantics(n):
 
 
 def test_board_is_immutable():
-    b = Board(2, frozenset({(1, 1)}))
-    for name, value in (("n", 3), ("bits", "0" * 16), ("xs", frozenset())):
-        with pytest.raises(AttributeError):
-            setattr(b, name, value)
-    assert to_bitstring(b) == "1" + "0" * 15
+    # from_bitstring builds through Board._of, which writes the instance dict
+    for b in (Board(2, frozenset({(1, 1)})), from_bitstring("1" + "0" * 15, 2)):
+        for name, value in (("n", 3), ("bits", "0" * 16), ("xs", frozenset())):
+            with pytest.raises(AttributeError):
+                setattr(b, name, value)
+            with pytest.raises(AttributeError):
+                delattr(b, name)
+        assert to_bitstring(b) == "1" + "0" * 15 and b.n == 2
 
 
 def test_board_repr_golden():
@@ -223,7 +226,7 @@ def test_act_board_maps_each_cell(n):
 def test_act_board_without_the_group(n, a, b):
     # group_elements refuses n = 14 and n = 19, so act_board must build its
     # element's kernel alone, with no group and no table of the group
-    g = group_element(n, a, b)
+    g = GroupElement(n, a, b)
     board = _sparse_board(n, random.Random(n + a + b))
     before = group_elements.cache_info(), _gathers.cache_info()
     image = act_board(board, g)
@@ -234,22 +237,35 @@ def test_act_board_without_the_group(n, a, b):
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7, 8, 9))
 def test_table_has_one_kernel_per_element(n):
-    # each element's gather and kernel follow its block order, the same
-    # permutation of the n^2 reading indices, and all kernels draw on the
-    # n^2 shared slices
-    table = _gathers(n)
+    # each element's gather, block slices and kernel follow its block
+    # order, the same permutation of the n^2 reading indices, and all
+    # kernels draw on the n^2 shared column slices
+    rows = _gathers(n)[0]
     n_sq = n * n
     slices = _slices(n)
     assert slices == tuple(slice(c, None, n_sq) for c in range(n_sq))
-    assert len(table) == len(group_elements(n)) == 2 * dihedral_order(n)
+    assert len(rows) == len(group_elements(n)) == 2 * dihedral_order(n)
     drawn = set()
-    for gather, order, kernel in table:
+    for gather, blocks, kernel in rows:
+        order = gather.__reduce__()[1]  # an itemgetter's items
         assert sorted(order) == list(range(n_sq))
-        pieces = kernel.__reduce__()[1]  # an itemgetter's items
-        assert gather.__reduce__()[1] == order
+        assert blocks == tuple(slice(c * n_sq, c * n_sq + n_sq) for c in order)
+        pieces = kernel.__reduce__()[1]
         assert pieces == tuple(slices[c] for c in order)
         drawn |= {id(s) for s in pieces}
     assert drawn == {id(s) for s in slices}
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 7))
+def test_screen_splits_the_first_row_of_every_image(n):
+    # the record's screen and splitter give each image's first n characters,
+    # in the group's order; its uniform blocks are all 0s and all 1s
+    _, screen, split, uniform = _gathers(n)
+    assert uniform == ("0" * n * n, "1" * n * n)
+    for board in _boards(n, count=4):
+        prefixes = split("".join(screen(board.bits)).encode())
+        images = image_bitstrings(board.bits, n)
+        assert prefixes == tuple(image[:n].encode() for image in images)
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7))
@@ -261,7 +277,7 @@ def test_act_board_shares_the_table_kernels(n):
     _gathers.cache_clear()
     for k in range(1, 8):
         _gathers(k)
-    for g, entry in zip(group_elements(n), _gathers(n), strict=True):
+    for g, entry in zip(group_elements(n), _gathers(n)[0], strict=True):
         assert _element(n, g.perm.image) is entry[2]
 
 
@@ -287,7 +303,8 @@ def _two_level_image(order: tuple[int, ...], bits: str) -> str:
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7, 8, 9))
 def test_kernel_matches_the_two_level_gather(n):
     *_, board = _boards(n, count=1)  # a random board, after the empty and the full
-    for _, order, kernel in _gathers(n):
+    for _, blocks, kernel in _gathers(n)[0]:
+        order = tuple(block.start // (n * n) for block in blocks)
         assert _image(kernel, board.bits) == _two_level_image(order, board.bits)
 
 
@@ -342,19 +359,19 @@ def test_identity_action_fixes_everything():
 
 def test_single_x_moves_with_the_rotation():
     b = Board(2, frozenset({(1, 1)}))
-    sigma = group_element(2, 1, 0)
+    sigma = GroupElement(2, 1, 0)
     assert act_board(b, sigma) == Board(2, frozenset({(2, 2)}))
 
 
 def test_reflection_fixes_the_diagonal_cross():
     b = Board(2, frozenset({(1, 1), (1, 3), (3, 1), (3, 3)}))
-    rho = group_element(2, 0, 1)
+    rho = GroupElement(2, 0, 1)
     assert act_board(b, rho) == b
 
 
 def test_rotation_table_for_all_cells():
     # every cell (i, j) travels to (sigma^k(i), sigma^k(j)) and returns after 4 steps
-    sigma = group_element(2, 1, 0)
+    sigma = GroupElement(2, 1, 0)
     for i in range(1, 5):
         for j in range(1, 5):
             start = Board(2, frozenset({(i, j)}))
@@ -367,7 +384,7 @@ def test_rotation_table_for_all_cells():
 
 
 def test_rotate_reflect_twice_is_identity():
-    sr = group_element(2, 1, 1)
+    sr = GroupElement(2, 1, 1)
     for i in range(1, 5):
         for j in range(1, 5):
             b = Board(2, frozenset({(i, j)}))

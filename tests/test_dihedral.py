@@ -9,7 +9,6 @@ from sttt.dihedral import (
     GroupElement,
     RelationCheck,
     dihedral_order,
-    group_element,
     group_elements,
     layer_reflection,
     layer_rotation,
@@ -63,7 +62,7 @@ def test_dihedral_order_values(n, m):
 
 @pytest.mark.parametrize("n", range(1, 13))
 def test_dihedral_order_matches_realized_rotation(n):
-    assert dihedral_order(n) == group_element(n, 1, 0).perm.order()
+    assert dihedral_order(n) == GroupElement(n, 1, 0).perm.order()
 
 
 def test_layer_rotation_goldens():
@@ -107,8 +106,8 @@ def test_layer_products_do_not_depend_on_order(n):
     sq = spiral_numbering(n)
     layers = range(1, sq.layer_count + 1)
     for make, full in (
-        (layer_rotation, group_element(n, 1, 0)),
-        (layer_reflection, group_element(n, 0, 1)),
+        (layer_rotation, GroupElement(n, 1, 0)),
+        (layer_reflection, GroupElement(n, 0, 1)),
     ):
         parts = [make(sq, k) for k in layers]
         forward = reduce(lambda p, q: p * q, parts)
@@ -125,22 +124,22 @@ def test_group_element_matches_layer_definition(n):
     rho = reduce(lambda p, q: p * q, [layer_reflection(sq, k) for k in layers])
     for a in range(dihedral_order(n)):
         rotation = sigma**a
-        assert group_element(n, a, 0).perm == rotation
-        assert group_element(n, a, 1).perm == rotation * rho
+        assert GroupElement(n, a, 0).perm == rotation
+        assert GroupElement(n, a, 1).perm == rotation * rho
 
 
 def test_full_products_n2():
-    assert group_element(2, 1, 0).perm.cycle_string() == "(1 2 3 4)"
-    assert group_element(2, 0, 1).perm.cycle_string() == "(2 4)"
+    assert GroupElement(2, 1, 0).perm.cycle_string() == "(1 2 3 4)"
+    assert GroupElement(2, 0, 1).perm.cycle_string() == "(2 4)"
 
 
 def test_element_repr_names_its_exponents():
     # n, a and b name the element; its permutation is left out
-    assert repr(group_element(3, 5, 1)) == "GroupElement(n=3, a=5, b=1)"
+    assert repr(GroupElement(3, 5, 1)) == "GroupElement(n=3, a=5, b=1)"
 
 
 def test_element_call_matches_its_permutation():
-    g = group_element(2, 1, 0)
+    g = GroupElement(2, 1, 0)
     assert [g(label) for label in range(1, 5)] == [g.perm(label) for label in range(1, 5)]
     for label in (0, 5):
         with pytest.raises(ValueError) as err:
@@ -149,7 +148,7 @@ def test_element_call_matches_its_permutation():
 
 
 def test_element_call_bounds_and_types():
-    g = group_element(3, 1, 0)
+    g = GroupElement(3, 1, 0)
     for label in (0, -1, 10):
         with pytest.raises(ValueError) as err:
             g(label)
@@ -160,9 +159,9 @@ def test_element_call_bounds_and_types():
 
 
 def test_full_products_n5():
-    sigma = group_element(5, 1, 0).perm
+    sigma = GroupElement(5, 1, 0).perm
     assert sigma.cycles() == (tuple(range(1, 17)), tuple(range(17, 25)))
-    rho = group_element(5, 0, 1).perm
+    rho = GroupElement(5, 0, 1).perm
     expected = Permutation.from_cycles(
         25,
         [(2, 16), (3, 15), (4, 14), (5, 13), (6, 12), (7, 11), (8, 10),
@@ -172,14 +171,14 @@ def test_full_products_n5():
 
 
 def test_full_products_n1_trivial():
-    assert group_element(1, 1, 0).perm.is_identity()
-    assert group_element(1, 0, 1).perm.is_identity()
+    assert GroupElement(1, 1, 0).perm.is_identity()
+    assert GroupElement(1, 0, 1).perm.is_identity()
 
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_generators_preserve_layers(n):
     sq = spiral_numbering(n)
-    sigma, rho = group_element(n, 1, 0).perm, group_element(n, 0, 1).perm
+    sigma, rho = GroupElement(n, 1, 0).perm, GroupElement(n, 0, 1).perm
     for label in range(1, n * n + 1):
         assert sq.layer_of(sigma(label)) == sq.layer_of(label)
         assert sq.layer_of(rho(label)) == sq.layer_of(label)
@@ -187,7 +186,7 @@ def test_generators_preserve_layers(n):
 
 @pytest.mark.parametrize("n", range(2, 13))
 def test_sigma_rho_squared_is_identity(n):
-    sr = group_element(n, 1, 0).perm * group_element(n, 0, 1).perm
+    sr = GroupElement(n, 1, 0).perm * GroupElement(n, 0, 1).perm
     assert (sr * sr).is_identity()
 
 
@@ -198,7 +197,7 @@ def test_group_elements_enumeration():
         (0, 0), (0, 1), (1, 0), (1, 1), (2, 0), (2, 1), (3, 0), (3, 1)
     ]
     assert len({e.perm for e in elems}) == 8
-    assert group_element(2, 0, 0).perm.is_identity()
+    assert GroupElement(2, 0, 0).perm.is_identity()
 
 
 def test_group_elements_distinct_for_larger_sizes():
@@ -216,8 +215,8 @@ def test_group_elements_degenerate_n1():
 
 def test_element_composition_convention():
     # sigma^a rho^b applies the reflection first
-    sigma, rho = group_element(2, 1, 0).perm, group_element(2, 0, 1).perm
-    e = group_element(2, 3, 1)
+    sigma, rho = GroupElement(2, 1, 0).perm, GroupElement(2, 0, 1).perm
+    e = GroupElement(2, 3, 1)
     for x in range(1, 5):
         assert e(x) == (sigma**3)(rho(x))
 
@@ -255,15 +254,15 @@ def test_group_elements_builds_below_the_bound():
 
 
 def test_group_caches_keep_a_few_side_lengths():
-    # the group and board.py's two tables of it keep the sizes used last;
-    # built at one more small size than they hold, they drop the oldest
+    # the group and board.py's record of it keep the sizes used last; built
+    # at one more small size than they hold, they drop the oldest
     bound = dihedral._GROUP_SIZES
     assert isinstance(bound, int) and bound >= 4  # a benchmark run uses n = 2..5
-    caches = (group_elements, board._gathers, board._screen)
+    caches = (group_elements, board._gathers)
     for cache in caches:
         cache.cache_clear()
     for n in range(1, bound + 2):
-        board._screen(n)  # builds _gathers(n), which builds group_elements(n)
+        board._gathers(n)  # builds group_elements(n)
     for cache in caches:
         assert cache.cache_info()[1:] == (bound + 1, bound, bound)  # misses, maxsize, size
         cache(bound + 1)
@@ -272,11 +271,19 @@ def test_group_caches_keep_a_few_side_lengths():
         assert cache.cache_info().misses == bound + 2
 
 
+def test_group_element_alias_returns_an_equal_element():
+    # the function name stays for bench/setup_probe.py alone
+    for n, a, b in ((2, 1, 0), (3, 5, 1), (5, -1, 1)):
+        g = dihedral.group_element(n, a, b)
+        assert type(g) is GroupElement and g == GroupElement(n, a, b)
+        assert g.perm == GroupElement(n, a, b).perm
+
+
 def test_element_size_mismatch():
     with pytest.raises(ValueError):
         group_elements(2)[1] * group_elements(3)[1]
     with pytest.raises(ValueError):
-        group_element(2, 0, 2)
+        GroupElement(2, 0, 2)
 
 
 def test_element_exponents_must_be_ints():
@@ -379,11 +386,11 @@ def _content_grid(n, perm):
 
 
 def test_rotation_action_layout_golden():
-    assert _content_grid(5, group_element(5, 1, 0).perm) == ROTATED_5
+    assert _content_grid(5, GroupElement(5, 1, 0).perm) == ROTATED_5
 
 
 def test_reflection_action_layout_golden():
-    assert _content_grid(5, group_element(5, 0, 1).perm) == REFLECTED_5
+    assert _content_grid(5, GroupElement(5, 0, 1).perm) == REFLECTED_5
     # the reflection is the transpose of the numbering
     sq = spiral_numbering(5)
     assert REFLECTED_5 == tuple(zip(*sq.rows))

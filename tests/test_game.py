@@ -11,7 +11,7 @@ import pytest
 
 from sttt import game as game_module
 from sttt.board import Board, act_board, to_bitstring
-from sttt.dihedral import GroupElement, dihedral_order, group_element, group_elements
+from sttt.dihedral import GroupElement, dihedral_order, group_elements
 from sttt.game import (
     GameState,
     IllegalMoveError,
@@ -259,7 +259,7 @@ def test_malformed_moves_are_invalid():
         assert check.index is None
         assert check.rule == "malformed"
         with pytest.raises(ValueError, match="not a"):
-            act_game(moves, group_element(2, 1, 0))
+            act_game(moves, GroupElement(2, 1, 0))
         with pytest.raises(ValueError, match="not a"):
             game_orbit(moves, 2)
 
@@ -306,11 +306,11 @@ def test_n2_terminal_exactly_when_second_field_closes():
 def test_act_game_identity_and_goldens():
     ident = group_elements(2)[0]
     assert act_game(EXAMPLE_GAME, ident) == EXAMPLE_GAME
-    sigma = group_element(2, 1, 0)
+    sigma = GroupElement(2, 1, 0)
     assert act_game(EXAMPLE_GAME, sigma) == (
         Move(4, 2), Move(2, 2), Move(2, 4), Move(4, 4)
     )
-    rho = group_element(2, 0, 1)
+    rho = GroupElement(2, 0, 1)
     assert act_game(EXAMPLE_GAME, rho) == EXAMPLE_GAME  # rho fixes labels 1 and 3
 
 
@@ -326,10 +326,10 @@ def test_act_game_rejects_invalid_image_without_asserts():
     # breaks at move 7; the check must survive python -O
     code = (
         "from sttt.game import InvalidGameError, act_game\n"
-        "from sttt.dihedral import group_element\n"
+        "from sttt.dihedral import GroupElement\n"
         "game = [(5, 1), (1, 5), (5, 2), (2, 5), (5, 3), (3, 5), (1, 1)]\n"
         "try:\n"
-        "    act_game(game, group_element(3, 1, 0))\n"
+        "    act_game(game, GroupElement(3, 1, 0))\n"
         "except InvalidGameError as err:\n"
         "    print('rejected:', err)\n"
     )
@@ -602,7 +602,7 @@ def test_act_game_returns_the_mapped_game_exactly_when_it_is_legal(n):
 
 def test_act_game_at_n14_does_not_build_the_group():
     # group_elements refuses n = 14; acting by one element must not need it
-    rho = group_element(14, 0, 1)
+    rho = GroupElement(14, 0, 1)
     game = (Move(5, 1), Move(1, 5), Move(5, 2))
     before = group_elements.cache_info()
     assert act_game(game, rho) == tuple(Move(rho(i), rho(j)) for i, j in game)

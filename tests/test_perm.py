@@ -28,6 +28,42 @@ def test_rejects_non_bijections():
         Permutation((2, 3, 4))
 
 
+@pytest.mark.parametrize(
+    "image,message",
+    [
+        ([1.0, 2], "permutation entry 1.0 must be an int, not float"),
+        ((2, True), "permutation entry True must be an int, not bool"),
+        (["1", 2], "permutation entry '1' must be an int, not str"),
+    ],
+)
+def test_entries_must_be_ints(image, message):
+    # a float or bool entry equal to a label used to pass the bijection
+    # check, and the permutation then failed in products
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        Permutation(image)
+
+
+@pytest.mark.parametrize(
+    "cycles,message",
+    [
+        ([(1.0, 2)], "label 1.0 must be an int, not float"),
+        ([(1, 2), (False, 3)], "label False must be an int, not bool"),
+    ],
+)
+def test_from_cycles_labels_must_be_ints(cycles, message):
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        Permutation.from_cycles(3, cycles)
+
+
+def test_products_and_powers_hold_int_entries():
+    p = Permutation.from_cycles(5, [(1, 2, 3), (4, 5)])
+    q = Permutation((2, 1, 3, 5, 4))
+    for r in (p * q, q * p, p**2, p**-1, p.inverse()):
+        assert {type(x) for x in r.image} == {int}
+        assert sorted(r.image) == [1, 2, 3, 4, 5]
+    assert p * p.inverse() == Permutation.identity(5) == p**6
+
+
 def test_from_cycles():
     p = Permutation.from_cycles(4, [(1, 2, 3, 4)])
     assert [p(x) for x in (1, 2, 3, 4)] == [2, 3, 4, 1]

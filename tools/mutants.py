@@ -116,7 +116,7 @@ MUTANTS = (
         "act-board-through-the-table",
         "src/sttt/board.py",
         "_image(_element(n, elem.perm.image), board.bits)",
-        "_image(_gathers(n)[2 * elem.a + elem.b][2], board.bits)",
+        "_image(_gathers(n)[0][2 * elem.a + elem.b][2], board.bits)",
         ("tests/test_board.py",),
     ),
     Mutant(
@@ -178,15 +178,15 @@ MUTANTS = (
     Mutant(
         "canonical-keeps-every-element",
         "src/sttt/board.py",
-        "live = [el for el, image in zip(live, images) if image == best]",
+        "live = [row for row, image in zip(live, images) if image == best]",
         "live = list(live)",
         ("tests/test_board.py",),
     ),
     Mutant(
         "canonical-block-ungathered",
         "src/sttt/board.py",
-        "block if (block := blocks[order[k]]) in uniform else join(gather(block))",
-        "blocks[order[k]]",
+        "else join(gather(block))",
+        "else block",
         ("tests/test_board.py",),
     ),
     Mutant(
@@ -199,8 +199,8 @@ MUTANTS = (
     Mutant(
         "canonical-tests-sigma-rho-for-sigma",
         "src/sttt/board.py",
-        "if _image(table[2][2], bits) == bits:",
-        "if _image(table[3][2], bits) == bits:",
+        "if _image(rows[2][2], bits) == bits:",
+        "if _image(rows[3][2], bits) == bits:",
         ("tests/test_board.py",),
     ),
     Mutant(
@@ -215,6 +215,27 @@ MUTANTS = (
         "src/sttt/board.py",
         "least = min(prefixes)",
         "least = max(prefixes)",
+        ("tests/test_board.py",),
+    ),
+    Mutant(
+        "screen-least-row-taken-as-unique",
+        "src/sttt/board.py",
+        "if prefixes.count(least) == 1:",
+        "if least in prefixes:",
+        ("tests/test_board.py",),
+    ),
+    Mutant(
+        "canonical-block-one-block-off",
+        "src/sttt/board.py",
+        "slice(start, start + n_sq) for start",
+        "slice(start + n_sq, start + 2 * n_sq) for start",
+        ("tests/test_board.py",),
+    ),
+    Mutant(
+        "screen-row-from-the-wrong-block",
+        "src/sttt/board.py",
+        "firsts += [src[0] * n_sq + s for s in src[:n]]",
+        "firsts += [src[-1] * n_sq + s for s in src[:n]]",
         ("tests/test_board.py",),
     ),
     Mutant(
@@ -439,6 +460,20 @@ MUTANTS = (
         "from-cycles-accepts-repeated-labels",
         "src/sttt/perm.py",
         "if x in seen:",
+        "if False:",
+        ("tests/test_perm.py",),
+    ),
+    Mutant(
+        "permutation-entries-unchecked",
+        "src/sttt/perm.py",
+        "if not {int}.issuperset(map(type, img)):",
+        "if False:",
+        ("tests/test_perm.py",),
+    ),
+    Mutant(
+        "from-cycles-labels-unchecked",
+        "src/sttt/perm.py",
+        "if type(x) is not int:",
         "if False:",
         ("tests/test_perm.py",),
     ),
