@@ -29,11 +29,14 @@ and the slice that cuts each source block.  The table is part of one record per
 n, _gathers(n), with the screen below and the two uniform blocks, so
 canonical_form makes one cache lookup.
 
-The same two passes put a label-order bitstring, whose character
-(f-1) n^2 + (p-1) is cell (f, p), into reading order: that is the
+One function, _spell_fields, writes every board built from cells.  It
+takes one bitmask per field, bit p-1 of field f's set when cell (f, p) holds
+an X: ``Board(n, cells)`` ORs its cells into them, and the rules engine and
+the census hand over the bitmasks they keep.  It spells them lowest bit
+first into a label-order bitstring, whose character (f-1) n^2 + (p-1) is
+cell (f, p), and the same two passes put it into reading order: that is the
 permutation src[K] = labels[K] - 1, and its kernel is _relabel(n), cached
-per n.  The rules engine spells its field bitmasks in label order and
-hands them over, so this module alone writes the reading layout.
+per n.  So this module alone knows the reading layout.
 
 canonical_form does not build every image.  One gather first takes the
 first n characters of every image.  If one element alone has the smallest,
@@ -77,21 +80,21 @@ class BitstringError(ValueError):
 class Board:
     """Immutable board: side length n and the reading-order bitstring of its
     n^4 cells, ``bits``.  ``Board(n, cells)`` builds it from the X cells, as
-    (field, pos) pairs of spiral labels; ``xs`` gives them back."""
+    (field, pos) pairs of spiral labels, through their per-field bitmasks
+    and _spell_fields; ``xs`` gives them back."""
 
     n: int = field(compare=False)  # equality and hashing are the string's
     bits: str
 
     def __init__(self, n: int, cells: Iterable[tuple[int, int]]):
-        sq = spiral_numbering(n)  # the size check: InvalidSizeError for n outside 1..56
-        n_sq, read = sq.n_sq, sq.reading
-        chars = ["0"] * (n_sq * n_sq)
+        n_sq = spiral_numbering(n).n_sq  # the size check: InvalidSizeError for n outside 1..56
+        fields = [0] * n_sq  # bit p-1 of fields[f-1] is cell (f, p)
         for i, j in cells:
             if not (1 <= i <= n_sq and 1 <= j <= n_sq):
                 raise ValueError(f"cell ({i}, {j}) outside 1..{n_sq} labels")
-            chars[read[i - 1] * n_sq + read[j - 1]] = "1"
+            fields[i - 1] |= 1 << (j - 1)
         object.__setattr__(self, "n", n)
-        object.__setattr__(self, "bits", "".join(chars))
+        object.__setattr__(self, "bits", _spell_fields(n, fields))
 
     @classmethod
     def _of(cls, n: int, bits: str) -> Board:
@@ -217,6 +220,27 @@ def _relabel(n: int) -> Callable[[str], Sequence[str]]:
     so reading block K is label-order block ``labels[K] - 1``."""
     slices = _slices(n)
     return itemgetter(*[slices[x - 1] for x in spiral_numbering(n).labels])
+
+
+def _spell_fields(n: int, fields: Sequence[int]) -> str:
+    """The reading-order bitstring of per-field bitmasks, bit p-1 of
+    ``fields[f-1]`` set when cell (f, p) holds an X: the one writer of a
+    board built from cells.  The bitmasks are joined into ints,
+    ``fields[f-1]`` above those before it, and spelt lowest bit first, so
+    cell (f, p) is character (f-1) n^2 + (p-1): label order, which the
+    _relabel kernel puts in reading order."""
+    n_sq = n * n
+    # all n^2 fields in one int up to n = 8, n fields per int above: an
+    # int of all n^4 bits grows at every shift, O(n^6) bit copies in all
+    step = n_sq if n <= 8 else n
+    spell = f"0{step * n_sq}b"
+    spelt = []
+    for start in range(0, n_sq, step):
+        joined = 0
+        for bits in reversed(fields[start : start + step]):
+            joined = joined << n_sq | bits
+        spelt.append(format(joined, spell)[::-1])
+    return _image(_relabel(n), "".join(spelt))
 
 
 # per n: the rows of group_elements(n), the screen's gather and splitter, and

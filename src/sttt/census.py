@@ -3,10 +3,11 @@
 A winning board is the final board of a completed game: the position at the
 moment a move completes n collinear marks on the board grid.  For n <= 2 the
 census walks the full game tree in one serial depth-first search, pruned by a
-transposition set keyed on (field bitmasks, dictated field), and partitions
-the terminal boards into orbits of the dihedral action; at n=3 the search
-does not finish.  Classes are ordered by orbit size, then by canonical
-bitstring.
+transposition set keyed on (field bitmasks, dictated field).  It keeps the
+field bitmasks of each terminal state, spells each distinct set once through
+board.py's writer of a board built from cells, and partitions the boards into
+orbits of the dihedral action; at n=3 the search does not finish.  Classes
+are ordered by orbit size, then by canonical bitstring.
 
 The same class structure can be read back from two formats: newline
 delimited JSON (one class per line) and a human readable listing whose
@@ -21,7 +22,7 @@ import re
 from dataclasses import asdict, dataclass
 from importlib import resources
 
-from .board import image_bitstrings
+from .board import _spell_fields, image_bitstrings
 from .dihedral import group_elements
 from .game import GameState, apply_move, legal_moves
 from .spiral import spiral_numbering
@@ -70,13 +71,15 @@ def enumerate_winning_boards(n: int = 2, *, jobs: int = 1) -> frozenset[str]:
     """Bitstrings of every reachable winning board, deduplicated.
 
     One serial exhaustive search, refused for n > 2, where it does not finish.
+    It keeps a set of the terminal states' field bitmasks, so each winning
+    board is spelt once, by board.py's writer, however many games reach it.
     ``jobs`` is kept for callers that pass it and accepts only 1.
     """
     if jobs != 1:
         raise ValueError(f"the census search is serial; jobs must be 1, got {jobs}")
     if n > 2:
         raise ValueError(f"the exhaustive census runs for n <= 2 only, got n={n}")
-    found = {}  # one terminal state per winning board's field bitmasks
+    found = set()  # the field bitmasks of every winning board
     seen = set()
     stack = [GameState.initial(n)]
     while stack:
@@ -88,10 +91,10 @@ def enumerate_winning_boards(n: int = 2, *, jobs: int = 1) -> frozenset[str]:
         for move in legal_moves(state):
             nxt = apply_move(state, move)
             if nxt.terminal:
-                found.setdefault(nxt.field_bits, nxt)
+                found.add(nxt.field_bits)
             else:
                 stack.append(nxt)
-    return frozenset(state.board.bits for state in found.values())
+    return frozenset(_spell_fields(n, fields) for fields in found)
 
 
 def partition_classes(boards, n: int) -> list[IsoClass]:

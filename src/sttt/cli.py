@@ -405,7 +405,3 @@ def main(argv=None) -> int:
     except (ValueError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EX_DOMAIN
-
-
-if __name__ == "__main__":
-    sys.exit(main())

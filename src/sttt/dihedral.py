@@ -96,7 +96,10 @@ class GroupElement:
 
     def __mul__(self, other: GroupElement) -> GroupElement:
         """Composition: (g * h) acts as g after h.  By the dihedral law,
-        sigma^a rho^b * sigma^c rho^d = sigma^(a - c if b else a + c) rho^(b xor d)."""
+        sigma^a rho^b * sigma^c rho^d = sigma^(a - c if b else a + c) rho^(b xor d).
+        A product with another type raises TypeError."""
+        if not isinstance(other, GroupElement):
+            return NotImplemented
         if self.n != other.n:
             raise ValueError(f"group elements for different sizes: {self.n} != {other.n}")
         a = self.a - other.a if self.b else self.a + other.a

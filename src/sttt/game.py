@@ -34,8 +34,8 @@ the very tuple the state keeps as its moves, or for an equal tuple of Moves
 or tuples with int or bool fields; so a game and its images, checked again
 and again, are each stepped once.
 ``GameState.field_cells``, ``marks`` and ``board`` are views of the bits;
-``board`` is the one decoder of the field bitmasks: it spells them in label
-order, and board.py, which alone knows the reading layout, reorders them.
+``board`` hands the field bitmasks to board.py's one writer of a board
+built from cells, which alone knows the reading layout.
 
 :func:`act_game` maps a game move by move, (i, j) -> (g(i), g(j)), and
 replays both the input and its image, so every image it returns has been
@@ -50,7 +50,7 @@ from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
 
-from .board import Board, _image, _relabel
+from .board import Board, _spell_fields
 from .dihedral import GroupElement, group_elements
 from .spiral import spiral_numbering
 
@@ -189,23 +189,9 @@ class GameState:
 
     @property
     def board(self) -> Board:
-        """The board of the X cells.  The bitmasks are joined into ints,
-        ``field_bits[f-1]`` above those before it, and spelt lowest bit first,
-        so cell (f, p) is character (f-1) n^2 + (p-1): label order, which
-        board.py's _relabel kernel puts in reading order."""
-        n, fields = self.n, self.field_bits
-        n_sq = n * n
-        # all n^2 fields in one int up to n = 8, n fields per int above: an
-        # int of all n^4 bits grows at every shift, O(n^6) bit copies in all
-        step = n_sq if n <= 8 else n
-        spell = f"0{step * n_sq}b"
-        spelt = []
-        for start in range(0, n_sq, step):
-            joined = 0
-            for bits in reversed(fields[start : start + step]):
-                joined = joined << n_sq | bits
-            spelt.append(format(joined, spell)[::-1])
-        return Board._of(n, _image(_relabel(n), "".join(spelt)))
+        """The board of the X cells, spelt from the field bitmasks by
+        board.py's one writer of a board built from cells."""
+        return Board._of(self.n, _spell_fields(self.n, self.field_bits))
 
     def open_fields(self) -> tuple[int, ...]:
         unmarked = ~self.mark_bits & ((1 << self.n * self.n) - 1)

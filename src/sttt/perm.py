@@ -15,6 +15,8 @@ class Permutation:
     int; any other entry, a bool or a float included, raises TypeError.
 
     Composition follows function application: ``(p * q)(x) == p(q(x))``.
+    A product with another type, and a power with an exponent that is not
+    an int (a bool included), raise TypeError.
     A frozen dataclass: assigning or deleting an attribute raises
     AttributeError, and equality and hashing are the image tuple's.
     """
@@ -74,6 +76,8 @@ class Permutation:
         raise ValueError(f"label {label} outside 1..{len(self.image)}")
 
     def __mul__(self, other: Permutation) -> Permutation:
+        if not isinstance(other, Permutation):
+            return NotImplemented
         if len(self.image) != len(other.image):
             raise ValueError("cannot compose permutations of different domains")
         return Permutation._of(tuple(self.image[y - 1] for y in other.image))
@@ -85,6 +89,8 @@ class Permutation:
         return Permutation._of(tuple(inv))
 
     def __pow__(self, k: int) -> Permutation:
+        if type(k) is not int:
+            raise TypeError(f"exponent must be an int, not {type(k).__name__}")
         img = [0] * len(self.image)
         for cyc in self.cycles(include_fixed=True):
             s = len(cyc)

@@ -1,6 +1,9 @@
 import hashlib
 import json
+import subprocess
+import sys
 import time
+from pathlib import Path
 
 import jsonschema
 import pytest
@@ -585,3 +588,20 @@ def test_fixed_outputs_are_pinned(capsys, argv, md5):
     # suite already runs those six 10,000-case suites
     _, out, _ = run(capsys, *argv)
     assert hashlib.md5(out.encode("utf-8")).hexdigest() == md5
+
+
+def test_package_runs_as_a_module():
+    # `python -m sttt` is the sttt command: the pinned census output with
+    # exit 0, and a bare call is a usage error
+    src = Path(__file__).resolve().parents[1] / "src"
+    env = {"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1"}
+
+    def sttt(*argv):
+        command = [sys.executable, "-m", "sttt", *argv]
+        return subprocess.run(command, env=env, capture_output=True, timeout=120)
+
+    census = sttt("census", "--n", "2")
+    assert census.returncode == 0, census.stderr
+    assert hashlib.md5(census.stdout).hexdigest() == "375eb2abf00a31746bb4b911e572a894"
+    bare = sttt()
+    assert bare.returncode == 64 and bare.stdout == b""

@@ -303,6 +303,15 @@ def test_element_exponents_must_be_ints():
         GroupElement(2, 0, 2)
 
 
+def test_product_refuses_other_types():
+    # a product with another type used to raise AttributeError for 'n'
+    g = GroupElement(2, 1, 0)
+    for other in (3, g.perm, (2, 1, 0)):
+        assert g.__mul__(other) is NotImplemented
+        with pytest.raises(TypeError):
+            g * other
+
+
 @pytest.mark.parametrize("n", range(2, 6))
 def test_element_is_built_from_its_exponents(n):
     # the permutation follows from (n, a, b), so no element can carry

@@ -29,6 +29,8 @@ from sttt.game import (
 )
 from sttt.spiral import InvalidSizeError
 
+from test_board import _reference_bitstring
+
 EXAMPLE_GAME = (Move(3, 1), Move(1, 1), Move(1, 3), Move(3, 3))
 
 
@@ -167,10 +169,12 @@ def test_game_state_is_a_frozen_value():
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7, 8, 9, 13))
 def test_board_decodes_any_field_bitmasks(n):
-    # the decode alone, on X sets no game reaches: the empty board, the
-    # full board and 20 seeded random boards, each as per-field bitmasks;
-    # its relabel kernel has no group bound, so n goes past n = 7, the
-    # largest n whose group act_board tabulates
+    # the one writer of a board built from cells, reached through a state's
+    # field bitmasks and through Board(n, cells), against the cell loop of
+    # test_board.py, on X sets no game reaches: the empty board, the full
+    # board and 20 seeded random boards; its relabel kernel has no group
+    # bound, so n goes past n = 7, the largest n whose group act_board
+    # tabulates, and past n = 8, where the bitmasks join n fields per int
     n_sq = n * n
     cells = [(f, p) for f in range(1, n_sq + 1) for p in range(1, n_sq + 1)]
     rng = random.Random(100 + n)
@@ -181,7 +185,9 @@ def test_board_decodes_any_field_bitmasks(n):
         for field, pos in xs:
             field_bits[field - 1] |= 1 << (pos - 1)
         state = GameState(n, (), tuple(field_bits), 0, None)
-        assert to_bitstring(state.board) == to_bitstring(Board(n, xs))
+        want = _reference_bitstring(n, xs)
+        assert to_bitstring(state.board) == want
+        assert to_bitstring(Board(n, xs)) == want
 
 
 @pytest.mark.parametrize("n", (0, 57))

@@ -102,6 +102,19 @@ def test_composition_domain_mismatch():
         Permutation.identity(3) * Permutation.identity(4)
 
 
+def test_operators_refuse_other_types():
+    # a non-int exponent used to pass (p ** True was p ** 1) or fail on a
+    # tuple index; a product with another type raised AttributeError
+    p = Permutation.from_cycles(3, [(1, 2, 3)])
+    for k, kind in ((True, "bool"), (2.0, "float"), ("2", "str")):
+        with pytest.raises(TypeError, match=f"^exponent must be an int, not {kind}$"):
+            p**k
+    for other in (3, 1.5, (2, 3, 1), group_elements(2)[1]):
+        assert p.__mul__(other) is NotImplemented
+        with pytest.raises(TypeError):
+            p * other
+
+
 def test_inverse_and_powers():
     p = Permutation.from_cycles(6, [(1, 2, 3), (4, 5)])
     assert (p * p.inverse()).is_identity()

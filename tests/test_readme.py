@@ -1,3 +1,4 @@
+import ast
 import doctest
 import importlib
 import re
@@ -8,6 +9,7 @@ import sttt
 from sttt.cli import build_parser
 
 README = Path(__file__).resolve().parents[1] / "README.md"
+SRC = README.parent / "src" / "sttt"
 
 
 def test_readme_examples_run():
@@ -52,3 +54,32 @@ def test_readme_library_table_names_resolve():
         if name not in listed.get(getattr(sttt, name).__module__, ())
     ]
     assert not missing, missing
+
+
+def _cached(scope: ast.Module | ast.ClassDef, prefix: str):
+    """The qualified names of the functions in ``scope`` that an lru_cache
+    decorates, classes searched too."""
+    for node in scope.body:
+        if isinstance(node, ast.ClassDef):
+            yield from _cached(node, f"{prefix}{node.name}.")
+        elif isinstance(node, ast.FunctionDef) and any(
+            "lru_cache" in ast.unparse(d) for d in node.decorator_list
+        ):
+            yield prefix + node.name
+
+
+def test_readme_cache_table_lists_every_cache():
+    # one row per functools.lru_cache in src/, named module.qualname, and
+    # every row a cache, so the table cannot miss a cache or keep a gone one
+    cached = [
+        name
+        for path in sorted(SRC.glob("*.py"))
+        for name in _cached(ast.parse(path.read_text("utf-8")), f"{path.stem}.")
+    ]
+    text = README.read_text("utf-8")
+    table = text.split("| Cache | Key | Bound | Worst case |\n", 1)[1].split("\n\n", 1)[0]
+    rows = [line.split("|")[1].strip().strip("`") for line in table.splitlines()[1:]]
+    assert len(rows) == len(set(rows)), rows
+    assert sorted(set(cached) - set(rows)) == [], "caches without a row"
+    assert sorted(set(rows) - set(cached)) == [], "rows that name no cache"
+    assert len(cached) >= 11

@@ -82,6 +82,62 @@ def test_act_board_has_one_kernel_source():
     assert not found, found
 
 
+def _def(scope, name: str):
+    """The first function or class called ``name`` in ``scope``."""
+    return next(
+        node for node in ast.walk(scope)
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)) and node.name == name
+    )
+
+
+# the node types that spell a name, and the field that holds it
+_SPELT = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
+
+
+def test_one_function_spells_field_bitmasks():
+    # board._spell_fields is the one writer of a board built from cells: the
+    # only bit spelling and the only call of the label-order kernel, and no
+    # module but board.py names that kernel or _image.  Board.__init__,
+    # GameState.board and the census reach the layout through it, and
+    # Board.__init__ reads no reading table
+    trees = {path.name: ast.parse(path.read_text("utf-8")) for path in SRC.glob("*.py")}
+    named = [
+        f"{name}:{node.lineno}"
+        for name, tree in sorted(trees.items())
+        if name != "board.py"
+        for node in ast.walk(tree)
+        if getattr(node, _SPELT.get(type(node), ""), None) in ("_relabel", "_image")
+    ]
+    assert not named, named
+    inside = set(ast.walk(_def(trees["board.py"], "_spell_fields")))
+    assert any(_calls(node, "_relabel") for node in inside)
+    spellings = [
+        f"{name}:{node.lineno}"
+        for name, tree in sorted(trees.items())
+        for node in ast.walk(tree)
+        if (_calls(node, "format") or _calls(node, "_relabel")) and node not in inside
+    ]
+    assert not spellings, spellings
+    init = _def(_def(trees["board.py"], "Board"), "__init__")
+    writers = (
+        init,
+        _def(_def(trees["game.py"], "GameState"), "board"),
+        _def(trees["census.py"], "enumerate_winning_boards"),
+    )
+    for func in writers:
+        assert any(_calls(node, "_spell_fields") for node in ast.walk(func)), func.name
+    assert not any(getattr(node, "attr", None) == "reading" for node in ast.walk(init))
+    for name in ("game.py", "census.py"):
+        private = {
+            alias.name
+            for node in ast.walk(trees[name])
+            if isinstance(node, ast.ImportFrom) and node.module == "board"
+            for alias in node.names
+            if alias.name.startswith("_")
+        }
+        assert private == {"_spell_fields"}, name
+
+
 def _writes_stdout(call: ast.Call) -> bool:
     if _calls(call, "print"):
         return not any(k.arg == "file" for k in call.keywords)

@@ -2,9 +2,9 @@
 
     python3 tools/fixed_outputs.py
 
-Runs ``sttt fuzz --cases 10000 --seed 2024`` from ``src/`` next to this
-directory and compares its stdout with the md5 recorded below, and its exit
-status with 2: the suite ``game-action-validity`` fails by design.  Exits 0
+Runs ``python -m sttt fuzz --cases 10000 --seed 2024`` from ``src/`` next to
+this directory and compares its stdout with the md5 recorded below, and its
+exit status with 2: the suite ``game-action-validity`` fails by design.  Exits 0
 when both match and 1 otherwise.  The other fixed outputs, ``census --n 2``
 and ``fuzz --cases 2000 --seed 2024 --format json``, are pinned in
 ``tests/test_cli.py`` with the README's CLI examples.  Standard library only.
@@ -28,7 +28,7 @@ STATUS = 2
 def main() -> int:
     start = time.perf_counter()
     done = subprocess.run(
-        [sys.executable, "-m", "sttt.cli", *ARGV],
+        [sys.executable, "-m", "sttt", *ARGV],
         cwd=ROOT,
         env={**os.environ, "PYTHONPATH": str(ROOT / "src")},
         stdout=subprocess.PIPE,

@@ -45,30 +45,37 @@ MUTANTS = (
     Mutant(
         "board-cell-transposed",
         "src/sttt/board.py",
-        'chars[read[i - 1] * n_sq + read[j - 1]] = "1"',
-        'chars[read[j - 1] * n_sq + read[i - 1]] = "1"',
+        "fields[i - 1] |= 1 << (j - 1)",
+        "fields[j - 1] |= 1 << (i - 1)",
         ("tests/test_board.py",),
     ),
     Mutant(
         "board-cell-transposed-via-fuzz",
         "src/sttt/board.py",
-        'chars[read[i - 1] * n_sq + read[j - 1]] = "1"',
-        'chars[read[j - 1] * n_sq + read[i - 1]] = "1"',
+        "fields[i - 1] |= 1 << (j - 1)",
+        "fields[j - 1] |= 1 << (i - 1)",
         ("tests/test_checks.py",),
     ),
     Mutant(
         "board-spelling-highest-bit-first",
-        "src/sttt/game.py",
+        "src/sttt/board.py",
         "spelt.append(format(joined, spell)[::-1])",
         "spelt.append(format(joined, spell))",
         ("tests/test_game.py",),
     ),
     Mutant(
         "board-spelling-unreversed",
-        "src/sttt/game.py",
+        "src/sttt/board.py",
         "for bits in reversed(fields[start : start + step]):",
         "for bits in fields[start : start + step]:",
         ("tests/test_game.py",),
+    ),
+    Mutant(
+        "census-spells-fields-reversed",
+        "src/sttt/census.py",
+        "_spell_fields(n, fields) for fields in found",
+        "_spell_fields(n, fields[::-1]) for fields in found",
+        ("tests/test_census.py",),
     ),
     Mutant(
         "relabel-from-reading-indices",
@@ -407,6 +414,13 @@ MUTANTS = (
         ("tests/test_dihedral.py",),
     ),
     Mutant(
+        "element-product-admits-any-operand",
+        "src/sttt/dihedral.py",
+        "if not isinstance(other, GroupElement):",
+        "if False:",
+        ("tests/test_dihedral.py",),
+    ),
+    Mutant(
         "element-exponent-unreduced",
         "src/sttt/dihedral.py",
         "a = self.a % dihedral_order(n)",
@@ -474,6 +488,20 @@ MUTANTS = (
         "from-cycles-labels-unchecked",
         "src/sttt/perm.py",
         "if type(x) is not int:",
+        "if False:",
+        ("tests/test_perm.py",),
+    ),
+    Mutant(
+        "power-admits-any-exponent",
+        "src/sttt/perm.py",
+        "if type(k) is not int:",
+        "if False:",
+        ("tests/test_perm.py",),
+    ),
+    Mutant(
+        "permutation-product-admits-any-operand",
+        "src/sttt/perm.py",
+        "if not isinstance(other, Permutation):",
         "if False:",
         ("tests/test_perm.py",),
     ),
