@@ -81,7 +81,9 @@ class Board:
     """Immutable board: side length n and the reading-order bitstring of its
     n^4 cells, ``bits``.  ``Board(n, cells)`` builds it from the X cells, as
     (field, pos) pairs of spiral labels, through their per-field bitmasks
-    and _spell_fields; ``xs`` gives them back."""
+    and _spell_fields; ``xs`` gives them back.  A cell whose field or
+    position is not an int, a bool included, raises TypeError, and one
+    outside 1..n^2 ValueError, each naming the first such cell."""
 
     n: int = field(compare=False)  # equality and hashing are the string's
     bits: str
@@ -90,6 +92,10 @@ class Board:
         n_sq = spiral_numbering(n).n_sq  # the size check: InvalidSizeError for n outside 1..56
         fields = [0] * n_sq  # bit p-1 of fields[f-1] is cell (f, p)
         for i, j in cells:
+            if type(i) is not int or type(j) is not int:
+                name, bad = ("field", i) if type(i) is not int else ("position", j)
+                kind = type(bad).__name__
+                raise TypeError(f"cell ({i!r}, {j!r}) {name} must be an int, not {kind}")
             if not (1 <= i <= n_sq and 1 <= j <= n_sq):
                 raise ValueError(f"cell ({i}, {j}) outside 1..{n_sq} labels")
             fields[i - 1] |= 1 << (j - 1)
@@ -225,19 +231,17 @@ def _relabel(n: int) -> Callable[[str], Sequence[str]]:
 def _spell_fields(n: int, fields: Sequence[int]) -> str:
     """The reading-order bitstring of per-field bitmasks, bit p-1 of
     ``fields[f-1]`` set when cell (f, p) holds an X: the one writer of a
-    board built from cells.  The bitmasks are joined into ints,
-    ``fields[f-1]`` above those before it, and spelt lowest bit first, so
+    board built from cells.  The bitmasks are joined n to an int,
+    ``fields[f-1]`` above those before it, since an int of all n^4 bits
+    grows at every shift, and each int is spelt lowest bit first, so
     cell (f, p) is character (f-1) n^2 + (p-1): label order, which the
     _relabel kernel puts in reading order."""
     n_sq = n * n
-    # all n^2 fields in one int up to n = 8, n fields per int above: an
-    # int of all n^4 bits grows at every shift, O(n^6) bit copies in all
-    step = n_sq if n <= 8 else n
-    spell = f"0{step * n_sq}b"
+    spell = f"0{n * n_sq}b"
     spelt = []
-    for start in range(0, n_sq, step):
+    for start in range(0, n_sq, n):
         joined = 0
-        for bits in reversed(fields[start : start + step]):
+        for bits in reversed(fields[start : start + n]):
             joined = joined << n_sq | bits
         spelt.append(format(joined, spell)[::-1])
     return _image(_relabel(n), "".join(spelt))

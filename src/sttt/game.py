@@ -90,9 +90,9 @@ class GameValidation(NamedTuple):
     message: str | None
 
 
-@lru_cache(maxsize=None)
 def grid_lines(n: int) -> tuple[frozenset[int], ...]:
-    """Label sets of all n-in-a-row lines of the n x n grid."""
+    """Label sets of all n-in-a-row lines of the n x n grid, built anew at
+    each call: the engine reads them once per n, through _label_tables."""
     rows = spiral_numbering(n).rows
     lines = set(map(frozenset, rows + tuple(zip(*rows))))
     lines.add(frozenset(row[i] for i, row in enumerate(rows)))

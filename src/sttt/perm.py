@@ -13,6 +13,8 @@ __all__ = ("Permutation",)
 class Permutation:
     """A bijection on {1..N}: ``image[x - 1]`` is the image of label x, an
     int; any other entry, a bool or a float included, raises TypeError.
+    Every permutation, a product, power or inverse included, is built by
+    this constructor, so each passes the type and bijection checks.
 
     Composition follows function application: ``(p * q)(x) == p(q(x))``.
     A product with another type, and a power with an exponent that is not
@@ -32,14 +34,6 @@ class Permutation:
         if sorted(img) != list(range(1, len(img) + 1)):
             raise ValueError(f"not a bijection on 1..{len(img)}: {img}")
         object.__setattr__(self, "image", img)
-
-    @classmethod
-    def _of(cls, img: tuple[int, ...]) -> Permutation:
-        """The permutation of an image already known to be a bijection of
-        ints: a product, power or inverse of checked permutations."""
-        perm = object.__new__(cls)
-        perm.__dict__["image"] = img
-        return perm
 
     @classmethod
     def identity(cls, n_sq: int) -> Permutation:
@@ -80,13 +74,13 @@ class Permutation:
             return NotImplemented
         if len(self.image) != len(other.image):
             raise ValueError("cannot compose permutations of different domains")
-        return Permutation._of(tuple(self.image[y - 1] for y in other.image))
+        return Permutation(self.image[y - 1] for y in other.image)
 
     def inverse(self) -> Permutation:
         inv = [0] * len(self.image)
         for i, y in enumerate(self.image):
             inv[y - 1] = i + 1
-        return Permutation._of(tuple(inv))
+        return Permutation(inv)
 
     def __pow__(self, k: int) -> Permutation:
         if type(k) is not int:
@@ -96,7 +90,7 @@ class Permutation:
             s = len(cyc)
             for i, x in enumerate(cyc):
                 img[x - 1] = cyc[(i + k) % s]
-        return Permutation._of(tuple(img))
+        return Permutation(img)
 
     def cycles(self, include_fixed: bool = False) -> tuple[tuple[int, ...], ...]:
         """Disjoint cycles, each starting at its smallest label, sorted by it."""

@@ -89,6 +89,11 @@ def test_board_rejects_bad_cells():
         Board(2, frozenset({(1, 0)}))
     with pytest.raises(ValueError):
         Board(0, frozenset())
+    # the first bad cell is named, whichever check it fails
+    with pytest.raises(ValueError, match=r"^cell \(5, 1\) outside 1\.\.4 labels$"):
+        Board(2, [(5, 1), (True, 1)])
+    with pytest.raises(TypeError, match=r"^cell \(True, 1\) field must be an int, not bool$"):
+        Board(2, [(True, 1), (5, 1)])
 
 
 @pytest.mark.parametrize(
@@ -96,10 +101,18 @@ def test_board_rejects_bad_cells():
     (
         ((1, 2, 3), "too many values to unpack (expected 2)"),
         ((1,), "not enough values to unpack (expected 2, got 1)"),
+        ((True, 3), "cell (True, 3) field must be an int, not bool"),
+        ((2, 3.0), "cell (2, 3.0) position must be an int, not float"),
+        ((5, 3.0), "cell (5, 3.0) position must be an int, not float"),
+        (("1", 9), "cell ('1', 9) field must be an int, not str"),
     ),
 )
 def test_board_rejects_a_cell_that_is_not_a_pair(cell, message):
-    with pytest.raises(ValueError) as err:
+    # a cell that does not unpack into two values raises ValueError; one
+    # whose field or position is not an int, a bool included, TypeError,
+    # before its range is checked
+    error = TypeError if "must be an int" in message else ValueError
+    with pytest.raises(error) as err:
         Board(2, frozenset({(1, 2), cell}))
     assert str(err.value) == message
 
@@ -117,6 +130,8 @@ def test_sizes_are_checked_first(n, message):
         Board(n, frozenset())
     with pytest.raises(InvalidSizeError, match=message):
         Board(n, frozenset({(1, 1)}))
+    with pytest.raises(InvalidSizeError, match=message):
+        Board(n, [(True, 1.5)])
     with pytest.raises(InvalidSizeError, match=message):
         from_bitstring("1", n)
     with pytest.raises(InvalidSizeError, match=message):

@@ -66,6 +66,43 @@ def test_only_advance_builds_a_game_state():
     assert not found, found
 
 
+def test_every_permutation_passes_the_constructor():
+    # Permutation.__init__ checks the entries' type and the bijection, and no
+    # permutation skips it: each method that returns one calls Permutation or
+    # cls, only __init__ writes an image, perm.py names no __new__, and no
+    # module calls __new__ on Permutation
+    trees = {path.name: ast.parse(path.read_text("utf-8")) for path in SRC.glob("*.py")}
+    perm = _def(trees["perm.py"], "Permutation")
+    init = set(ast.walk(_def(perm, "__init__")))
+    producers = [
+        node for node in perm.body
+        if isinstance(node, ast.FunctionDef) and getattr(node.returns, "id", "") == "Permutation"
+    ]
+    assert len(producers) >= 5  # identity, from_cycles, __mul__, inverse, __pow__
+    for func in producers:
+        returns = [
+            node.value for node in ast.walk(func)
+            if isinstance(node, ast.Return) and getattr(node.value, "id", "") != "NotImplemented"
+        ]
+        assert returns, func.name
+        assert all(_calls(value, "Permutation") or _calls(value, "cls") for value in returns), (
+            func.name
+        )
+    found = [
+        f"perm.py:{node.lineno}"
+        for node in ast.walk(trees["perm.py"])
+        if getattr(node, "attr", None) == "__new__"
+        or node not in init and getattr(node, "attr", None) in ("__dict__", "__setattr__")
+    ]
+    found += [
+        f"{name}:{node.lineno}"
+        for name, tree in sorted(trees.items())
+        for node in ast.walk(tree)
+        if _calls(node, "__new__") and "Permutation" in map(ast.unparse, node.args)
+    ]
+    assert not found, found
+
+
 def test_act_board_has_one_kernel_source():
     # act_board takes its kernel from _element alone at every n, so it never
     # builds the group or a per-n table and has no second path above a bound

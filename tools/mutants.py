@@ -57,6 +57,13 @@ MUTANTS = (
         ("tests/test_checks.py",),
     ),
     Mutant(
+        "board-admits-bool-cell",
+        "src/sttt/board.py",
+        "if type(i) is not int or type(j) is not int:",
+        "if type(i) not in (int, bool) or type(j) not in (int, bool):",
+        ("tests/test_board.py",),
+    ),
+    Mutant(
         "board-spelling-highest-bit-first",
         "src/sttt/board.py",
         "spelt.append(format(joined, spell)[::-1])",
@@ -66,8 +73,8 @@ MUTANTS = (
     Mutant(
         "board-spelling-unreversed",
         "src/sttt/board.py",
-        "for bits in reversed(fields[start : start + step]):",
-        "for bits in fields[start : start + step]:",
+        "for bits in reversed(fields[start : start + n]):",
+        "for bits in fields[start : start + n]:",
         ("tests/test_game.py",),
     ),
     Mutant(
