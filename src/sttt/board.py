@@ -284,11 +284,19 @@ def _gathers(n: int) -> _Gathers:
 
 
 def act_board(board: Board, elem: GroupElement) -> Board:
-    """Move the content of every cell (i, j) to (g(i), g(j))."""
-    n = board.n
-    if n != elem.n:
-        raise ValueError(f"board is {n}x{n} but element acts on n={elem.n}")
-    return Board._of(n, _image(_element(n, elem.perm.image), board.bits))
+    """Move the content of every cell (i, j) to (g(i), g(j)).
+
+    Raises TypeError for arguments without a Board's or a GroupElement's
+    attributes, and ValueError for an element of another side length.
+    """
+    try:
+        n = board.n
+        if n != elem.n:
+            raise ValueError(f"board is {n}x{n} but element acts on n={elem.n}")
+        return Board._of(n, _image(_element(n, elem.perm.image), board.bits))
+    except AttributeError:  # caught, not tested for, so a valid call pays nothing
+        kinds = f"{type(board).__name__} and {type(elem).__name__}"
+        raise TypeError(f"act_board needs a Board and a GroupElement, not {kinds}") from None
 
 
 def image_bitstrings(bits: str, n: int) -> Iterator[str]:
@@ -315,9 +323,13 @@ def canonical_form(board: Board) -> str:
     whole images test whether sigma fixes the board, which leaves it two
     images, or rho does, which leaves one live element per rotation.  The
     first element left has its image built whole by its kernel: survivors
-    that tie on every block have equal images.
+    that tie on every block have equal images.  Raises TypeError for an
+    argument without a Board's attributes.
     """
-    n, bits = board.n, board.bits
+    try:
+        n, bits = board.n, board.bits
+    except AttributeError:
+        raise TypeError(f"canonical_form needs a Board, not {type(board).__name__}") from None
     rows, screen, split, uniform = _gathers(n)
     join = "".join
     prefixes = split(join(screen(bits)).encode())

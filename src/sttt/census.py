@@ -73,9 +73,9 @@ def enumerate_winning_boards(n: int = 2, *, jobs: int = 1) -> frozenset[str]:
     One serial exhaustive search, refused for n > 2, where it does not finish.
     It keeps a set of the terminal states' field bitmasks, so each winning
     board is spelt once, by board.py's writer, however many games reach it.
-    ``jobs`` is kept for callers that pass it and accepts only 1.
+    ``jobs`` is kept for callers that pass it and accepts only the int 1.
     """
-    if jobs != 1:
+    if jobs != 1 or type(jobs) is not int:
         raise ValueError(f"the census search is serial; jobs must be 1, got {jobs}")
     if n > 2:
         raise ValueError(f"the exhaustive census runs for n <= 2 only, got n={n}")

@@ -430,7 +430,8 @@ def act_game(
 ) -> tuple[Move, ...]:
     """Transform every move (i, j) to (g(i), g(j)).
 
-    Raises ValueError for a move that is not a pair of integers, and
+    Raises TypeError for an element without a GroupElement's attributes,
+    ValueError for a move that is not a pair of integers, and
     InvalidGameError if the input game, or its image, does not replay
     legally; an error in the input is reported at its first offending move.
     The input and its image are both checked by :func:`replay`, which steps
@@ -438,7 +439,11 @@ def act_game(
     lines onto lines maps a legal game to a legal one, while the others can
     break it for n >= 3.
     """
-    return _game_image(_checked(moves, elem.n), elem)
+    try:
+        return _game_image(_checked(moves, elem.n), elem)
+    except AttributeError:  # replay reads no attribute of the moves
+        kinds = f"{type(moves).__name__} and {type(elem).__name__}"
+        raise TypeError(f"act_game needs moves and a GroupElement, not {kinds}") from None
 
 
 def game_orbit(

@@ -19,7 +19,7 @@ from sttt.census import (
     partition_classes,
     size_histogram,
 )
-from sttt.checks import SUITE_NAMES, run_suite
+from sttt.checks import SUITE_NAMES
 from sttt.dihedral import (
     GroupElement,
     dihedral_order,
@@ -150,8 +150,8 @@ def test_criterion_4_census_reproduction():
 
 
 @pytest.mark.parametrize("suite", SUITE_NAMES)
-def test_criterion_5_property_suites(suite):
-    result = run_suite(suite, cases=FUZZ_CASES, seed=FUZZ_SEED)
+def test_criterion_5_property_suites(suite, suite_run):
+    result = suite_run(suite, cases=FUZZ_CASES, seed=FUZZ_SEED)
     detail = f"{result.cases} cases"
     if result.skipped:
         detail += f", {result.skipped} skipped"

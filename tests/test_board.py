@@ -16,6 +16,7 @@ from sttt.board import (
     _slices,
 )
 from sttt.dihedral import GroupElement, dihedral_order, group_elements
+from sttt.game import act_game
 from sttt.spiral import InvalidSizeError, spiral_numbering
 
 # the two boards of the unique orbit of size 2 for n=2
@@ -409,6 +410,30 @@ def test_rotate_reflect_twice_is_identity():
 def test_act_board_size_mismatch():
     with pytest.raises(ValueError):
         act_board(Board.empty(2), group_elements(3)[0])
+
+
+_B, _G = from_bitstring(ORDER2_B, 2), GroupElement(2, 1, 0)
+_GAME = ((3, 1), (1, 1), (1, 3), (3, 3))
+_JUNK = (ORDER2_B, None, 3, _G.perm)
+
+
+@pytest.mark.parametrize(
+    "call, args",
+    (
+        *((act_board, (junk, _G)) for junk in _JUNK),
+        *((act_board, (_B, junk)) for junk in _JUNK),
+        (act_board, (_G, _B)),
+        *((canonical_form, (junk,)) for junk in (*_JUNK, _G)),
+        *((act_game, (_GAME, junk)) for junk in (*_JUNK, _B)),
+        (act_game, (_G, _GAME)),
+    ),
+)
+def test_entry_points_refuse_arguments_of_the_wrong_type(call, args):
+    # a missing attribute becomes TypeError naming the types received, as
+    # every other contract in the package raises TypeError or ValueError
+    kinds = " and ".join(type(arg).__name__ for arg in args)
+    with pytest.raises(TypeError, match=f"^{call.__name__} needs .*, not {kinds}$"):
+        call(*args)
 
 
 def _orbit(board: Board) -> set[str]:

@@ -102,8 +102,12 @@ def test_enumerate_one_by_one_board():
 
 
 def test_enumerate_is_serial():
-    with pytest.raises(ValueError, match="serial"):
-        enumerate_winning_boards(2, jobs=2)
+    # only the int 1: a bool or a float equal to 1 is refused as 2 is
+    for jobs in (2, True, 1.0):
+        message = f"^the census search is serial; jobs must be 1, got {jobs}$"
+        with pytest.raises(ValueError, match=message):
+            enumerate_winning_boards(2, jobs=jobs)
+    assert len(enumerate_winning_boards(2, jobs=1)) == 1902
 
 
 def test_import_leaves_multiprocessing_unloaded():

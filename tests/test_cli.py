@@ -9,7 +9,6 @@ import jsonschema
 import pytest
 
 from sttt.census import classes_from_jsonl, parse_census_text
-from sttt.checks import run_suite
 from sttt.cli import main
 
 from importlib import resources
@@ -491,8 +490,9 @@ def test_fuzz_passing_suites(capsys):
     assert out.count("pass") == 2
 
 
-def test_fuzz_exit_code_tracks_suite_outcome(capsys):
-    expected = run_suite("game-action-validity", cases=40, seed=0)
+def test_fuzz_exit_code_tracks_suite_outcome(capsys, monkeypatch, suite_run):
+    monkeypatch.setattr("sttt.cli.run_suite", suite_run)
+    expected = suite_run("game-action-validity", cases=40, seed=0)
     code, out, _ = run(
         capsys,
         "fuzz", "--cases", "40", "--seed", "0", "--suite", "game-action-validity",
@@ -520,74 +520,93 @@ def test_fuzz_json_schema(capsys):
     assert payload["suites"][0]["name"] == "x-count-invariance"
 
 
-@pytest.mark.parametrize(
-    "argv, md5",
+# the pinned CLI outputs: arguments, exit status and the md5 of stdout
+FIXED_OUTPUTS = (
+    (("census", "--n", "2"), 0, "375eb2abf00a31746bb4b911e572a894"),
     (
-        (("census", "--n", "2"), "375eb2abf00a31746bb4b911e572a894"),
-        (
-            ("fuzz", "--cases", "2000", "--seed", "2024", "--format", "json"),
-            "f7b72906df243ecfcd54853e10f5bbac",
-        ),
-        (("square", "--n", "5"), "0f613f5705ec04d327046a0105a9d43d"),
-        (("square", "--n", "5", "--format", "json"), "2cf9cf32a76fb9ad784f18ce478161a7"),
-        (("group", "--n", "2", "--verify"), "688b84ad28c51b180a730f770142030e"),
-        (
-            ("group", "--n", "2", "--verify", "--format", "json"),
-            "6e6f6dea656385b38c3082dc3884d32d",
-        ),
-        (("group", "--n", "1", "--verify"), "318e1eca6d12b82aedababd2b933b051"),
-        (
-            ("board", "act", "--n", "2", "--bits", "1001000000001001", "--element", "1,0"),
-            "21783c40ae4cbec4bd05e356de19de3c",
-        ),
-        (
-            ("board", "act", "--n", "2", "--bits", "1001000000001001", "--element", "1,0",
-             "--format", "json"),
-            "70aedbd204ff0fb003b54902639b7fb7",
-        ),
-        (("board", "orbit", "--bits", "1001000000001001"), "d027a75221acb7b65510f4f0bc4b7846"),
-        (
-            ("board", "orbit", "--bits", "1001000000001001", "--format", "text"),
-            "7df088405543c799e8f9bac3948aecb4",
-        ),
-        (
-            ("game", "replay", "--n", "2", "--moves", "3:1,1:1,1:3,3:3"),
-            "c85ee45aeb48bf7575e55c671ddc5344",
-        ),
-        (
-            ("game", "replay", "--n", "2", "--moves", "3:1,1:1,1:3,3:3", "--format", "json"),
-            "753a26e2209ed7557d694cf18ad3bc76",
-        ),
-        (
-            ("game", "replay", "--n", "2", "--moves", "1:1,2:2"),
-            "f1a375ecf73f126934ddeb4fb46c3257",
-        ),
-        (
-            ("game", "replay", "--n", "2", "--moves", "1:1,2:2", "--format", "json"),
-            "4f245efda04ea072f03f81fe726a57dd",
-        ),
-        (
-            ("game", "act", "--n", "2", "--moves", "3:1,1:1,1:3,3:3", "--element", "1,0"),
-            "1bece2fb88b05bd9a2f035a64032961d",
-        ),
-        (
-            ("game", "act", "--n", "2", "--moves", "3:1,1:1,1:3,3:3", "--element", "1,0",
-             "--format", "json"),
-            "e23707c9d0e7cf40638e7500e1c3099b",
-        ),
-        (("fuzz", "--cases", "100", "--seed", "2024"), "9a223416d1022d9d2e53a5557a88c5a1"),
+        ("fuzz", "--cases", "2000", "--seed", "2024", "--format", "json"),
+        2,
+        "f7b72906df243ecfcd54853e10f5bbac",
     ),
+    (("square", "--n", "5"), 0, "0f613f5705ec04d327046a0105a9d43d"),
+    (("square", "--n", "5", "--format", "json"), 0, "2cf9cf32a76fb9ad784f18ce478161a7"),
+    (("group", "--n", "2", "--verify"), 0, "688b84ad28c51b180a730f770142030e"),
+    (
+        ("group", "--n", "2", "--verify", "--format", "json"),
+        0,
+        "6e6f6dea656385b38c3082dc3884d32d",
+    ),
+    (("group", "--n", "1", "--verify"), 0, "318e1eca6d12b82aedababd2b933b051"),
+    (
+        ("board", "act", "--n", "2", "--bits", "1001000000001001", "--element", "1,0"),
+        0,
+        "21783c40ae4cbec4bd05e356de19de3c",
+    ),
+    (
+        ("board", "act", "--n", "2", "--bits", "1001000000001001", "--element", "1,0",
+         "--format", "json"),
+        0,
+        "70aedbd204ff0fb003b54902639b7fb7",
+    ),
+    (("board", "orbit", "--bits", "1001000000001001"), 0, "d027a75221acb7b65510f4f0bc4b7846"),
+    (
+        ("board", "orbit", "--bits", "1001000000001001", "--format", "text"),
+        0,
+        "7df088405543c799e8f9bac3948aecb4",
+    ),
+    (
+        ("game", "replay", "--n", "2", "--moves", "3:1,1:1,1:3,3:3"),
+        0,
+        "c85ee45aeb48bf7575e55c671ddc5344",
+    ),
+    (
+        ("game", "replay", "--n", "2", "--moves", "3:1,1:1,1:3,3:3", "--format", "json"),
+        0,
+        "753a26e2209ed7557d694cf18ad3bc76",
+    ),
+    (
+        ("game", "replay", "--n", "2", "--moves", "1:1,2:2"),
+        1,
+        "f1a375ecf73f126934ddeb4fb46c3257",
+    ),
+    (
+        ("game", "replay", "--n", "2", "--moves", "1:1,2:2", "--format", "json"),
+        1,
+        "4f245efda04ea072f03f81fe726a57dd",
+    ),
+    (
+        ("game", "act", "--n", "2", "--moves", "3:1,1:1,1:3,3:3", "--element", "1,0"),
+        0,
+        "1bece2fb88b05bd9a2f035a64032961d",
+    ),
+    (
+        ("game", "act", "--n", "2", "--moves", "3:1,1:1,1:3,3:3", "--element", "1,0",
+         "--format", "json"),
+        0,
+        "e23707c9d0e7cf40638e7500e1c3099b",
+    ),
+    (("fuzz", "--cases", "100", "--seed", "2024"), 2, "9a223416d1022d9d2e53a5557a88c5a1"),
+    (("fuzz", "--cases", "10000", "--seed", "2024"), 2, "4461abe4570c44dafeb4da598c9faf35"),
 )
-def test_fixed_outputs_are_pinned(capsys, argv, md5):
+
+
+@pytest.mark.parametrize(
+    "argv, status, md5",
+    FIXED_OUTPUTS,
+    # each row named by its index and md5
+    ids=[f"argv{i}-{md5}" for i, (_, _, md5) in enumerate(FIXED_OUTPUTS)],
+)
+def test_fixed_outputs_are_pinned(capsys, monkeypatch, suite_run, argv, status, md5):
     # the outputs that stay byte-identical unless a change says otherwise:
     # census and fuzz, then the README's CLI examples in text and JSON, an
-    # illegal replay (exit 1), the trivial group's notes and fuzz's text, so
-    # every result path of the CLI has a pinned output; the last fixed one,
-    # `fuzz --cases 10000 --seed 2024` (md5 4461abe4...), is checked by
-    # tools/fixed_outputs.py instead: it takes about 5 s, and the acceptance
-    # suite already runs those six 10,000-case suites
-    _, out, _ = run(capsys, *argv)
-    assert hashlib.md5(out.encode("utf-8")).hexdigest() == md5
+    # illegal replay (exit 1), the trivial group's notes, fuzz's text and
+    # the 10,000-case fuzz run, so every result path of the CLI has a pinned
+    # output and exit status; fuzz exits 2 for game-action-validity, which
+    # fails by design.  The suites come from the session's memo, so the
+    # 10,000-case streams that the acceptance suite runs are not drawn again
+    monkeypatch.setattr("sttt.cli.run_suite", suite_run)
+    code, out, _ = run(capsys, *argv)
+    assert (code, hashlib.md5(out.encode("utf-8")).hexdigest()) == (status, md5)
 
 
 def test_package_runs_as_a_module():

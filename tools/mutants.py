@@ -134,6 +134,13 @@ MUTANTS = (
         ("tests/test_board.py",),
     ),
     Mutant(
+        "act-board-leaks-attribute-error",
+        "src/sttt/board.py",
+        "except AttributeError:  # caught, not tested for, so a valid call pays nothing",
+        "except LookupError:",
+        ("tests/test_board.py::test_entry_points_refuse_arguments_of_the_wrong_type",),
+    ),
+    Mutant(
         "element-cache-unbounded",
         "src/sttt/board.py",
         "@lru_cache(maxsize=512)",
@@ -569,11 +576,25 @@ MUTANTS = (
         ("tests/test_census.py",),
     ),
     Mutant(
+        "census-admits-bool-jobs",
+        "src/sttt/census.py",
+        "if jobs != 1 or type(jobs) is not int:",
+        "if jobs != 1:",
+        ("tests/test_census.py::test_enumerate_is_serial",),
+    ),
+    Mutant(
         "jsonl-classes-may-overlap",
         "src/sttt/census.py",
         "        _claim(members, want, line, owner)\n",
         "",
         ("tests/test_census.py",),
+    ),
+    Mutant(
+        "fuzz-exits-zero-on-failure",
+        "src/sttt/cli.py",
+        "return EX_OK if ok else EX_VERIFY",
+        "return EX_OK",
+        ("tests/test_cli.py::test_fixed_outputs_are_pinned",),
     ),
     Mutant(
         "skip-counted-as-failure",
