@@ -21,7 +21,8 @@ in image order; joined, they are the column-permuted matrix stored column
 by column.  The same kernel applied to that string permutes the rows and
 transposes back, so an image is two kernel calls and two joins, 2 n^2
 slice copies in C.  Per n, the first use caches the n^2 slices, shared by
-every element.  Each element's kernel lives in one bounded cache keyed by
+every element, in one record, _layout(n), with the label-order kernel
+below.  Each element's kernel lives in one bounded cache keyed by
 n and the element's image.  The group's table and act_board both draw on
 it, so act_board never needs the group.  Only the table holds the gather
 of the n^2 indices src that canonical_form applies to single field blocks,
@@ -35,8 +36,8 @@ an X: ``Board(n, cells)`` ORs its cells into them, and the rules engine and
 the census hand over the bitmasks they keep.  It spells them lowest bit
 first into a label-order bitstring, whose character (f-1) n^2 + (p-1) is
 cell (f, p), and the same two passes put it into reading order: that is the
-permutation src[K] = labels[K] - 1, and its kernel is _relabel(n), cached
-per n.  So this module alone knows the reading layout.
+permutation src[K] = labels[K] - 1, whose kernel _layout(n) keeps.  So
+this module alone knows the reading layout.
 
 canonical_form does not build every image.  One gather first takes the
 first n characters of every image.  If one element alone has the smallest,
@@ -81,9 +82,10 @@ class Board:
     """Immutable board: side length n and the reading-order bitstring of its
     n^4 cells, ``bits``.  ``Board(n, cells)`` builds it from the X cells, as
     (field, pos) pairs of spiral labels, through their per-field bitmasks
-    and _spell_fields; ``xs`` gives them back.  A cell whose field or
-    position is not an int, a bool included, raises TypeError, and one
-    outside 1..n^2 ValueError, each naming the first such cell."""
+    and _spell_fields; ``xs`` gives them back.  A cell that is not a
+    (field, pos) pair raises ValueError, one whose field or position is not
+    an int, a bool included, TypeError, and one outside 1..n^2 ValueError,
+    each naming the first such cell."""
 
     n: int = field(compare=False)  # equality and hashing are the string's
     bits: str
@@ -91,7 +93,11 @@ class Board:
     def __init__(self, n: int, cells: Iterable[tuple[int, int]]):
         n_sq = spiral_numbering(n).n_sq  # the size check: InvalidSizeError for n outside 1..56
         fields = [0] * n_sq  # bit p-1 of fields[f-1] is cell (f, p)
-        for i, j in cells:
+        for cell in cells:
+            try:
+                i, j = cell
+            except (TypeError, ValueError):  # not iterable, or not two items
+                raise ValueError(f"cell {cell!r} is not a (field, pos) pair") from None
             if type(i) is not int or type(j) is not int:
                 name, bad = ("field", i) if type(i) is not int else ("position", j)
                 kind = type(bad).__name__
@@ -137,8 +143,12 @@ class Board:
 
 
 def to_bitstring(board: Board) -> str:
-    """The reading-order 0/1 string of length n^4."""
-    return board.bits
+    """The reading-order 0/1 string of length n^4.  Raises TypeError for an
+    argument without a Board's attributes."""
+    try:
+        return board.bits
+    except AttributeError:
+        raise TypeError(f"to_bitstring needs a Board, not {type(board).__name__}") from None
 
 
 def _check_bitstring(bits: str, n: int) -> None:
@@ -172,11 +182,15 @@ _Element = tuple[
 
 
 @lru_cache(maxsize=None)
-def _slices(n: int) -> tuple[slice, ...]:
-    """The n^2 slices ``slice(c, None, n^2)``: slice c of a bitstring is
-    position c of every field block, column c of the field/position matrix."""
+def _layout(n: int) -> tuple[tuple[slice, ...], Callable[[str], Sequence[str]]]:
+    """The reading layout for side length n: the n^2 slices
+    ``slice(c, None, n^2)``, slice c of a bitstring being column c of the
+    field/position matrix, and the kernel of the columns ``labels[k] - 1``,
+    k = 0 .. n^2 - 1, with which _image puts a label-order bitstring in
+    reading order: reading block K is label-order block ``labels[K] - 1``."""
     n_sq = n * n
-    return tuple(slice(c, None, n_sq) for c in range(n_sq))
+    slices = tuple(slice(c, None, n_sq) for c in range(n_sq))
+    return slices, itemgetter(*[slices[x - 1] for x in spiral_numbering(n).labels])
 
 
 def _source(n: int, image: tuple[int, ...]) -> list[int]:
@@ -201,13 +215,13 @@ def _element(n: int, image: tuple[int, ...]) -> Callable[[str], Sequence[str]]:
     act_board uses the kernel canonical_form and image_bitstrings use.  At
     n = 1 it returns the string itself.
     """
-    slices, src = _slices(n), _source(n, image)
+    slices, src = _layout(n)[0], _source(n, image)
     return itemgetter(*[slices[c] for c in src])
 
 
 def _image(kernel: Callable[[str], Sequence[str]], bits: str) -> str:
     """The image bitstring of a board under the element with this kernel,
-    or, with _relabel's kernel, a label-order bitstring in reading order.
+    or, with _layout's kernel, a label-order bitstring in reading order.
 
     With the field/position matrix ``M[i][j] = bits[i n^2 + j]``, the
     first pass's piece k is column src[k], so the joined string holds
@@ -219,15 +233,6 @@ def _image(kernel: Callable[[str], Sequence[str]], bits: str) -> str:
     return join(kernel(join(kernel(bits))))
 
 
-@lru_cache(maxsize=None)
-def _relabel(n: int) -> Callable[[str], Sequence[str]]:
-    """The kernel with which _image puts a label-order bitstring in reading
-    order: the slices of the columns ``labels[k] - 1``, k = 0 .. n^2 - 1,
-    so reading block K is label-order block ``labels[K] - 1``."""
-    slices = _slices(n)
-    return itemgetter(*[slices[x - 1] for x in spiral_numbering(n).labels])
-
-
 def _spell_fields(n: int, fields: Sequence[int]) -> str:
     """The reading-order bitstring of per-field bitmasks, bit p-1 of
     ``fields[f-1]`` set when cell (f, p) holds an X: the one writer of a
@@ -235,7 +240,7 @@ def _spell_fields(n: int, fields: Sequence[int]) -> str:
     ``fields[f-1]`` above those before it, since an int of all n^4 bits
     grows at every shift, and each int is spelt lowest bit first, so
     cell (f, p) is character (f-1) n^2 + (p-1): label order, which the
-    _relabel kernel puts in reading order."""
+    _layout kernel puts in reading order."""
     n_sq = n * n
     spell = f"0{n * n_sq}b"
     spelt = []
@@ -244,7 +249,7 @@ def _spell_fields(n: int, fields: Sequence[int]) -> str:
         for bits in reversed(fields[start : start + n]):
             joined = joined << n_sq | bits
         spelt.append(format(joined, spell)[::-1])
-    return _image(_relabel(n), "".join(spelt))
+    return _image(_layout(n)[1], "".join(spelt))
 
 
 # per n: the rows of group_elements(n), the screen's gather and splitter, and

@@ -19,8 +19,10 @@ from __future__ import annotations
 
 import json
 import re
+from collections import Counter
 from dataclasses import asdict, dataclass
 from importlib import resources
+from itertools import groupby
 
 from .board import _spell_fields, image_bitstrings
 from .dihedral import group_elements
@@ -129,10 +131,12 @@ def partition_classes(boards, n: int) -> list[IsoClass]:
 
 
 def size_histogram(classes) -> dict[int, int]:
-    hist: dict[int, int] = {}
-    for cls in classes:
-        hist[cls.orbit_size] = hist.get(cls.orbit_size, 0) + 1
-    return dict(sorted(hist.items()))
+    """The number of classes of each orbit size, in increasing size.
+    Raises TypeError for classes without an IsoClass's attributes."""
+    try:
+        return dict(sorted(Counter(c.orbit_size for c in classes).items()))
+    except AttributeError:
+        raise TypeError(f"size_histogram needs IsoClasses, not {type(classes).__name__}") from None
 
 
 def _is_bitstring(value) -> bool:
@@ -190,10 +194,10 @@ def parse_census_text(text: str, n: int = 2) -> list[IsoClass]:
 
 def declared_class_counts(text: str) -> dict[int, int]:
     """Class counts promised by a listing's own header, keyed by order."""
-    counts: dict[int, int] = {}
-    for m in _COUNT_RE.finditer(text):
-        counts[int(m.group(2))] = counts.get(int(m.group(2)), 0) + int(m.group(1))
-    return counts
+    counts = Counter()
+    for count, order in _COUNT_RE.findall(text):
+        counts[int(order)] += int(count)
+    return dict(counts)
 
 
 @dataclass(frozen=True)
@@ -239,9 +243,14 @@ def diff_census(
     computed, reference, declared_counts: dict[int, int] | None = None
 ) -> CensusDiff:
     """Compare two class lists; optional declared counts become notes when
-    they disagree with the reference listing's actual contents."""
-    mine = {c.canonical: c for c in computed}
-    theirs = {c.canonical: c for c in reference}
+    they disagree with the reference listing's actual contents.  Raises
+    TypeError for class lists without an IsoClass's attributes."""
+    try:
+        mine = {c.canonical: c for c in computed}
+        theirs = {c.canonical: c for c in reference}
+    except AttributeError:
+        kinds = f"{type(computed).__name__} and {type(reference).__name__}"
+        raise TypeError(f"diff_census needs two lists of IsoClasses, not {kinds}") from None
     only_mine = tuple(sorted(set(mine) - set(theirs)))
     only_theirs = tuple(sorted(set(theirs) - set(mine)))
     mismatches = tuple(
@@ -262,8 +271,18 @@ def diff_census(
     return CensusDiff(only_mine, only_theirs, mismatches, tuple(notes))
 
 
+def _in_order(caller: str, classes) -> list[IsoClass]:
+    """The classes by orbit size, then canonical form, or TypeError naming
+    what ``caller`` received when they lack an IsoClass's attributes."""
+    try:
+        return sorted(classes, key=lambda c: (c.orbit_size, c.canonical))
+    except AttributeError:
+        raise TypeError(f"{caller} needs IsoClasses, not {type(classes).__name__}") from None
+
+
 def classes_to_jsonl(classes) -> str:
-    """One class per line: {canonical, orbit_size, members}, sorted stably."""
+    """One class per line: {canonical, orbit_size, members}, sorted stably.
+    Raises TypeError for classes without an IsoClass's attributes."""
     lines = [
         json.dumps(
             {
@@ -274,7 +293,7 @@ def classes_to_jsonl(classes) -> str:
             sort_keys=True,
             separators=(", ", ": "),
         )
-        for c in sorted(classes, key=lambda c: (c.orbit_size, c.canonical))
+        for c in _in_order("classes_to_jsonl", classes)
     ]
     return "\n".join(lines) + ("\n" if lines else "")
 
@@ -283,10 +302,14 @@ def classes_from_jsonl(text: str, n: int = 2) -> list[IsoClass]:
     """Read classes from JSONL.  A malformed line, a member of the wrong
     length, or a board already in a class, raises ListingParseError with its
     line number.  An invalid side length raises InvalidSizeError before the
-    text is read."""
+    text is read, and a text without ``splitlines`` TypeError."""
     want = spiral_numbering(n).n_sq ** 2
+    try:
+        lines = text.splitlines()
+    except AttributeError:
+        raise TypeError(f"classes_from_jsonl needs a str, not {type(text).__name__}") from None
     classes, owner = [], {}
-    for line, raw in enumerate(text.splitlines(), 1):
+    for line, raw in enumerate(lines, 1):
         if not raw.strip():
             continue
         try:
@@ -304,16 +327,13 @@ def classes_from_jsonl(text: str, n: int = 2) -> list[IsoClass]:
 
 
 def classes_to_listing_text(classes) -> str:
-    """Human readable listing, grouped and numbered by orbit size."""
-    by_size: dict[int, list[IsoClass]] = {}
-    for c in sorted(classes, key=lambda c: (c.orbit_size, c.canonical)):
-        by_size.setdefault(c.orbit_size, []).append(c)
+    """Human readable listing, grouped and numbered by orbit size.  Raises
+    TypeError for classes without an IsoClass's attributes."""
     chunks = []
-    for size, group in sorted(by_size.items()):
-        chunks.append(f"Isomorphism of Order {size}:")
-        chunks.append("")
-        for i, c in enumerate(group, 1):
-            chunks.append(f"{i}. ({', '.join(c.members)})")
+    ordered = _in_order("classes_to_listing_text", classes)
+    for size, group in groupby(ordered, key=lambda c: c.orbit_size):
+        chunks += [f"Isomorphism of Order {size}:", ""]
+        chunks += [f"{i}. ({', '.join(c.members)})" for i, c in enumerate(group, 1)]
         chunks.append("")
     return "\n".join(chunks)
 

@@ -46,17 +46,28 @@ def dihedral_order(n: int) -> int:
     return lcm(*ring_sizes(n))
 
 
+def _ring(caller: str, sq: NumberedSquare, k: int) -> tuple[int, tuple[int, ...]]:
+    """n^2 and the level set of ring k, or TypeError naming the types
+    ``caller`` received when ``sq`` lacks a NumberedSquare's attributes."""
+    try:
+        return sq.n_sq, sq.level_set(k)
+    except AttributeError:
+        kinds = f"{type(sq).__name__} and {type(k).__name__}"
+        raise TypeError(f"{caller} needs a NumberedSquare and an int, not {kinds}") from None
+
+
 def layer_rotation(sq: NumberedSquare, k: int) -> Permutation:
     """One spiral step along ring k; all other labels fixed."""
-    return Permutation.from_cycles(sq.n_sq, [sq.level_set(k)])
+    n_sq, ring = _ring("layer_rotation", sq, k)
+    return Permutation.from_cycles(n_sq, [ring])
 
 
 def layer_reflection(sq: NumberedSquare, k: int) -> Permutation:
     """Reflection of ring k across the main diagonal; other labels fixed."""
-    ring = sq.level_set(k)
+    n_sq, ring = _ring("layer_reflection", sq, k)
     s = len(ring)
     swaps = [(ring[i], ring[s - i]) for i in range(1, (s - 1) // 2 + 1)]
-    return Permutation.from_cycles(sq.n_sq, swaps)
+    return Permutation.from_cycles(n_sq, swaps)
 
 
 @dataclass(frozen=True)

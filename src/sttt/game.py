@@ -216,11 +216,18 @@ def _move_row(n: int, field: int) -> tuple[Move, ...]:
 
 
 def legal_moves(state: GameState) -> tuple[Move, ...]:
-    """Every move the next player may make, in increasing (field, pos) order."""
-    if state.terminal:
-        raise TerminalStateError("the game is over; no moves remain")
-    fields = (state.dictated,) if state.dictated is not None else state.open_fields()
-    n, bits = state.n, state.field_bits
+    """Every move the next player may make, in increasing (field, pos) order.
+
+    Raises TerminalStateError once the game is over, and TypeError for an
+    argument without a GameState's attributes.
+    """
+    try:
+        if state.terminal:
+            raise TerminalStateError("the game is over; no moves remain")
+        fields = (state.dictated,) if state.dictated is not None else state.open_fields()
+        n, bits = state.n, state.field_bits
+    except AttributeError:
+        raise TypeError(f"legal_moves needs a GameState, not {type(state).__name__}") from None
     pos_bits = _label_tables(n)[1]
     moves = []
     for f in fields:  # open fields come in increasing order
@@ -312,9 +319,14 @@ def apply_move(state: GameState, move: Move) -> GameState:
 
     Raises IllegalMoveError for a move the rules forbid, with ``index`` its
     number in the game, ``len(state.moves) + 1``, as :func:`replay` gives
-    it; and ValueError for a move that is not a pair of integers.
+    it; ValueError for a move that is not a pair of integers; and TypeError
+    for a state without a GameState's attributes.
     """
-    return _advance(state, (move,))
+    try:
+        return _advance(state, (move,))
+    except AttributeError:  # _advance reads no attribute of the move
+        kinds = f"{type(state).__name__} and {type(move).__name__}"
+        raise TypeError(f"apply_move needs a GameState and a move, not {kinds}") from None
 
 
 # The replay memo's bounds: it holds the _MEMO_GAMES games used last, each of

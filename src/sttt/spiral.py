@@ -41,7 +41,9 @@ class NumberedSquare:
     tables :func:`spiral_numbering` caches per size can be shared.
     Side lengths are ints from 1 to 56: a board on the grid has n^4 cells,
     and n >= 57 would exceed 10^7.  Any other type raises TypeError, a bool
-    too, so ``True`` is not cached as a second side length 1.
+    too, so ``True`` is not cached as a second side length 1.  So does a
+    layer, label, row or column that is not an int, while an int out of
+    range raises InvalidLayerError, ValueError or IndexError.
     """
 
     n: int
@@ -94,6 +96,9 @@ class NumberedSquare:
         return tuple(self.labels[k : k + n] for k in range(0, n * n, n))
 
     def label_at(self, row: int, col: int) -> int:
+        for name, value in (("row", row), ("column", col)):
+            if type(value) is not int:
+                raise TypeError(f"{name} must be an int, not {type(value).__name__}")
         if not (0 <= row < self.n and 0 <= col < self.n):
             raise IndexError(f"cell ({row}, {col}) outside a {self.n}x{self.n} grid")
         return self.labels[row * self.n + col]
@@ -109,6 +114,8 @@ class NumberedSquare:
 
     def level_set(self, k: int) -> tuple[int, ...]:
         """Sorted labels of layer k (1 = innermost)."""
+        if type(k) is not int:
+            raise TypeError(f"layer must be an int, not {type(k).__name__}")
         if not (1 <= k <= self.layer_count):
             raise InvalidLayerError(
                 f"layer {k} invalid for n={self.n}; expected 1..{self.layer_count}"
@@ -116,6 +123,8 @@ class NumberedSquare:
         return self._level_sets[k - 1]
 
     def _check_label(self, label: int) -> None:
+        if type(label) is not int:
+            raise TypeError(f"label must be an int, not {type(label).__name__}")
         if not (1 <= label <= self.n_sq):
             raise ValueError(f"label {label} outside 1..{self.n_sq}")
 

@@ -13,10 +13,23 @@ from sttt.board import (
     _element,
     _gathers,
     _image,
-    _slices,
+    _layout,
 )
-from sttt.dihedral import GroupElement, dihedral_order, group_elements
-from sttt.game import act_game
+from sttt.census import (
+    classes_from_jsonl,
+    classes_to_jsonl,
+    classes_to_listing_text,
+    diff_census,
+    size_histogram,
+)
+from sttt.dihedral import (
+    GroupElement,
+    dihedral_order,
+    group_elements,
+    layer_reflection,
+    layer_rotation,
+)
+from sttt.game import Move, act_game, apply_move, legal_moves
 from sttt.spiral import InvalidSizeError, spiral_numbering
 
 # the two boards of the unique orbit of size 2 for n=2
@@ -100,18 +113,20 @@ def test_board_rejects_bad_cells():
 @pytest.mark.parametrize(
     "cell, message",
     (
-        ((1, 2, 3), "too many values to unpack (expected 2)"),
-        ((1,), "not enough values to unpack (expected 2, got 1)"),
+        ((1, 2, 3), "cell (1, 2, 3) is not a (field, pos) pair"),
+        ((1,), "cell (1,) is not a (field, pos) pair"),
         ((True, 3), "cell (True, 3) field must be an int, not bool"),
         ((2, 3.0), "cell (2, 3.0) position must be an int, not float"),
         ((5, 3.0), "cell (5, 3.0) position must be an int, not float"),
         (("1", 9), "cell ('1', 9) field must be an int, not str"),
+        (1, "cell 1 is not a (field, pos) pair"),
     ),
 )
 def test_board_rejects_a_cell_that_is_not_a_pair(cell, message):
-    # a cell that does not unpack into two values raises ValueError; one
-    # whose field or position is not an int, a bool included, TypeError,
-    # before its range is checked
+    # a cell that does not unpack into two values raises ValueError naming
+    # it, as a move that is not a (field, pos) pair does; one whose field or
+    # position is not an int, a bool included, TypeError, before its range
+    # is checked
     error = TypeError if "must be an int" in message else ValueError
     with pytest.raises(error) as err:
         Board(2, frozenset({(1, 2), cell}))
@@ -255,10 +270,10 @@ def test_act_board_without_the_group(n, a, b):
 def test_table_has_one_kernel_per_element(n):
     # each element's gather, block slices and kernel follow its block
     # order, the same permutation of the n^2 reading indices, and all
-    # kernels draw on the n^2 shared column slices
+    # kernels draw on the n^2 column slices of the layout record
     rows = _gathers(n)[0]
     n_sq = n * n
-    slices = _slices(n)
+    slices = _layout(n)[0]
     assert slices == tuple(slice(c, None, n_sq) for c in range(n_sq))
     assert len(rows) == len(group_elements(n)) == 2 * dihedral_order(n)
     drawn = set()
@@ -270,6 +285,7 @@ def test_table_has_one_kernel_per_element(n):
         assert pieces == tuple(slices[c] for c in order)
         drawn |= {id(s) for s in pieces}
     assert drawn == {id(s) for s in slices}
+    assert {id(s) for s in _layout(n)[1].__reduce__()[1]} == drawn
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 7))
@@ -415,6 +431,7 @@ def test_act_board_size_mismatch():
 _B, _G = from_bitstring(ORDER2_B, 2), GroupElement(2, 1, 0)
 _GAME = ((3, 1), (1, 1), (1, 3), (3, 3))
 _JUNK = (ORDER2_B, None, 3, _G.perm)
+_CLASS_LISTS = ("x", [ORDER2_B], (_B,))
 
 
 @pytest.mark.parametrize(
@@ -426,11 +443,21 @@ _JUNK = (ORDER2_B, None, 3, _G.perm)
         *((canonical_form, (junk,)) for junk in (*_JUNK, _G)),
         *((act_game, (_GAME, junk)) for junk in (*_JUNK, _B)),
         (act_game, (_G, _GAME)),
+        *((to_bitstring, (junk,)) for junk in (None, ORDER2_B, _G)),
+        *((apply_move, (junk, Move(1, 1))) for junk in (None, _B, _GAME)),
+        *((legal_moves, (junk,)) for junk in (None, _B, _G)),
+        *((classes_from_jsonl, (junk,)) for junk in (None, 3, [ORDER2_B])),
+        *((fn, (junk,)) for fn in (classes_to_jsonl, classes_to_listing_text, size_histogram)
+          for junk in _CLASS_LISTS),
+        *((diff_census, (junk, [])) for junk in _CLASS_LISTS),
+        (diff_census, ([], "x")),
+        *((fn, (junk, 1)) for fn in (layer_rotation, layer_reflection) for junk in (None, 2, _B)),
     ),
 )
 def test_entry_points_refuse_arguments_of_the_wrong_type(call, args):
     # a missing attribute becomes TypeError naming the types received, as
-    # every other contract in the package raises TypeError or ValueError
+    # every other contract in the package raises TypeError or ValueError;
+    # the rules engine's, the census's and the layer maps' entry points too
     kinds = " and ".join(type(arg).__name__ for arg in args)
     with pytest.raises(TypeError, match=f"^{call.__name__} needs .*, not {kinds}$"):
         call(*args)

@@ -131,10 +131,19 @@ def _def(scope, name: str):
 _SPELT = {ast.Name: "id", ast.Attribute: "attr", ast.alias: "name"}
 
 
+def _label_kernel(node) -> bool:
+    """Whether ``node`` reads the label-order kernel, ``_layout(n)[1]``."""
+    return (
+        isinstance(node, ast.Subscript)
+        and _calls(node.value, "_layout")
+        and ast.unparse(node.slice) == "1"
+    )
+
+
 def test_one_function_spells_field_bitmasks():
     # board._spell_fields is the one writer of a board built from cells: the
-    # only bit spelling and the only call of the label-order kernel, and no
-    # module but board.py names that kernel or _image.  Board.__init__,
+    # only bit spelling and the only reader of the label-order kernel, and no
+    # module but board.py names the layout record or _image.  Board.__init__,
     # GameState.board and the census reach the layout through it, and
     # Board.__init__ reads no reading table
     trees = {path.name: ast.parse(path.read_text("utf-8")) for path in SRC.glob("*.py")}
@@ -143,16 +152,16 @@ def test_one_function_spells_field_bitmasks():
         for name, tree in sorted(trees.items())
         if name != "board.py"
         for node in ast.walk(tree)
-        if getattr(node, _SPELT.get(type(node), ""), None) in ("_relabel", "_image")
+        if getattr(node, _SPELT.get(type(node), ""), None) in ("_layout", "_image")
     ]
     assert not named, named
     inside = set(ast.walk(_def(trees["board.py"], "_spell_fields")))
-    assert any(_calls(node, "_relabel") for node in inside)
+    assert any(map(_label_kernel, inside))
     spellings = [
         f"{name}:{node.lineno}"
         for name, tree in sorted(trees.items())
         for node in ast.walk(tree)
-        if (_calls(node, "format") or _calls(node, "_relabel")) and node not in inside
+        if (_calls(node, "format") or _label_kernel(node)) and node not in inside
     ]
     assert not spellings, spellings
     init = _def(_def(trees["board.py"], "Board"), "__init__")

@@ -1,5 +1,6 @@
 import copy
 import pickle
+import re
 
 import pytest
 
@@ -197,6 +198,25 @@ def test_bad_lookups():
         sq.cell_of(10)
     with pytest.raises(ValueError):
         sq.layer_of(0)
+
+
+@pytest.mark.parametrize(
+    "lookup, args, message",
+    (
+        ("level_set", (True,), "layer must be an int, not bool"),
+        ("level_set", (1.0,), "layer must be an int, not float"),
+        ("layer_of", (True,), "label must be an int, not bool"),
+        ("cell_of", (1.5,), "label must be an int, not float"),
+        ("cell_of", ("1",), "label must be an int, not str"),
+        ("label_at", (0.0, 0), "row must be an int, not float"),
+        ("label_at", (0, True), "column must be an int, not bool"),
+    ),
+)
+def test_lookups_take_ints_only(lookup, args, message):
+    # a layer, label, row or column that is not an int, a bool included,
+    # raises TypeError naming its type, as a side length does
+    with pytest.raises(TypeError, match=f"^{re.escape(message)}$"):
+        getattr(spiral_numbering(2), lookup)(*args)
 
 
 @pytest.mark.parametrize("n", [*range(1, 9), 56])

@@ -141,6 +141,20 @@ MUTANTS = (
         ("tests/test_board.py::test_entry_points_refuse_arguments_of_the_wrong_type",),
     ),
     Mutant(
+        "to-bitstring-leaks-attribute-error",
+        "src/sttt/board.py",
+        'raise TypeError(f"to_bitstring needs a Board, not {type(board).__name__}") from None',
+        "raise",
+        ("tests/test_board.py::test_entry_points_refuse_arguments_of_the_wrong_type",),
+    ),
+    Mutant(
+        "board-accepts-three-item-cell",
+        "src/sttt/board.py",
+        "i, j = cell",
+        "i, j = cell[:2]",
+        ("tests/test_board.py",),
+    ),
+    Mutant(
         "element-cache-unbounded",
         "src/sttt/board.py",
         "@lru_cache(maxsize=512)",
@@ -195,6 +209,13 @@ MUTANTS = (
         "ring[(a - i if b else a + i) % len(ring)]",
         "ring[(a + i) % len(ring)]",
         ("tests/test_dihedral.py",),
+    ),
+    Mutant(
+        "layer-maps-leak-attribute-error",
+        "src/sttt/dihedral.py",
+        'raise TypeError(f"{caller} needs a NumberedSquare and an int, not {kinds}") from None',
+        "raise",
+        ("tests/test_board.py::test_entry_points_refuse_arguments_of_the_wrong_type",),
     ),
     Mutant(
         "canonical-keeps-every-element",
@@ -464,6 +485,20 @@ MUTANTS = (
         ("tests/test_game.py",),
     ),
     Mutant(
+        "legal-moves-leaks-attribute-error",
+        "src/sttt/game.py",
+        'raise TypeError(f"legal_moves needs a GameState, not {type(state).__name__}") from None',
+        "raise",
+        ("tests/test_board.py::test_entry_points_refuse_arguments_of_the_wrong_type",),
+    ),
+    Mutant(
+        "apply-move-leaks-attribute-error",
+        "src/sttt/game.py",
+        'raise TypeError(f"apply_move needs a GameState and a move, not {kinds}") from None',
+        "raise",
+        ("tests/test_board.py::test_entry_points_refuse_arguments_of_the_wrong_type",),
+    ),
+    Mutant(
         "size-admits-bool",
         "src/sttt/spiral.py",
         "if type(n) is not int:",
@@ -482,6 +517,27 @@ MUTANTS = (
         "src/sttt/spiral.py",
         "@dataclass(frozen=True, init=False, repr=False)",
         "@dataclass(init=False, repr=False)",
+        ("tests/test_spiral.py",),
+    ),
+    Mutant(
+        "level-set-admits-bool",
+        "src/sttt/spiral.py",
+        "if type(k) is not int:",
+        "if type(k) not in (int, bool):",
+        ("tests/test_spiral.py",),
+    ),
+    Mutant(
+        "label-type-unchecked",
+        "src/sttt/spiral.py",
+        "if type(label) is not int:",
+        "if False:",
+        ("tests/test_spiral.py",),
+    ),
+    Mutant(
+        "label-at-admits-bool",
+        "src/sttt/spiral.py",
+        "if type(value) is not int:",
+        "if type(value) not in (int, bool):",
         ("tests/test_spiral.py",),
     ),
     Mutant(
@@ -588,6 +644,34 @@ MUTANTS = (
         "        _claim(members, want, line, owner)\n",
         "",
         ("tests/test_census.py",),
+    ),
+    Mutant(
+        "histogram-leaks-attribute-error",
+        "src/sttt/census.py",
+        'raise TypeError(f"size_histogram needs IsoClasses, not {type(classes).__name__}") from None',
+        "raise",
+        ("tests/test_board.py::test_entry_points_refuse_arguments_of_the_wrong_type",),
+    ),
+    Mutant(
+        "diff-leaks-attribute-error",
+        "src/sttt/census.py",
+        'raise TypeError(f"diff_census needs two lists of IsoClasses, not {kinds}") from None',
+        "raise",
+        ("tests/test_board.py::test_entry_points_refuse_arguments_of_the_wrong_type",),
+    ),
+    Mutant(
+        "class-order-leaks-attribute-error",
+        "src/sttt/census.py",
+        'raise TypeError(f"{caller} needs IsoClasses, not {type(classes).__name__}") from None',
+        "raise",
+        ("tests/test_board.py::test_entry_points_refuse_arguments_of_the_wrong_type",),
+    ),
+    Mutant(
+        "jsonl-reader-leaks-attribute-error",
+        "src/sttt/census.py",
+        'raise TypeError(f"classes_from_jsonl needs a str, not {type(text).__name__}") from None',
+        "raise",
+        ("tests/test_board.py::test_entry_points_refuse_arguments_of_the_wrong_type",),
     ),
     Mutant(
         "fuzz-exits-zero-on-failure",
