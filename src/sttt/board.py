@@ -65,7 +65,7 @@ from struct import Struct
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .dihedral import _GROUP_SIZES, GroupElement, group_elements
-from .spiral import spiral_numbering
+from .spiral import _needs, _not_int, spiral_numbering
 
 __all__ = (
     "BitstringError", "Board", "to_bitstring", "from_bitstring", "act_board",
@@ -100,8 +100,7 @@ class Board:
                 raise ValueError(f"cell {cell!r} is not a (field, pos) pair") from None
             if type(i) is not int or type(j) is not int:
                 name, bad = ("field", i) if type(i) is not int else ("position", j)
-                kind = type(bad).__name__
-                raise TypeError(f"cell ({i!r}, {j!r}) {name} must be an int, not {kind}")
+                raise _not_int(f"cell ({i!r}, {j!r}) {name}", bad)
             if not (1 <= i <= n_sq and 1 <= j <= n_sq):
                 raise ValueError(f"cell ({i}, {j}) outside 1..{n_sq} labels")
             fields[i - 1] |= 1 << (j - 1)
@@ -148,7 +147,7 @@ def to_bitstring(board: Board) -> str:
     try:
         return board.bits
     except AttributeError:
-        raise TypeError(f"to_bitstring needs a Board, not {type(board).__name__}") from None
+        raise _needs("to_bitstring", "a Board", board) from None
 
 
 def _check_bitstring(bits: str, n: int) -> None:
@@ -300,8 +299,7 @@ def act_board(board: Board, elem: GroupElement) -> Board:
             raise ValueError(f"board is {n}x{n} but element acts on n={elem.n}")
         return Board._of(n, _image(_element(n, elem.perm.image), board.bits))
     except AttributeError:  # caught, not tested for, so a valid call pays nothing
-        kinds = f"{type(board).__name__} and {type(elem).__name__}"
-        raise TypeError(f"act_board needs a Board and a GroupElement, not {kinds}") from None
+        raise _needs("act_board", "a Board and a GroupElement", board, elem) from None
 
 
 def image_bitstrings(bits: str, n: int) -> Iterator[str]:
@@ -334,7 +332,7 @@ def canonical_form(board: Board) -> str:
     try:
         n, bits = board.n, board.bits
     except AttributeError:
-        raise TypeError(f"canonical_form needs a Board, not {type(board).__name__}") from None
+        raise _needs("canonical_form", "a Board", board) from None
     rows, screen, split, uniform = _gathers(n)
     join = "".join
     prefixes = split(join(screen(bits)).encode())

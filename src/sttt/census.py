@@ -27,7 +27,7 @@ from itertools import groupby
 from .board import _spell_fields, image_bitstrings
 from .dihedral import group_elements
 from .game import GameState, apply_move, legal_moves
-from .spiral import spiral_numbering
+from .spiral import _needs, spiral_numbering
 
 __all__ = (
     "ClosureError", "ListingParseError", "IsoClass", "enumerate_winning_boards",
@@ -133,10 +133,8 @@ def partition_classes(boards, n: int) -> list[IsoClass]:
 def size_histogram(classes) -> dict[int, int]:
     """The number of classes of each orbit size, in increasing size.
     Raises TypeError for classes without an IsoClass's attributes."""
-    try:
-        return dict(sorted(Counter(c.orbit_size for c in classes).items()))
-    except AttributeError:
-        raise TypeError(f"size_histogram needs IsoClasses, not {type(classes).__name__}") from None
+    # the classes come by orbit size, so the counts do
+    return dict(Counter(c.orbit_size for c in _in_order("size_histogram", classes)))
 
 
 def _is_bitstring(value) -> bool:
@@ -244,13 +242,13 @@ def diff_census(
 ) -> CensusDiff:
     """Compare two class lists; optional declared counts become notes when
     they disagree with the reference listing's actual contents.  Raises
-    TypeError for class lists without an IsoClass's attributes."""
+    TypeError for class lists without an IsoClass's attributes, and for
+    declared counts without a dict's ``get``."""
     try:
         mine = {c.canonical: c for c in computed}
         theirs = {c.canonical: c for c in reference}
     except AttributeError:
-        kinds = f"{type(computed).__name__} and {type(reference).__name__}"
-        raise TypeError(f"diff_census needs two lists of IsoClasses, not {kinds}") from None
+        raise _needs("diff_census", "two lists of IsoClasses", computed, reference) from None
     only_mine = tuple(sorted(set(mine) - set(theirs)))
     only_theirs = tuple(sorted(set(theirs) - set(mine)))
     mismatches = tuple(
@@ -261,8 +259,12 @@ def diff_census(
     notes = []
     if declared_counts:
         actual = size_histogram(reference)
+        try:
+            declared = declared_counts.get
+        except AttributeError:
+            raise _needs("diff_census", "declared counts in a dict", declared_counts) from None
         for order in sorted(set(declared_counts) | set(actual)):
-            d, a = declared_counts.get(order, 0), actual.get(order, 0)
+            d, a = declared(order, 0), actual.get(order, 0)
             if d != a:
                 notes.append(
                     f"reference header declares {d} classes of order {order} "
@@ -277,7 +279,7 @@ def _in_order(caller: str, classes) -> list[IsoClass]:
     try:
         return sorted(classes, key=lambda c: (c.orbit_size, c.canonical))
     except AttributeError:
-        raise TypeError(f"{caller} needs IsoClasses, not {type(classes).__name__}") from None
+        raise _needs(caller, "IsoClasses", classes) from None
 
 
 def classes_to_jsonl(classes) -> str:
@@ -307,7 +309,7 @@ def classes_from_jsonl(text: str, n: int = 2) -> list[IsoClass]:
     try:
         lines = text.splitlines()
     except AttributeError:
-        raise TypeError(f"classes_from_jsonl needs a str, not {type(text).__name__}") from None
+        raise _needs("classes_from_jsonl", "a str", text) from None
     classes, owner = [], {}
     for line, raw in enumerate(lines, 1):
         if not raw.strip():

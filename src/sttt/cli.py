@@ -72,14 +72,6 @@ def _parse_moves_arg(text: str) -> tuple[Move, ...]:
     return tuple(moves)
 
 
-def _out_path(raw: str) -> Path:
-    path = Path(raw)
-    base = os.environ.get("STTT_OUTPUT_DIR")
-    if base and not path.is_absolute():
-        path = Path(base) / path
-    return path
-
-
 def _cmd_square(args) -> int:
     sq = spiral_numbering(args.n)
     payload = {
@@ -254,9 +246,14 @@ def _cmd_census(args) -> int:
                 f"the bundled reference is the n = 2 census; census diff --n {args.n} "
                 "needs --reference <listing>"
             )
-        computed = census_mod.classes_from_jsonl(
-            Path(args.computed).read_text("utf-8"), n=args.n
-        )
+        text = Path(args.computed).read_text("utf-8")
+        # the JSONL census holds no parenthesized tuple: only a listing yields classes
+        if census_mod.parse_census_text(text, n=args.n):
+            raise ValueError(
+                f"{args.computed} is a class listing; --computed takes the JSONL census "
+                "that census --out writes without --listing-style"
+            )
+        computed = census_mod.classes_from_jsonl(text, n=args.n)
         if args.reference:
             ref_text = Path(args.reference).read_text("utf-8")
         else:
@@ -281,7 +278,8 @@ def _cmd_census(args) -> int:
         f"size histogram {json.dumps(hist, sort_keys=True)}"
     )
     if args.out:
-        path = _out_path(args.out)
+        # a relative path goes under STTT_OUTPUT_DIR when it is set
+        path = Path(os.environ.get("STTT_OUTPUT_DIR", ""), args.out)
         path.parent.mkdir(parents=True, exist_ok=True)
         path.write_text(data, encoding="utf-8")
         print(summary)

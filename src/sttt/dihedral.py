@@ -27,7 +27,7 @@ from functools import lru_cache
 from math import lcm
 
 from .perm import Permutation
-from .spiral import InvalidSizeError, NumberedSquare, spiral_numbering
+from .spiral import InvalidSizeError, NumberedSquare, _check_int, _needs, spiral_numbering
 
 __all__ = (
     "ring_sizes", "dihedral_order", "layer_rotation", "layer_reflection", "GroupElement",
@@ -52,8 +52,7 @@ def _ring(caller: str, sq: NumberedSquare, k: int) -> tuple[int, tuple[int, ...]
     try:
         return sq.n_sq, sq.level_set(k)
     except AttributeError:
-        kinds = f"{type(sq).__name__} and {type(k).__name__}"
-        raise TypeError(f"{caller} needs a NumberedSquare and an int, not {kinds}") from None
+        raise _needs(caller, "a NumberedSquare and an int", sq, k) from None
 
 
 def layer_rotation(sq: NumberedSquare, k: int) -> Permutation:
@@ -83,9 +82,8 @@ class GroupElement:
 
     def __post_init__(self) -> None:
         n, b = self.n, self.b
-        for name, value in (("rotation exponent", self.a), ("reflection flag", b)):
-            if type(value) is not int:
-                raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+        _check_int("rotation exponent", self.a)
+        _check_int("reflection flag", b)
         if b not in (0, 1):
             raise ValueError(f"reflection flag must be 0 or 1, got {b}")
         sq = spiral_numbering(n)

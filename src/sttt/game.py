@@ -52,7 +52,7 @@ from typing import Iterable, Iterator, NamedTuple
 
 from .board import Board, _spell_fields
 from .dihedral import GroupElement, group_elements
-from .spiral import spiral_numbering
+from .spiral import _needs, spiral_numbering
 
 __all__ = (
     "IllegalMoveError", "TerminalStateError", "InvalidGameError", "Move", "GameValidation",
@@ -227,7 +227,7 @@ def legal_moves(state: GameState) -> tuple[Move, ...]:
         fields = (state.dictated,) if state.dictated is not None else state.open_fields()
         n, bits = state.n, state.field_bits
     except AttributeError:
-        raise TypeError(f"legal_moves needs a GameState, not {type(state).__name__}") from None
+        raise _needs("legal_moves", "a GameState", state) from None
     pos_bits = _label_tables(n)[1]
     moves = []
     for f in fields:  # open fields come in increasing order
@@ -325,8 +325,7 @@ def apply_move(state: GameState, move: Move) -> GameState:
     try:
         return _advance(state, (move,))
     except AttributeError:  # _advance reads no attribute of the move
-        kinds = f"{type(state).__name__} and {type(move).__name__}"
-        raise TypeError(f"apply_move needs a GameState and a move, not {kinds}") from None
+        raise _needs("apply_move", "a GameState and a move", state, move) from None
 
 
 # The replay memo's bounds: it holds the _MEMO_GAMES games used last, each of
@@ -454,8 +453,7 @@ def act_game(
     try:
         return _game_image(_checked(moves, elem.n), elem)
     except AttributeError:  # replay reads no attribute of the moves
-        kinds = f"{type(moves).__name__} and {type(elem).__name__}"
-        raise TypeError(f"act_game needs moves and a GroupElement, not {kinds}") from None
+        raise _needs("act_game", "moves and a GroupElement", moves, elem) from None
 
 
 def game_orbit(

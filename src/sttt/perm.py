@@ -6,6 +6,8 @@ from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Sequence
 
+from .spiral import _check_int, _not_int
+
 __all__ = ("Permutation",)
 
 
@@ -29,8 +31,7 @@ class Permutation:
         img = tuple(image)
         if not {int}.issuperset(map(type, img)):
             bad = next(x for x in img if type(x) is not int)
-            kind = type(bad).__name__
-            raise TypeError(f"permutation entry {bad!r} must be an int, not {kind}")
+            raise _not_int(f"permutation entry {bad!r}", bad)
         if sorted(img) != list(range(1, len(img) + 1)):
             raise ValueError(f"not a bijection on 1..{len(img)}: {img}")
         object.__setattr__(self, "image", img)
@@ -51,8 +52,8 @@ class Permutation:
         for cyc in cycles:
             cyc = tuple(cyc)
             for i, x in enumerate(cyc):
-                if type(x) is not int:
-                    raise TypeError(f"label {x!r} must be an int, not {type(x).__name__}")
+                if type(x) is not int:  # inline, so no valid label formats a name
+                    raise _not_int(f"label {x!r}", x)
                 if not 1 <= x <= n_sq:
                     raise ValueError(f"label {x} outside 1..{n_sq}")
                 if x in seen:
@@ -83,8 +84,7 @@ class Permutation:
         return Permutation(inv)
 
     def __pow__(self, k: int) -> Permutation:
-        if type(k) is not int:
-            raise TypeError(f"exponent must be an int, not {type(k).__name__}")
+        _check_int("exponent", k)
         img = [0] * len(self.image)
         for cyc in self.cycles(include_fixed=True):
             s = len(cyc)

@@ -12,6 +12,11 @@ Boards are serialized in reading order, so the numbering also fixes R, the
 spiral-to-reading map: R(x) = row * n + col for the cell of label x.  This
 module is its one owner; other modules read R and its inverse from
 NumberedSquare's ``reading`` and ``labels`` tuples.
+
+It also owns the wording of the package's two wrong-type errors: _needs
+builds "<caller> needs <what>, not <types>" for an entry point whose
+argument lacks the attributes it reads, and _not_int builds "<name> must be
+an int, not <type>", which _check_int raises.
 """
 
 from __future__ import annotations
@@ -20,6 +25,23 @@ from dataclasses import dataclass, fields
 from functools import lru_cache
 
 __all__ = ("InvalidSizeError", "InvalidLayerError", "NumberedSquare", "spiral_numbering")
+
+
+def _needs(caller: str, wanted: str, *args) -> TypeError:
+    """The TypeError of ``caller``, which needs ``wanted`` and got ``args``."""
+    kinds = " and ".join(type(arg).__name__ for arg in args)
+    return TypeError(f"{caller} needs {wanted}, not {kinds}")
+
+
+def _not_int(name: str, value) -> TypeError:
+    """The TypeError of a ``name`` that is not an int."""
+    return TypeError(f"{name} must be an int, not {type(value).__name__}")
+
+
+def _check_int(name: str, value) -> None:
+    """Raise _not_int's TypeError unless ``value`` is an int, not a bool."""
+    if type(value) is not int:
+        raise _not_int(name, value)
 
 
 class InvalidSizeError(ValueError):
@@ -52,8 +74,7 @@ class NumberedSquare:
     _level_sets: tuple[tuple[int, ...], ...]
 
     def __init__(self, n: int):
-        if type(n) is not int:
-            raise TypeError(f"side length must be an int, not {type(n).__name__}")
+        _check_int("side length", n)
         if n < 1:
             raise InvalidSizeError(f"side length must be a positive integer, got {n}")
         if n**4 > 10**7:
@@ -96,9 +117,8 @@ class NumberedSquare:
         return tuple(self.labels[k : k + n] for k in range(0, n * n, n))
 
     def label_at(self, row: int, col: int) -> int:
-        for name, value in (("row", row), ("column", col)):
-            if type(value) is not int:
-                raise TypeError(f"{name} must be an int, not {type(value).__name__}")
+        _check_int("row", row)
+        _check_int("column", col)
         if not (0 <= row < self.n and 0 <= col < self.n):
             raise IndexError(f"cell ({row}, {col}) outside a {self.n}x{self.n} grid")
         return self.labels[row * self.n + col]
@@ -114,8 +134,7 @@ class NumberedSquare:
 
     def level_set(self, k: int) -> tuple[int, ...]:
         """Sorted labels of layer k (1 = innermost)."""
-        if type(k) is not int:
-            raise TypeError(f"layer must be an int, not {type(k).__name__}")
+        _check_int("layer", k)
         if not (1 <= k <= self.layer_count):
             raise InvalidLayerError(
                 f"layer {k} invalid for n={self.n}; expected 1..{self.layer_count}"
@@ -123,8 +142,7 @@ class NumberedSquare:
         return self._level_sets[k - 1]
 
     def _check_label(self, label: int) -> None:
-        if type(label) is not int:
-            raise TypeError(f"label must be an int, not {type(label).__name__}")
+        _check_int("label", label)
         if not (1 <= label <= self.n_sq):
             raise ValueError(f"label {label} outside 1..{self.n_sq}")
 

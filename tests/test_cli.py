@@ -404,6 +404,19 @@ def test_census_diff_rejects_malformed_jsonl(tmp_path, capsys, line):
     assert err.startswith("error: line 1: ")
 
 
+def test_census_diff_says_a_listing_is_not_jsonl(tmp_path, capsys):
+    # the listing that census --listing-style writes is not what --computed
+    # reads, and the error names the format it takes
+    listing = tmp_path / "census.txt"
+    run(capsys, "census", "--n", "2", "--out", str(listing), "--listing-style")
+    code, out, err = run(capsys, "census", "diff", "--computed", str(listing))
+    assert (code, out) == (1, "")
+    assert err == (
+        f"error: {listing} is a class listing; --computed takes the JSONL census that "
+        "census --out writes without --listing-style\n"
+    )
+
+
 @pytest.mark.parametrize(
     "member, argv",
     [
@@ -624,3 +637,24 @@ def test_package_runs_as_a_module():
     assert hashlib.md5(census.stdout).hexdigest() == "375eb2abf00a31746bb4b911e572a894"
     bare = sttt()
     assert bare.returncode == 64 and bare.stdout == b""
+
+
+def test_census_and_fuzz_outputs_ignore_hash_seed_and_asserts():
+    # the pinned census and fuzz outputs and exit statuses come out alike
+    # under hash seeds 0 and 12345, the second under python -O, which strips
+    # assert statements; the four processes run at once
+    src = Path(__file__).resolve().parents[1] / "src"
+    runs = []
+    for argv, status, md5 in FIXED_OUTPUTS[:2]:
+        for seed, flags in (("0", ()), ("12345", ("-O",))):
+            env = {"PYTHONPATH": str(src), "PYTHONDONTWRITEBYTECODE": "1", "PYTHONHASHSEED": seed}
+            command = [sys.executable, *flags, "-m", "sttt", *argv]
+            proc = subprocess.Popen(
+                command, env=env, stdout=subprocess.PIPE, stderr=subprocess.DEVNULL
+            )
+            runs.append((seed, proc, status, md5))
+    got = []
+    for seed, proc, _, _ in runs:  # every process is read before any assert
+        out, _ = proc.communicate(timeout=120)
+        got.append((seed, proc.returncode, hashlib.md5(out).hexdigest()))
+    assert got == [(seed, status, md5) for seed, _, status, md5 in runs]

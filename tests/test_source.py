@@ -1,6 +1,7 @@
 import ast
 import importlib
 import importlib.util
+import re
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -182,6 +183,36 @@ def test_one_function_spells_field_bitmasks():
             if alias.name.startswith("_")
         }
         assert private == {"_spell_fields"}, name
+
+
+# the two wrong-type wordings, as a message passed to a call spells them
+_WRONG_TYPE = re.compile(r"\bneeds\b.*, not |must be an int, not ")
+
+
+def _literal_text(node) -> str:
+    """The text of a str constant, or of an f-string with {} for each
+    field; "" for any other node."""
+    if isinstance(node, ast.JoinedStr):
+        return "".join("{}" if isinstance(p, ast.FormattedValue) else p.value for p in node.values)
+    return node.value if isinstance(node, ast.Constant) and isinstance(node.value, str) else ""
+
+
+def test_one_module_words_the_wrong_type_errors():
+    # spiral.py alone builds "<caller> needs <what>, not <types>" and
+    # "<name> must be an int, not <type>": every other module raises them
+    # through its _needs, _not_int or _check_int
+    worded = {
+        path.name: [
+            node.lineno
+            for node in ast.walk(ast.parse(path.read_text("utf-8")))
+            if isinstance(node, ast.Call)
+            and any(_WRONG_TYPE.search(_literal_text(arg)) for arg in node.args)
+        ]
+        for path in sorted(SRC.glob("*.py"))
+    }
+    owner = worded.pop("spiral.py")
+    assert not {name: lines for name, lines in worded.items() if lines}
+    assert len(owner) == 2
 
 
 def _writes_stdout(call: ast.Call) -> bool:

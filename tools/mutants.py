@@ -143,7 +143,7 @@ MUTANTS = (
     Mutant(
         "to-bitstring-leaks-attribute-error",
         "src/sttt/board.py",
-        'raise TypeError(f"to_bitstring needs a Board, not {type(board).__name__}") from None',
+        'raise _needs("to_bitstring", "a Board", board) from None',
         "raise",
         ("tests/test_board.py::test_entry_points_refuse_arguments_of_the_wrong_type",),
     ),
@@ -213,7 +213,7 @@ MUTANTS = (
     Mutant(
         "layer-maps-leak-attribute-error",
         "src/sttt/dihedral.py",
-        'raise TypeError(f"{caller} needs a NumberedSquare and an int, not {kinds}") from None',
+        'raise _needs(caller, "a NumberedSquare and an int", sq, k) from None',
         "raise",
         ("tests/test_board.py::test_entry_points_refuse_arguments_of_the_wrong_type",),
     ),
@@ -444,8 +444,8 @@ MUTANTS = (
     Mutant(
         "element-exponent-admits-bool",
         "src/sttt/dihedral.py",
-        "if type(value) is not int:",
-        "if not isinstance(value, int):",
+        '_check_int("rotation exponent", self.a)',
+        'type(self.a) is bool or _check_int("rotation exponent", self.a)',
         ("tests/test_dihedral.py",),
     ),
     Mutant(
@@ -487,22 +487,22 @@ MUTANTS = (
     Mutant(
         "legal-moves-leaks-attribute-error",
         "src/sttt/game.py",
-        'raise TypeError(f"legal_moves needs a GameState, not {type(state).__name__}") from None',
+        'raise _needs("legal_moves", "a GameState", state) from None',
         "raise",
         ("tests/test_board.py::test_entry_points_refuse_arguments_of_the_wrong_type",),
     ),
     Mutant(
         "apply-move-leaks-attribute-error",
         "src/sttt/game.py",
-        'raise TypeError(f"apply_move needs a GameState and a move, not {kinds}") from None',
+        'raise _needs("apply_move", "a GameState and a move", state, move) from None',
         "raise",
         ("tests/test_board.py::test_entry_points_refuse_arguments_of_the_wrong_type",),
     ),
     Mutant(
         "size-admits-bool",
         "src/sttt/spiral.py",
-        "if type(n) is not int:",
-        "if type(n) not in (int, bool):",
+        '_check_int("side length", n)',
+        'type(n) is bool or _check_int("side length", n)',
         ("tests/test_spiral.py",),
     ),
     Mutant(
@@ -522,22 +522,22 @@ MUTANTS = (
     Mutant(
         "level-set-admits-bool",
         "src/sttt/spiral.py",
-        "if type(k) is not int:",
-        "if type(k) not in (int, bool):",
+        '_check_int("layer", k)',
+        'type(k) is bool or _check_int("layer", k)',
         ("tests/test_spiral.py",),
     ),
     Mutant(
         "label-type-unchecked",
         "src/sttt/spiral.py",
-        "if type(label) is not int:",
-        "if False:",
+        '_check_int("label", label)',
+        "pass",
         ("tests/test_spiral.py",),
     ),
     Mutant(
         "label-at-admits-bool",
         "src/sttt/spiral.py",
-        "if type(value) is not int:",
-        "if type(value) not in (int, bool):",
+        '_check_int("column", col)',
+        'type(col) is bool or _check_int("column", col)',
         ("tests/test_spiral.py",),
     ),
     Mutant(
@@ -564,8 +564,8 @@ MUTANTS = (
     Mutant(
         "power-admits-any-exponent",
         "src/sttt/perm.py",
-        "if type(k) is not int:",
-        "if False:",
+        '_check_int("exponent", k)',
+        "pass",
         ("tests/test_perm.py",),
     ),
     Mutant(
@@ -648,28 +648,28 @@ MUTANTS = (
     Mutant(
         "histogram-leaks-attribute-error",
         "src/sttt/census.py",
-        'raise TypeError(f"size_histogram needs IsoClasses, not {type(classes).__name__}") from None',
-        "raise",
+        '_in_order("size_histogram", classes)',
+        "classes",
         ("tests/test_board.py::test_entry_points_refuse_arguments_of_the_wrong_type",),
     ),
     Mutant(
         "diff-leaks-attribute-error",
         "src/sttt/census.py",
-        'raise TypeError(f"diff_census needs two lists of IsoClasses, not {kinds}") from None',
+        'raise _needs("diff_census", "two lists of IsoClasses", computed, reference) from None',
         "raise",
         ("tests/test_board.py::test_entry_points_refuse_arguments_of_the_wrong_type",),
     ),
     Mutant(
         "class-order-leaks-attribute-error",
         "src/sttt/census.py",
-        'raise TypeError(f"{caller} needs IsoClasses, not {type(classes).__name__}") from None',
+        'raise _needs(caller, "IsoClasses", classes) from None',
         "raise",
         ("tests/test_board.py::test_entry_points_refuse_arguments_of_the_wrong_type",),
     ),
     Mutant(
         "jsonl-reader-leaks-attribute-error",
         "src/sttt/census.py",
-        'raise TypeError(f"classes_from_jsonl needs a str, not {type(text).__name__}") from None',
+        'raise _needs("classes_from_jsonl", "a str", text) from None',
         "raise",
         ("tests/test_board.py::test_entry_points_refuse_arguments_of_the_wrong_type",),
     ),
@@ -686,6 +686,43 @@ MUTANTS = (
         "result.skipped += 1",
         "result.failures += 1",
         ("tests/test_checks.py",),
+    ),
+    Mutant(
+        "diff-counts-read-unguarded",
+        "src/sttt/census.py",
+        "        try:\n            declared = declared_counts.get\n        except AttributeError:\n"
+        '            raise _needs("diff_census", "declared counts in a dict", declared_counts)'
+        " from None\n",
+        "        declared = declared_counts.get\n",
+        ("tests/test_contracts.py",),
+    ),
+    Mutant(
+        "needs-names-only-the-first-type",
+        "src/sttt/spiral.py",
+        '" and ".join(type(arg).__name__ for arg in args)',
+        "type(args[0]).__name__",
+        ("tests/test_board.py::test_entry_points_refuse_arguments_of_the_wrong_type",),
+    ),
+    Mutant(
+        "int-check-admits-bool",
+        "src/sttt/spiral.py",
+        "if type(value) is not int:",
+        "if not isinstance(value, int):",
+        ("tests/test_spiral.py",),
+    ),
+    Mutant(
+        "sweep-catches-every-exception",
+        "tests/test_contracts.py",
+        "except (TypeError, ValueError):",
+        "except Exception:",
+        ("tests/test_contracts.py::test_the_sweep_reports_leaks",),
+    ),
+    Mutant(
+        "diff-reads-a-listing-as-jsonl",
+        "src/sttt/cli.py",
+        "if census_mod.parse_census_text(text, n=args.n):",
+        "if False:",
+        ("tests/test_cli.py::test_census_diff_says_a_listing_is_not_jsonl",),
     ),
 )
 
