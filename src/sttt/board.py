@@ -110,8 +110,8 @@ class Board:
     @classmethod
     def _of(cls, n: int, bits: str) -> Board:
         """The board of a bitstring already checked for side length n."""
-        # the instance dict written directly, as GameState.__init__ does,
-        # about a third cheaper than two object.__setattr__ calls
+        # the instance dict written directly, about a third cheaper than
+        # two object.__setattr__ calls
         board = object.__new__(cls)
         attrs = board.__dict__
         attrs["n"] = n
@@ -279,9 +279,9 @@ def _gathers(n: int) -> _Gathers:
     cuts = tuple(slice(start, start + n_sq) for start in range(0, n_sq * n_sq, n_sq))
     rows, firsts = [], []
     for elem in group_elements(n):
-        src = _source(n, elem.perm.image)
+        src = _source(n, elem.image)
         blocks = tuple(map(cuts.__getitem__, src))
-        rows.append((itemgetter(*src), blocks, _element(n, elem.perm.image)))
+        rows.append((itemgetter(*src), blocks, _element(n, elem.image)))
         firsts += [src[0] * n_sq + s for s in src[:n]]
     split = Struct(f"{n}s" * len(rows)).unpack
     return tuple(rows), itemgetter(*firsts), split, ("0" * n_sq, "1" * n_sq)
@@ -297,7 +297,7 @@ def act_board(board: Board, elem: GroupElement) -> Board:
         n = board.n
         if n != elem.n:
             raise ValueError(f"board is {n}x{n} but element acts on n={elem.n}")
-        return Board._of(n, _image(_element(n, elem.perm.image), board.bits))
+        return Board._of(n, _image(_element(n, elem.image), board.bits))
     except AttributeError:  # caught, not tested for, so a valid call pays nothing
         raise _needs("act_board", "a Board and a GroupElement", board, elem) from None
 

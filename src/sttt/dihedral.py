@@ -7,17 +7,22 @@ k_{s-i} for ring size s = j + 1, indices mod s, which reflects the ring
 across the grid's main diagonal (k_0 is always fixed, and so is k_{s/2} when
 s is even).  The full rotation sigma and reflection rho act on every layer at
 once, so sigma^a rho^b sends k_i to k_{a - i} when b = 1 and to k_{a + i}
-when b = 0, indices mod s; GroupElement builds its permutation from that
+when b = 0, indices mod s; GroupElement builds its image from that
 formula.
 
 The group generated by sigma and rho is dihedral of order 2m, where m is the
 least common multiple of the ring sizes: m = LCM(4, 12, ..., 4n-4) for even n
 and m = LCM(1, 8, 16, ..., 4n-4) for odd n.  Elements are written
 sigma^a rho^b with the reflection applied first: the realized permutation
-sends x to sigma^a(rho^b(x)).  Under the action, the content at label p moves
-to label g(p), so the cell labelled f shows what was at g^-1(f).
+sends x to sigma^a(rho^b(x)).  Under the action, the content at label p
+moves to label g(p), so the cell labelled f shows what was at g^-1(f).
 Since rho sigma rho = sigma^-1, products follow the dihedral law
 sigma^a rho^b * sigma^c rho^d = sigma^(a - c if b else a + c) rho^(b xor d).
+
+An element keeps its map x -> g(x) as its ``image`` tuple, laid out as
+``Permutation.image``, and is called through ``Permutation.__call__``
+itself, so the two share one label map; ``perm`` builds the checked
+Permutation only when asked, for the relation checks and the CLI.
 """
 
 from __future__ import annotations
@@ -72,13 +77,15 @@ def layer_reflection(sq: NumberedSquare, k: int) -> Permutation:
 @dataclass(frozen=True)
 class GroupElement:
     """Element sigma^a rho^b of the dihedral action for side length n; a and
-    b are ints (not bools), a is reduced mod m, b must be 0 or 1, and the
-    permutation is built from them."""
+    b are ints (not bools), a is reduced mod m, b must be 0 or 1.
+
+    ``image[x - 1]`` is g(x), built from a and b by the ring formula;
+    ``perm`` puts it through the checked Permutation constructor."""
 
     n: int
     a: int
     b: int
-    perm: Permutation = field(init=False, repr=False, compare=False)
+    image: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         n, b = self.n, self.b
@@ -93,15 +100,14 @@ class GroupElement:
             for i, x in enumerate(ring):
                 image[x - 1] = ring[(a - i if b else a + i) % len(ring)]
         object.__setattr__(self, "a", a)
-        object.__setattr__(self, "perm", Permutation(image))
+        object.__setattr__(self, "image", tuple(image))
 
-    def __call__(self, label: int) -> int:
-        if label > 0:  # Permutation.__call__ inlined
-            try:
-                return self.perm.image[label - 1]
-            except IndexError:
-                pass
-        raise ValueError(f"label {label} outside 1..{len(self.perm.image)}")
+    __call__ = Permutation.__call__
+
+    @property
+    def perm(self) -> Permutation:
+        """The element's permutation, built by the checked constructor."""
+        return Permutation(self.image)
 
     def __mul__(self, other: GroupElement) -> GroupElement:
         """Composition: (g * h) acts as g after h.  By the dihedral law,
@@ -135,8 +141,8 @@ _GROUP_SIZES = 4
 def group_elements(n: int) -> tuple[GroupElement, ...]:
     """All 2m elements, ordered by rotation exponent then reflection flag.
 
-    Raises ValueError, before building anything, when the 2m permutations
-    of n^2 labels would hold over 10^7 entries: n = 14, 16, 18 and n >= 19.
+    Raises ValueError, before building anything, when the 2m images of
+    n^2 labels would hold over 10^7 entries: n = 14, 16, 18 and n >= 19.
     """
     m = dihedral_order(n)
     if 2 * m * n * n > 10**7:
@@ -215,7 +221,7 @@ def verify_dihedral(n: int) -> DihedralReport:
     checks.append(RelationCheck("rho^2 = 1", (rho * rho) == ident))
     sr = sigma * rho
     checks.append(RelationCheck("(sigma rho)^2 = 1", (sr * sr) == ident))
-    distinct = len({e.perm for e in elems})
+    distinct = len({e.image for e in elems})
     checks.append(
         RelationCheck(
             "the 2m elements sigma^a rho^b are pairwise distinct",

@@ -14,7 +14,10 @@ grid holds n collinear marks, and the player who made that move loses.  Since
 every mark is an X, neither a field nor the board grid can fill without a
 line, so every finished game has a loser.
 
-The state is kept in ints: one bitmask per field, where bit p-1 is set when
+A ``GameState`` is a NamedTuple of six fields, as ``Move`` and
+``GameValidation`` are, so every value the engine makes is a tuple whose
+class generates its constructor, equality, hashing and pickling.  The
+state is kept in ints: one bitmask per field, where bit p-1 is set when
 position p holds an X, and one bitmask of the marked (closed) fields, where
 bit f-1 is set when field f is marked.  Two tables, cached per n and indexed
 directly by label (index 0 unused), hold each label x's bit ``1 << (x-1)``
@@ -45,7 +48,6 @@ comes from the memo.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import chain
 from typing import Iterable, Iterator, NamedTuple
@@ -124,8 +126,7 @@ def _labels(bits: int) -> Iterator[int]:
         bits ^= low
 
 
-@dataclass(frozen=True, init=False)
-class GameState:
+class GameState(NamedTuple):
     """Immutable snapshot of a game in progress.
 
     ``field_bits[i-1]`` has bit p-1 set when position p of field i holds an
@@ -142,26 +143,6 @@ class GameState:
     mark_bits: int
     dictated: int | None
     loser: int | None = None
-
-    def __init__(
-        self,
-        n: int,
-        moves: tuple[Move, ...],
-        field_bits: tuple[int, ...],
-        mark_bits: int,
-        dictated: int | None,
-        loser: int | None = None,
-    ):
-        # the generated __init__ of a frozen dataclass sets each field through
-        # object.__setattr__, about half the cost of a move; writing the
-        # instance dict directly skips that, and the class stays frozen
-        attrs = self.__dict__
-        attrs["n"] = n
-        attrs["moves"] = moves
-        attrs["field_bits"] = field_bits
-        attrs["mark_bits"] = mark_bits
-        attrs["dictated"] = dictated
-        attrs["loser"] = loser
 
     @classmethod
     @lru_cache(maxsize=None, typed=True)
@@ -422,13 +403,12 @@ def _game_image(moves: tuple[Move, ...], elem: GroupElement) -> tuple[Move, ...]
     The image is replayed; if it breaks a rule, InvalidGameError names
     ``elem`` and the input game.
     """
-    n, img = elem.n, elem.perm.image  # moves that replayed legally have labels in range
+    n, img = elem.n, elem.image  # moves that replayed legally have labels in range
     if n * n <= _MOVE_ROWS:  # all n^2 rows fit the cache: share their Moves
         rows = [_move_row(n, y) for y in img]  # the row of g(i) for each field i
         mapped = tuple([rows[i - 1][img[j - 1] - 1] for i, j in moves])
-    else:  # tuple.__new__ skips Move's own __new__, two thirds of the cost
-        new = tuple.__new__
-        mapped = tuple([new(Move, (img[i - 1], img[j - 1])) for i, j in moves])
+    else:
+        mapped = tuple([Move(img[i - 1], img[j - 1]) for i, j in moves])
     try:
         return replay(mapped, n).moves
     except IllegalMoveError as err:

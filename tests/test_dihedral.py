@@ -1,3 +1,5 @@
+import copy
+import pickle
 import time
 from functools import reduce
 
@@ -156,6 +158,26 @@ def test_element_call_bounds_and_types():
     assert g(True) == g(1)  # a bool is an int
     with pytest.raises(TypeError):
         g(1.5)
+
+
+@pytest.mark.parametrize("n", (*range(1, 12), 13))
+def test_every_element_image_is_a_permutation(n):
+    # an element builds its image by the ring formula, unchecked; perm puts
+    # it through the checked Permutation constructor, which raises for an
+    # image that is not a bijection on 1..n^2
+    labels = range(1, n * n + 1)
+    for g in group_elements(n):
+        p = g.perm
+        assert type(p) is Permutation and p.image == g.image
+        assert [g(x) for x in labels] == [p(x) for x in labels]
+
+
+def test_element_survives_copy_and_pickle():
+    g = GroupElement(3, 5, 1)
+    for twin in (copy.copy(g), copy.deepcopy(g), pickle.loads(pickle.dumps(g))):
+        assert type(twin) is GroupElement and twin == g
+        assert twin.image == g.image and twin.perm == g.perm
+        assert [twin(x) for x in range(1, 10)] == [g(x) for x in range(1, 10)]
 
 
 def test_full_products_n5():

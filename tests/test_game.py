@@ -1,5 +1,6 @@
-import dataclasses
+import copy
 import itertools
+import pickle
 import random
 import re
 import subprocess
@@ -140,23 +141,23 @@ def test_initial_state_is_shared():
 
 
 def test_game_state_is_a_frozen_value():
-    # GameState writes its fields itself; the dataclass still supplies
-    # immutability, equality, hashing, repr and asdict from those fields
+    # a NamedTuple: its class supplies immutability, equality, hashing,
+    # repr, _replace and _asdict from the six fields
     state = replay([(3, 1)], 2)
     for name in ("n", "moves", "field_bits", "mark_bits", "dictated", "loser"):
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             setattr(state, name, None)
-        with pytest.raises(dataclasses.FrozenInstanceError):
+        with pytest.raises(AttributeError):
             delattr(state, name)
-    same = dataclasses.replace(state)
+    same = state._replace()
     assert same is not state and same == state and hash(same) == hash(state)
-    moved = dataclasses.replace(state, dictated=2)
+    moved = state._replace(dictated=2)
     assert moved != state and moved.dictated == 2
     assert repr(state) == (
         "GameState(n=2, moves=(Move(field=3, pos=1),), field_bits=(0, 0, 1, 0), "
         "mark_bits=0, dictated=1, loser=None)"
     )
-    assert dataclasses.asdict(state) == {
+    assert state._asdict() == {
         "n": 2,
         "moves": ((3, 1),),
         "field_bits": (0, 0, 1, 0),
@@ -165,6 +166,13 @@ def test_game_state_is_a_frozen_value():
         "loser": None,
     }
     assert GameState(2, (), (0,) * 4, 0, None).loser is None
+
+
+def test_game_state_survives_copy_and_pickle():
+    state = replay(EXAMPLE_GAME, 2)
+    for twin in (copy.copy(state), copy.deepcopy(state), pickle.loads(pickle.dumps(state))):
+        assert type(twin) is GameState and twin == state
+        assert twin.board == state.board and twin.terminal == state.terminal
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 6, 7, 8, 9, 13))

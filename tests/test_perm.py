@@ -175,15 +175,17 @@ def test_hash_and_equality():
 
 
 def test_cached_element_permutation_rejects_assignment_and_deletion():
-    # group_elements(n) is cached, so a write to a permutation would change
-    # every later action by its element
+    # group_elements(n) is cached, so a write to an element's image, or to a
+    # permutation, would change every later action by that element
     elem = group_elements(2)[2]
     board = Board(2, {(1, 2), (3, 4)})
     before = act_board(board, elem)
     with pytest.raises(AttributeError):
-        elem.perm.image = (1, 2, 3, 4)
+        elem.image = (1, 2, 3, 4)
     with pytest.raises(AttributeError):
-        del elem.perm.image
+        del elem.image
+    with pytest.raises(AttributeError):
+        elem.perm.image = (1, 2, 3, 4)
     with pytest.raises(AttributeError):
         Permutation((2, 1)).other = 1
     assert group_elements(2)[2].perm.image == elem.perm.image != (1, 2, 3, 4)

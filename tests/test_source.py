@@ -104,6 +104,33 @@ def test_every_permutation_passes_the_constructor():
     assert not found, found
 
 
+def test_hot_values_have_no_hand_written_copies():
+    # a group element is called through Permutation's own __call__, no
+    # module skips a constructor with tuple.__new__, and a GameState is a
+    # NamedTuple, so game.py writes no instance __dict__
+    from sttt.dihedral import GroupElement
+    from sttt.game import GameState
+    from sttt.perm import Permutation
+
+    assert GroupElement.__call__ is Permutation.__call__
+    assert issubclass(GameState, tuple) and GameState._fields == (
+        "n", "moves", "field_bits", "mark_bits", "dictated", "loser",
+    )
+    trees = {path.name: ast.parse(path.read_text("utf-8")) for path in SRC.glob("*.py")}
+    found = [
+        f"{name}:{node.lineno}"
+        for name, tree in sorted(trees.items())
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and ast.unparse(node) == "tuple.__new__"
+    ]
+    found += [
+        f"game.py:{node.lineno}"
+        for node in ast.walk(trees["game.py"])
+        if getattr(node, "attr", None) == "__dict__"
+    ]
+    assert not found, found
+
+
 def test_act_board_has_one_kernel_source():
     # act_board takes its kernel from _element alone at every n, so it never
     # builds the group or a per-n table and has no second path above a bound

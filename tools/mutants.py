@@ -129,7 +129,7 @@ MUTANTS = (
     Mutant(
         "act-board-through-the-table",
         "src/sttt/board.py",
-        "_image(_element(n, elem.perm.image), board.bits)",
+        "_image(_element(n, elem.image), board.bits)",
         "_image(_gathers(n)[0][2 * elem.a + elem.b][2], board.bits)",
         ("tests/test_board.py",),
     ),
@@ -311,8 +311,15 @@ MUTANTS = (
     Mutant(
         "game-state-init-drops-dictated",
         "src/sttt/game.py",
-        '        attrs["dictated"] = dictated\n',
-        "",
+        "return GameState(n, made, tuple(fields), marks, dictated, loser)",
+        "return GameState(n, made, tuple(fields), marks, None, loser)",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
+        "game-state-dictated-and-loser-swapped",
+        "src/sttt/game.py",
+        "    dictated: int | None\n    loser: int | None = None\n",
+        "    loser: int | None\n    dictated: int | None = None\n",
         ("tests/test_game.py",),
     ),
     Mutant(
@@ -414,6 +421,13 @@ MUTANTS = (
         ("tests/test_game.py",),
     ),
     Mutant(
+        "image-moves-transposed-above-the-rows",
+        "src/sttt/game.py",
+        "Move(img[i - 1], img[j - 1])",
+        "Move(img[j - 1], img[i - 1])",
+        ("tests/test_game.py",),
+    ),
+    Mutant(
         "advance-keeps-converted-moves",
         "src/sttt/game.py",
         "move, keep = _as_move(move), False",
@@ -472,9 +486,16 @@ MUTANTS = (
     ),
     Mutant(
         "element-call-accepts-zero",
-        "src/sttt/dihedral.py",
+        "src/sttt/perm.py",
         "if label > 0:",
         "if label >= 0:",
+        ("tests/test_dihedral.py",),
+    ),
+    Mutant(
+        "element-perm-from-identity",
+        "src/sttt/dihedral.py",
+        "return Permutation(self.image)",
+        "return Permutation.identity(len(self.image))",
         ("tests/test_dihedral.py",),
     ),
     Mutant(
