@@ -187,6 +187,8 @@ def test_cached_element_permutation_rejects_assignment_and_deletion():
     with pytest.raises(AttributeError):
         elem.perm.image = (1, 2, 3, 4)
     with pytest.raises(AttributeError):
+        del elem.perm.image
+    with pytest.raises(AttributeError):
         Permutation((2, 1)).other = 1
     assert group_elements(2)[2].perm.image == elem.perm.image != (1, 2, 3, 4)
     assert act_board(board, elem) == before
